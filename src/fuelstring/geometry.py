@@ -1,11 +1,13 @@
 """Planar points and polyline paths with arc-length addressing."""
 from __future__ import annotations
 
+import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 EPS_GEOM = 1e-9
+SITE_SPACING = 0.5  # refuel-site candidate grid, in arc length from the path start
 
 
 @dataclass(frozen=True)
@@ -102,3 +104,29 @@ def step_toward(pos: Point2D, goal: Point2D, step: float) -> Point2D:
         return goal
     f = step / d
     return Point2D(pos.x + f * (goal.x - pos.x), pos.y + f * (goal.y - pos.y))
+
+
+def farthest_site_arc(path: Polyline, lo: float, hi: float, center: Point2D, reach: float,
+                      avoid: list[float] | tuple[float, ...] = ()) -> float | None:
+    """Farthest refuel-site arc in (lo, hi] whose point lies within reach of
+    center, or None.
+
+    Candidates are the path's vertices, a SITE_SPACING grid anchored at the
+    path start, and hi itself, scanned from hi downward.  Arcs within
+    EPS_GEOM of an avoid arc are skipped, so a site never lands on a target.
+    """
+    if hi <= lo + EPS_GEOM:
+        return None
+    arcs = path.cumulative_arc
+    vertices = reversed(arcs[:bisect_right(arcs, hi)])
+    grid = (k * SITE_SPACING for k in range(int(hi // SITE_SPACING), 0, -1))
+    avoid = sorted(avoid)
+    for a in heapq.merge([hi], vertices, grid, reverse=True):
+        if a <= lo + EPS_GEOM:
+            return None
+        i = bisect_left(avoid, a - EPS_GEOM)
+        if i < len(avoid) and avoid[i] <= a + EPS_GEOM:
+            continue
+        if distance(center, path.point_at_arc(a)) <= reach + EPS_GEOM:
+            return a
+    return None

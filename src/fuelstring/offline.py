@@ -8,10 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .geometry import EPS_GEOM, Point2D, Polyline, distance
+from .geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc
 from .model import Scenario, VehicleParams
-
-DEFAULT_CUT_SPACING = 0.5
 
 
 class PlanningError(Exception):
@@ -154,54 +152,24 @@ def _two_opt(order: list[int], pos: dict[int, Point2D], depot: Point2D) -> list[
     return order
 
 
-def _cut_candidates(tour: Tour, spacing: float) -> list[float]:
-    """Arcs where a refuel site may be placed: every vertex, a regular grid,
-    and the tour end.  Arcs on a target are excluded so a site never lands
-    on an unprocessed target; the depot arc at the very end stays in."""
-    total = tour.length
-    arcs = set(tour.path.cumulative_arc)
-    k = 1
-    while k * spacing < total - EPS_GEOM:
-        arcs.add(k * spacing)
-        k += 1
-    arcs.add(total)
-    target_arcs = [arc for _, arc in tour.visits]
-    out = []
-    for a in sorted(arcs):
-        if any(abs(a - ta) <= EPS_GEOM for ta in target_arcs) and a < total - EPS_GEOM:
-            continue
-        if out and a - out[-1] <= EPS_GEOM:
-            continue
-        out.append(a)
-    return out
-
-
-def split_tour(tour: Tour, params: VehicleParams,
-               cut_spacing: float = DEFAULT_CUT_SPACING) -> MissionPlan:
+def split_tour(tour: Tour, params: VehicleParams) -> MissionPlan:
     """Greedy farthest-feasible segmentation of the tour.
 
-    From each cut, the next refuel site goes at the farthest candidate arc
-    whose segment fits in one tank and whose site the ground vehicle can
-    reach from the previous one.  Raises PlanningError when no candidate
-    advances the cut.
+    From each cut, the next refuel site goes at the farthest site arc
+    (see farthest_site_arc) whose segment fits in one tank and whose site
+    the ground vehicle can reach from the previous one.  Raises
+    PlanningError when no candidate advances the cut.
     """
-    candidates = _cut_candidates(tour, cut_spacing)
     reach = params.reach_radius
     max_len = params.flight_range
     total = tour.length
+    target_arcs = [arc for _, arc in tour.visits]
 
     cuts = [0.0]
     while cuts[-1] < total - EPS_GEOM:
         a_prev = cuts[-1]
-        here = tour.path.point_at_arc(a_prev)
-        best = None
-        for a in candidates:
-            if a <= a_prev + EPS_GEOM:
-                continue
-            if a - a_prev > max_len + EPS_GEOM:
-                break
-            if distance(here, tour.path.point_at_arc(a)) <= reach + EPS_GEOM:
-                best = a
+        best = farthest_site_arc(tour.path, a_prev, min(a_prev + max_len, total),
+                                 tour.path.point_at_arc(a_prev), reach, target_arcs)
         if best is None:
             raise PlanningError(
                 f"cannot place a refuel site after arc {a_prev:.6g}: no candidate "
@@ -223,10 +191,9 @@ def split_tour(tour: Tour, params: VehicleParams,
     return MissionPlan(segments=tuple(segments))
 
 
-def plan_mission(scenario: Scenario,
-                 cut_spacing: float = DEFAULT_CUT_SPACING) -> MissionPlan:
+def plan_mission(scenario: Scenario) -> MissionPlan:
     """Tour construction plus splitting in one call."""
-    return split_tour(build_tour(scenario), scenario.params, cut_spacing)
+    return split_tour(build_tour(scenario), scenario.params)
 
 
 def validate_plan(plan: MissionPlan, scenario: Scenario) -> ValidationReport:

@@ -11,11 +11,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .geometry import EPS_GEOM, Point2D, Polyline, distance, step_toward
+from .geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc, step_toward
 from .model import EPS_FUEL, EPS_TIME, VehicleParams
 from .offline import PlanningError, SegmentPlan
-
-DEFAULT_CUT_SPACING = 0.5
 
 
 class Case(enum.IntEnum):
@@ -57,12 +55,10 @@ class SegmentState:
     site_arc_seen: float = 0.0  # low-water mark; backtracking is one-way
     skipped: list[int] = field(default_factory=list)
     abandoned: bool = False
-    repaired: bool = False
     deferred: list[tuple[int, Point2D]] = field(default_factory=list)
 
     @classmethod
-    def begin(cls, plan: SegmentPlan, ordinal: int, fuel: float,
-              repaired: bool = False) -> SegmentState:
+    def begin(cls, plan: SegmentPlan, ordinal: int, fuel: float) -> SegmentState:
         return cls(
             plan=plan,
             ordinal=ordinal,
@@ -72,7 +68,6 @@ class SegmentState:
             site_arc_seen=plan.length,
             pending=list(plan.target_arcs),
             mode=Mode.TRANSIT,
-            repaired=repaired,
         )
 
     @property
@@ -162,6 +157,7 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
     if new_site < state.site_arc - EPS_GEOM:
         state.site_moved = True
     state.site_arc = new_site
+    state.site_arc_seen = min(state.site_arc_seen, new_site)
     if state.pending:
         keep = [p for p in state.pending if p[1] <= state.site_arc + EPS_GEOM]
         passed = [p for p in state.pending if p[1] > state.site_arc + EPS_GEOM]
@@ -219,7 +215,6 @@ def transfer_and_repair(start: Point2D,
                         depot: Point2D,
                         params: VehicleParams,
                         ordinal: int,
-                        cut_spacing: float = DEFAULT_CUT_SPACING,
                         ) -> tuple[SegmentPlan, list[tuple[int, Point2D]], bool]:
     """Build the segment the UAV will fly after refueling at start.
 
@@ -248,58 +243,41 @@ def transfer_and_repair(start: Point2D,
     max_len = params.flight_range
     shed: list[tuple[int, Point2D]] = []
     modified = False
+    out_and_back = False
 
     while True:
         pts, arcs = _thread_path(start, [p for _, p in entries], terminal)
-        total = arcs[-1]
         target_arcs = arcs[1:-1]
-        last_target_arc = target_arcs[-1] if target_arcs else 0.0
-        hi = min(total, max_len)
-        best = _best_site_arc(pts, last_target_arc, hi, reach, cut_spacing)
-        if best is not None:
+        if len(pts) >= 2:
             path = Polyline(pts)
-            if best < total - EPS_GEOM:
-                path = path.sub_polyline(0.0, best)
-                modified = True
-            plan = SegmentPlan(
-                index=ordinal,
-                path=path,
-                target_arcs=tuple((tid, arc) for (tid, _), arc in zip(entries, target_arcs)),
-            )
-            return plan, shed, modified
+            lo = target_arcs[-1] if target_arcs else 0.0
+            best = farthest_site_arc(path, lo, min(path.length, max_len), start, reach)
+            if best is not None:
+                if best < path.length - EPS_GEOM:
+                    path = path.sub_polyline(0.0, best)
+                    modified = True
+                plan = SegmentPlan(
+                    index=ordinal,
+                    path=path,
+                    target_arcs=tuple((tid, arc) for (tid, _), arc in zip(entries, target_arcs)),
+                )
+                return plan, shed, modified
+        if out_and_back:
+            raise PlanningError(
+                f"target {entries[0][0]} permanently infeasible: from ({start.x:.6g}, "
+                f"{start.y:.6g}) even an out-and-back leg through it has no "
+                f"refuel site within range {max_len:.6g} and reach {reach:.6g}")
         if not entries:
             raise PlanningError(
                 f"no refuel site reachable on the leg from ({start.x:.6g}, "
                 f"{start.y:.6g}) within range {max_len:.6g} and reach {reach:.6g}")
         if len(entries) == 1:
-            return _out_and_back(start, entries[0], params, ordinal,
-                                 cut_spacing, shed)
-        shed.insert(0, entries.pop())
+            # last resort: fly out to the lone target, then double back
+            terminal = start
+            out_and_back = True
+        else:
+            shed.insert(0, entries.pop())
         modified = True
-
-
-def _out_and_back(start: Point2D, entry: tuple[int, Point2D],
-                  params: VehicleParams, ordinal: int, cut_spacing: float,
-                  shed: list[tuple[int, Point2D]],
-                  ) -> tuple[SegmentPlan, list[tuple[int, Point2D]], bool]:
-    """Last-resort single-target leg: fly out, then double back toward the
-    start until a site fits both range and reach."""
-    tid, tpos = entry
-    reach = params.reach_radius
-    max_len = params.flight_range
-    pts, arcs = _thread_path(start, [tpos], start)
-    hi = min(arcs[-1], max_len)
-    best = _best_site_arc(pts, arcs[1], hi, reach, cut_spacing)
-    if best is None:
-        raise PlanningError(
-            f"target {tid} permanently infeasible: from ({start.x:.6g}, "
-            f"{start.y:.6g}) even an out-and-back leg through it has no "
-            f"refuel site within range {max_len:.6g} and reach {reach:.6g}")
-    path = Polyline(pts)
-    if best < arcs[-1] - EPS_GEOM:
-        path = path.sub_polyline(0.0, best)
-    plan = SegmentPlan(index=ordinal, path=path, target_arcs=((tid, arcs[1]),))
-    return plan, shed, True
 
 
 def _thread_path(start: Point2D, waypoints: list[Point2D],
@@ -324,34 +302,6 @@ def _thread_path(start: Point2D, waypoints: list[Point2D],
             j += 1
         arcs.append(cum[j])
     return uniq, arcs
-
-
-def _best_site_arc(pts: list[Point2D], last_target_arc: float, hi: float,
-                   reach: float, cut_spacing: float) -> float | None:
-    """Farthest arc in (last_target_arc, hi] whose point lies within reach
-    of the path start.  Candidates: path vertices, a regular grid, hi."""
-    if hi <= last_target_arc + EPS_GEOM or len(pts) < 2:
-        return None
-    path = Polyline(pts)
-    start = pts[0]
-    cands = set()
-    for arc in path.cumulative_arc:
-        if last_target_arc + EPS_GEOM < arc <= hi + EPS_GEOM:
-            cands.add(min(arc, hi))
-    k = int(last_target_arc / cut_spacing)
-    while k * cut_spacing <= hi + EPS_GEOM:
-        a = k * cut_spacing
-        if a > last_target_arc + EPS_GEOM:
-            cands.add(min(a, hi))
-        k += 1
-    cands.add(hi)
-    best = None
-    for a in sorted(cands):
-        if a <= last_target_arc + EPS_GEOM:
-            continue
-        if distance(start, path.point_at_arc(a)) <= reach + EPS_GEOM:
-            best = a
-    return best
 
 
 def classify_segment_outcome(state: SegmentState) -> Case:

@@ -30,8 +30,6 @@ from .online import (
     ugv_reachable,
 )
 
-TICK_FIELDS = ("t", "uav", "fuel", "ugv", "seg", "site", "mode")
-EVENT_FIELDS = ("t", "kind", "detail")
 METRIC_KEYS = (
     "abandonments", "backtrack_episodes", "case_1", "case_2", "case_3",
     "case_4", "case_5", "mission_time", "rendezvous_count",
@@ -52,7 +50,6 @@ class SimConfig:
     resume_progress: bool = True
     check_invariants: bool = False
     keep_trace: bool = True
-    cut_spacing: float = 0.5
 
 
 class TargetTracker:
@@ -82,10 +79,6 @@ class TargetTracker:
         return fuel_avail, False
 
 
-def reveal_processing(tracker: TargetTracker, fuel_avail: float) -> tuple[float, bool]:
-    return tracker.reveal(fuel_avail)
-
-
 class MetricsFold:
     """Running metrics as a pure fold over trace records.
 
@@ -101,7 +94,7 @@ class MetricsFold:
         self._last_tick = None
         self._in_episode = False
 
-    def add_tick(self, t, ux, uy, fuel, gx, gy, seg, sx, sy, mode):
+    def add_tick(self, t, ux, uy, gx, gy, seg, sx, sy):
         last = self._last_tick
         if last is not None:
             lt, lux, luy, lgx, lgy, lseg, lsx, lsy = last
@@ -138,9 +131,9 @@ def fold_records(records) -> dict:
         if "kind" in rec:
             fold.add_event(rec["kind"], rec["detail"])
         else:
-            fold.add_tick(rec["t"], rec["uav"][0], rec["uav"][1], rec["fuel"],
+            fold.add_tick(rec["t"], rec["uav"][0], rec["uav"][1],
                           rec["ugv"][0], rec["ugv"][1], rec["seg"],
-                          rec["site"][0], rec["site"][1], rec["mode"])
+                          rec["site"][0], rec["site"][1])
     return fold.result()
 
 
@@ -200,17 +193,15 @@ class WorldState:
         rec = {"t": t, "kind": kind, "detail": detail}
         self.events.append(rec)
         self.fold.add_event(kind, detail)
-        if self._trace_file is not None:
-            self._trace_file.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        self._write(rec)
 
     def record_tick(self):
         st = self.active
         uav = st.uav_position
         site = st.site_position
-        mode = st.mode.value
-        self.fold.add_tick(self.clock, uav.x, uav.y, st.fuel,
+        self.fold.add_tick(self.clock, uav.x, uav.y,
                            self.ugv_pos.x, self.ugv_pos.y, st.ordinal,
-                           site.x, site.y, mode)
+                           site.x, site.y)
         if self.trace is not None or self._trace_file is not None:
             rec = {
                 "t": self.clock,
@@ -219,12 +210,15 @@ class WorldState:
                 "ugv": [self.ugv_pos.x, self.ugv_pos.y],
                 "seg": st.ordinal,
                 "site": [site.x, site.y],
-                "mode": mode,
+                "mode": st.mode.value,
             }
             if self.trace is not None:
                 self.trace.append(rec)
-            if self._trace_file is not None:
-                self._trace_file.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            self._write(rec)
+
+    def _write(self, rec: dict):
+        if self._trace_file is not None:
+            self._trace_file.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
     # -- helpers -----------------------------------------------------------
 
@@ -379,15 +373,14 @@ def _refuel(world: WorldState, t_now: float):
     next_plan = world.queue.pop(0) if world.queue else None
     new_plan, shed, modified = transfer_and_repair(
         site, deferred_all, next_plan, world.scenario.depot, params,
-        ordinal=st.ordinal + 1, cut_spacing=world.config.cut_spacing)
+        ordinal=st.ordinal + 1)
     world.carry = shed
     if modified:
         world.emit_event(t_now, "case", {
             "segment": st.ordinal + 1, "case": int(Case.SEGMENT_REPAIR),
         })
     world.active = SegmentState.begin(new_plan, st.ordinal + 1,
-                                      fuel=params.fuel_capacity,
-                                      repaired=modified)
+                                      fuel=params.fuel_capacity)
     world.refuel_hold = world.config.refuel_duration
 
 
@@ -405,7 +398,6 @@ def _check_invariants(world: WorldState):
     if st.site_arc > st.site_arc_seen + 1e-9:
         world.fault(f"refuel site moved forward along the path "
                     f"({st.site_arc_seen:.9g} -> {st.site_arc:.9g})")
-    st.site_arc_seen = min(st.site_arc_seen, st.site_arc)
     if st.mode in (Mode.WAIT, Mode.TO_RENDEZVOUS) and st.pending:
         world.fault("pending targets while heading to rendezvous")
     if not world.abandoned_this_tick:
@@ -439,7 +431,7 @@ def run(scenario: Scenario, config: SimConfig | None = None,
     """
     cfg = config if config is not None else SimConfig()
     if plan is None:
-        plan = plan_mission(scenario, cut_spacing=cfg.cut_spacing)
+        plan = plan_mission(scenario)
     audit = validate_plan(plan, scenario)
     if not audit.ok:
         raise PlanningError("invalid mission plan:\n" + audit.describe())

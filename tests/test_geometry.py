@@ -9,6 +9,7 @@ from fuelstring.geometry import (
     Point2D,
     Polyline,
     distance,
+    farthest_site_arc,
     polyline_length,
     step_toward,
 )
@@ -106,6 +107,34 @@ def test_step_toward_clamps_at_goal():
     assert step_toward(Point2D(0, 0), Point2D(3, 4), 2.5) == Point2D(1.5, 2.0)
     assert step_toward(Point2D(3, 4), Point2D(3, 4), 1.0) == Point2D(3, 4)
     assert step_toward(Point2D(0, 0), Point2D(3, 4), 0.0) == Point2D(0, 0)
+
+
+def test_site_search_returns_hi_when_feasible():
+    # hi = 13.3 is neither a vertex nor on the 0.5 grid; (8.02, 2.64) is ~8.44 out
+    assert farthest_site_arc(bend(), 0.0, 13.3, Point2D(0, 0), 9.0) == 13.3
+
+
+def test_site_search_stops_at_the_reach_circle():
+    # around (10, 0) the second edge stays within 5.2 up to arc 15.2: grid 15.0
+    assert farthest_site_arc(bend(), 0.0, 20.0, Point2D(10, 0), 5.2) == 15.0
+    # arc 3.5 sits at (3.2, 0.3), 3.214 from the origin; the vertex 3.2 is the last inside
+    hook = Polyline([Point2D(0, 0), Point2D(3.2, 0), Point2D(3.2, 10)])
+    assert farthest_site_arc(hook, 0.0, 13.2, Point2D(0, 0), 3.21) == 3.2
+
+
+def test_site_search_skips_avoided_arcs():
+    line = Polyline([Point2D(0, 0), Point2D(10, 0)])
+    assert farthest_site_arc(line, 0.0, 10.0, Point2D(0, 0), 50.0, avoid=[10.0]) == 9.5
+    assert farthest_site_arc(line, 0.0, 10.0, Point2D(0, 0), 50.0,
+                             avoid=[9.5, 10.0 + 1e-12]) == 9.0
+
+
+def test_site_search_on_empty_or_infeasible_interval_is_none():
+    line = Polyline([Point2D(0, 0), Point2D(10, 0)])
+    assert farthest_site_arc(line, 5.0, 5.0, Point2D(0, 0), 50.0) is None
+    assert farthest_site_arc(line, 5.0, 5.0 + 1e-12, Point2D(0, 0), 50.0) is None
+    # every candidate in (5, 10] lies beyond reach; arcs at or below lo never count
+    assert farthest_site_arc(line, 5.0, 10.0, Point2D(0, 0), 4.9) is None
 
 
 def test_arc_addressing_on_random_paths():

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from conftest import bend_plan, bend_scenario, line_plan, line_scenario
+from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import (
     InvariantViolation,
     MetricsFold,
@@ -160,20 +161,41 @@ def test_invariant_checks_catch_forward_site_motion():
         step(world)
 
 
+def _checked_generated_run(n: int, seed: int):
+    cost = CostModel(kind="uniform", low=0.0, high=25.0, seed=seed - 8983)
+    return run(generate_scenario(n, seed=seed, cost_model=cost),
+               SimConfig(check_invariants=True, keep_trace=False))
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantViolation,
+                   reason="known defect: a refuel within eps_pos short of the site, "
+                          "then a repaired site at the full reach radius from it")
+def test_reach_holds_after_refuel_short_of_site():
+    # segment 2, in transit at uav_arc=0 right after the refuel
+    _checked_generated_run(10, 9422)
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantViolation,
+                   reason="known defect: the site leaves ground-vehicle reach "
+                          "on the way to the rendezvous after an abandon")
+def test_reach_holds_on_the_way_to_rendezvous_after_abandon():
+    _checked_generated_run(22, 9414)
+
+
 def test_fold_counts_maximal_backtrack_episodes():
     fold = MetricsFold()
     rows = [
-        (0, 0, 0, 50, 0.0, 0, 0, 20.0, 0, "transit"),
-        (1, 1, 0, 49, 0.5, 0, 0, 20.0, 0, "processing"),
-        (2, 1, 0, 48, 1.0, 0, 0, 19.0, 0, "processing"),  # episode 1
-        (3, 1, 0, 47, 1.5, 0, 0, 18.0, 0, "processing"),
-        (4, 1, 0, 47, 2.0, 0, 0, 18.0, 0, "processing"),  # pause ends it
-        (5, 1, 0, 46, 2.5, 0, 0, 17.0, 0, "processing"),  # episode 2
-        (6, 5, 0, 42, 3.0, 0, 1, 40.0, 0, "transit"),     # new segment: no episode
-        (7, 6, 0, 41, 3.5, 0, 1, 39.5, 0, "processing"),  # episode 3
+        (0, 0, 0, 0.0, 0, 0, 20.0, 0),
+        (1, 1, 0, 0.5, 0, 0, 20.0, 0),
+        (2, 1, 0, 1.0, 0, 0, 19.0, 0),  # episode 1
+        (3, 1, 0, 1.5, 0, 0, 18.0, 0),
+        (4, 1, 0, 2.0, 0, 0, 18.0, 0),  # pause ends it
+        (5, 1, 0, 2.5, 0, 0, 17.0, 0),  # episode 2
+        (6, 5, 0, 3.0, 0, 1, 40.0, 0),  # new segment: no episode
+        (7, 6, 0, 3.5, 0, 1, 39.5, 0),  # episode 3
     ]
-    for t, ux, uy, fuel, gx, gy, seg, sx, sy, mode in rows:
-        fold.add_tick(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode)
+    for row in rows:
+        fold.add_tick(*row)
     m = fold.result()
     assert m["backtrack_episodes"] == 3
     assert math.isclose(m["uav_distance"], 6.0, abs_tol=1e-12)
