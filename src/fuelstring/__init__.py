@@ -6,7 +6,7 @@ refuel site: while it has slack the plan stands, and once taut the site is
 dragged back toward the UAV, skipping or abandoning targets as needed to
 keep the rendezvous reachable by both vehicles.
 """
-from .geometry import Point2D, Polyline, polyline_length
+from .geometry import Point2D, Polyline
 from .model import Scenario, Target, VehicleParams, World
 from .offline import (
     MissionPlan,

@@ -74,6 +74,7 @@ def batch_run(sweep: SweepConfig) -> list[CellResult]:
     if not (sweep.target_counts and sweep.fuel_capacities
             and sweep.speed_ratios and sweep.seeds):
         raise ValueError("sweep grid is empty: every dimension needs a value")
+    SimConfig(dt=sweep.dt)  # a bad tick size fails the sweep here, not in every row
     results = []
     for n in sweep.target_counts:
         for cap in sweep.fuel_capacities:

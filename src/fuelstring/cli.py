@@ -59,6 +59,15 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _world(text: str) -> World:
+    try:
+        width, height = _floats(text)
+        return World(width=width, height=height)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad world {text!r}; expected W,H: two finite, positive numbers") from None
+
+
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
@@ -94,7 +103,7 @@ def cmd_generate(args) -> int:
                          mu=cost.mu, sigma=cost.sigma, seed=args.seed)
     scenario = generate_scenario(
         args.n, seed=args.seed,
-        world=World(width=args.world[0], height=args.world[1]),
+        world=args.world,
         cost_model=cost)
     _write(args.out, emit_scenario(scenario))
     return 0
@@ -145,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a random scenario")
     p.add_argument("--n", type=int, required=True, help="number of targets")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--world", type=_floats, default=(50.0, 50.0),
+    p.add_argument("--world", type=_world, default=World(),
                    metavar="W,H", help="world bounds (default 50,50)")
     p.add_argument("--cost", type=_parse_cost_spec, default=None,
                    metavar="SPEC", help="uniform:LO,HI | lognormal:MU,SIGMA")

@@ -10,20 +10,13 @@ EPS_GEOM = 1e-9
 SITE_SPACING = 0.5  # refuel-site candidate grid, in arc length from the path start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2D:
+    """A plain coordinate pair.  It checks nothing: coordinates are checked
+    where they enter the program (document parsers, World, Polyline)."""
+
     x: float
     y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
-
-    def distance_to(self, other: Point2D) -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def as_list(self) -> list[float]:
-        return [self.x, self.y]
 
 
 def distance(a: Point2D, b: Point2D) -> float:
@@ -34,8 +27,9 @@ class Polyline:
     """Piecewise-linear path addressed by arc length from its first vertex.
 
     Vertices are fixed at construction; consecutive duplicates are rejected
-    so every edge has positive length.  Non-consecutive repeats are fine
-    (a path may cross or double back over itself).
+    so every edge has positive length, and non-finite coordinates (or a path
+    too long for a float) so every arc is finite.  Non-consecutive repeats
+    are fine (a path may cross or double back over itself).
     """
 
     __slots__ = ("vertices", "cumulative_arc")
@@ -48,7 +42,10 @@ class Polyline:
             d = distance(a, b)
             if d <= EPS_GEOM:
                 raise ValueError(f"zero-length edge at ({a.x}, {a.y})")
-            cum.append(cum[-1] + d)
+            arc = cum[-1] + d
+            if not math.isfinite(arc):
+                raise ValueError(f"non-finite edge at ({a.x}, {a.y})")
+            cum.append(arc)
         self.vertices = tuple(vertices)
         self.cumulative_arc = tuple(cum)
 
@@ -85,16 +82,8 @@ class Polyline:
         pts.append(self.point_at_arc(s1))
         return Polyline(pts)
 
-    def reversed(self) -> Polyline:
-        return Polyline(list(reversed(self.vertices)))
-
     def __repr__(self):
         return f"Polyline({len(self.vertices)} vertices, length {self.length:.3f})"
-
-
-def polyline_length(points: list[Point2D]) -> float:
-    """Total length of the open path through points, in order."""
-    return sum(distance(a, b) for a, b in zip(points, points[1:]))
 
 
 def step_toward(pos: Point2D, goal: Point2D, step: float) -> Point2D:

@@ -28,8 +28,8 @@ class VehicleParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if self.r_max is not None and self.r_max <= 0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
+        if self.r_max is not None and not (math.isfinite(self.r_max) and self.r_max > 0):
+            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
 
     @property
     def burn_rate(self) -> float:
@@ -76,8 +76,10 @@ class World:
     height: float = 50.0
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("world bounds must be positive")
+        # finite bounds let contains() reject a NaN or infinite position
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"world bounds must be positive and finite, got "
+                             f"{self.width} x {self.height}")
 
     def contains(self, p: Point2D) -> bool:
         return 0.0 <= p.x <= self.width and 0.0 <= p.y <= self.height

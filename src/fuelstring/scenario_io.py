@@ -19,7 +19,7 @@ carry tau), "uniform" (low, high), "lognormal" (mu, sigma).
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 from .geometry import Point2D, Polyline, distance
@@ -51,28 +51,76 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _num(obj: dict, key: str, where: str) -> float:
-    v = _need(obj, key, where)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-        raise ScenarioFormatError(f"{where}: field '{key}' must be a finite number, got {v!r}")
+def _finite(v, what: str) -> float:
+    # NaN and the infinities fail the comparison, and so do ints too big for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ScenarioFormatError(f"{what} must be a finite number, got {v!r}")
     return float(v)
+
+
+def _num(obj: dict, key: str, where: str) -> float:
+    return _finite(_need(obj, key, where), f"{where}: field '{key}'")
+
+
+def _int(obj: dict, key: str, where: str) -> int:
+    v = _need(obj, key, where)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ScenarioFormatError(f"{where}: field '{key}' must be an integer, got {v!r}")
+    return v
+
+
+def _obj(obj: dict, key: str, where: str) -> dict:
+    v = _need(obj, key, where)
+    if not isinstance(v, dict):
+        raise ScenarioFormatError(f"{where}: field '{key}' must be an object, got {v!r}")
+    return v
+
+
+def _objects(obj: dict, key: str, where: str) -> list[dict]:
+    """A field holding a list of objects."""
+    items = _need(obj, key, where)
+    if not isinstance(items, list):
+        raise ScenarioFormatError(f"{where}: field '{key}' must be a list, got {items!r}")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ScenarioFormatError(f"{where}: {key}[{i}] must be an object, got {item!r}")
+    return items
+
+
+def _make(where: str, build, *args, **kwargs):
+    """Construct a model value, reporting its own checks as format errors."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from None
+
+
+def _load(text: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioFormatError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an int too long to convert, or deep nesting
+        raise ScenarioFormatError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError("top level must be an object")
+    return doc
 
 
 def parse_cost_model(obj: dict) -> CostModel:
     kind = _need(obj, "kind", "cost_model")
     if kind == "explicit":
         return CostModel(kind="explicit")
+    seed = _int(obj, "seed", "cost_model") if "seed" in obj else 0
     if kind == "uniform":
         low = _num(obj, "low", "cost_model")
         high = _num(obj, "high", "cost_model")
         if high < low:
             raise ScenarioFormatError("cost_model: uniform high < low")
-        return CostModel(kind="uniform", low=low, high=high,
-                         seed=int(obj.get("seed", 0)))
+        return CostModel(kind="uniform", low=low, high=high, seed=seed)
     if kind == "lognormal":
         return CostModel(kind="lognormal", mu=_num(obj, "mu", "cost_model"),
-                         sigma=_num(obj, "sigma", "cost_model"),
-                         seed=int(obj.get("seed", 0)))
+                         sigma=_num(obj, "sigma", "cost_model"), seed=seed)
     raise ScenarioFormatError(f"cost_model: unknown kind {kind!r}")
 
 
@@ -84,7 +132,11 @@ def sample_costs(model: CostModel, target_ids: list[int]) -> dict[int, float]:
         if model.kind == "uniform":
             out[tid] = rng.uniform(model.low, model.high)
         else:
-            out[tid] = rng.lognormal(model.mu, model.sigma)
+            try:
+                out[tid] = rng.lognormal(model.mu, model.sigma)
+            except OverflowError:
+                raise ScenarioFormatError(
+                    f"cost_model: lognormal cost of target {tid} overflows a float") from None
     return out
 
 
@@ -94,45 +146,29 @@ def parse_scenario(text: str, seed_override: int | None = None) -> Scenario:
     Errors carry the field (and target id or entry number) at fault.
     seed_override replaces the cost model's seed, for sweep harnesses.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError("top level must be an object")
-
-    wobj = _need(doc, "world", "scenario")
-    world = World(width=_num(wobj, "width", "world"), height=_num(wobj, "height", "world"))
-    dobj = _need(doc, "depot", "scenario")
+    doc = _load(text)
+    wobj = _obj(doc, "world", "scenario")
+    world = _make("world", World, width=_num(wobj, "width", "world"),
+                  height=_num(wobj, "height", "world"))
+    dobj = _obj(doc, "depot", "scenario")
     depot = Point2D(_num(dobj, "x", "depot"), _num(dobj, "y", "depot"))
 
-    vobj = _need(doc, "vehicle", "scenario")
+    vobj = _obj(doc, "vehicle", "scenario")
     kwargs = {}
     for name in ("v_uav", "v_ugv", "fuel_capacity", "fuel_per_meter"):
         kwargs[name] = _num(vobj, name, "vehicle")
     if "r_max" in vobj and vobj["r_max"] is not None:
         kwargs["r_max"] = _num(vobj, "r_max", "vehicle")
-    try:
-        params = VehicleParams(**kwargs)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"vehicle: {exc}") from None
+    params = _make("vehicle", VehicleParams, **kwargs)
 
-    model = parse_cost_model(_need(doc, "cost_model", "scenario"))
+    model = parse_cost_model(_obj(doc, "cost_model", "scenario"))
     if seed_override is not None:
         model = CostModel(kind=model.kind, low=model.low, high=model.high,
                           mu=model.mu, sigma=model.sigma, seed=seed_override)
 
-    raw_targets = _need(doc, "targets", "scenario")
-    if not isinstance(raw_targets, list):
-        raise ScenarioFormatError("targets: must be a list")
     entries = []
-    for i, tobj in enumerate(raw_targets):
-        where = f"targets[{i}]"
-        if not isinstance(tobj, dict):
-            raise ScenarioFormatError(f"{where}: must be an object")
-        tid = _need(tobj, "id", where)
-        if not isinstance(tid, int) or isinstance(tid, bool):
-            raise ScenarioFormatError(f"{where}: field 'id' must be an integer")
+    for i, tobj in enumerate(_objects(doc, "targets", "scenario")):
+        tid = _int(tobj, "id", f"targets[{i}]")
         x = _num(tobj, "x", f"target {tid}")
         y = _num(tobj, "y", f"target {tid}")
         tau = None
@@ -148,14 +184,12 @@ def parse_scenario(text: str, seed_override: int | None = None) -> Scenario:
             f"cost_model is explicit but target {missing[0]} has no tau")
     sampled = sample_costs(model, missing) if missing else {}
 
-    targets = []
-    for tid, x, y, tau in entries:
-        targets.append(Target(id=tid, position=Point2D(x, y),
-                              tau=tau if tau is not None else sampled[tid]))
-    try:
-        return Scenario(world=world, depot=depot, params=params, targets=tuple(targets))
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from None
+    # only a sampled tau can still fail Target's check
+    targets = tuple(_make("cost_model", Target, id=tid, position=Point2D(x, y),
+                          tau=tau if tau is not None else sampled[tid])
+                    for tid, x, y, tau in entries)
+    return _make("scenario", Scenario, world=world, depot=depot, params=params,
+                 targets=targets)
 
 
 def emit_scenario(scenario: Scenario) -> str:
@@ -243,16 +277,23 @@ def emit_plan(plan: MissionPlan) -> str:
 
 
 def parse_plan(text: str) -> MissionPlan:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from None
+    """Parse a plan document; errors name the segment (and entry) at fault."""
+    doc = _load(text)
     segs = []
-    for i, sobj in enumerate(_need(doc, "segments", "plan")):
-        verts = [Point2D(float(x), float(y)) for x, y in _need(sobj, "vertices", f"segments[{i}]")]
-        arcs = tuple((int(t["id"]), float(t["arc"])) for t in sobj.get("targets", []))
-        segs.append(SegmentPlan(index=int(sobj.get("index", i)),
-                                path=Polyline(verts), target_arcs=arcs))
+    for i, sobj in enumerate(_objects(doc, "segments", "plan")):
+        where = f"segments[{i}]"
+        raw = _need(sobj, "vertices", where)
+        if not (isinstance(raw, list) and all(isinstance(v, list) and len(v) == 2 for v in raw)):
+            raise ScenarioFormatError(f"{where}: field 'vertices' must be a list of [x, y] pairs")
+        verts = [Point2D(*(_finite(c, f"{where}: vertices[{j}]") for c in v))
+                 for j, v in enumerate(raw)]
+        targets = []
+        for j, tobj in enumerate(_objects(sobj, "targets", where) if "targets" in sobj else []):
+            entry = f"{where}.targets[{j}]"
+            targets.append((_int(tobj, "id", entry), _num(tobj, "arc", entry)))
+        index = _int(sobj, "index", where) if "index" in sobj else i
+        segs.append(SegmentPlan(index=index, path=_make(where, Polyline, verts),
+                                target_arcs=tuple(targets)))
     if not segs:
         raise ScenarioFormatError("plan: no segments")
     return MissionPlan(segments=tuple(segs))

@@ -13,6 +13,7 @@ forwards only the amount burned plus a done flag.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, distance, step_toward
@@ -50,6 +51,16 @@ class SimConfig:
     resume_progress: bool = True
     check_invariants: bool = False
     keep_trace: bool = True
+
+    def __post_init__(self):
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        for name in ("eps_pos", "refuel_duration"):
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if self.max_mission_time is not None and not 0 < self.max_mission_time < math.inf:
+            raise ValueError(f"max_mission_time must be finite and > 0, got {self.max_mission_time}")
 
 
 class TargetTracker:

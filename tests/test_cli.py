@@ -47,12 +47,20 @@ def test_generate_rejects_bad_cost_spec(tmp_path):
         main(["generate", "--n", "3", "--seed", "1", "--cost", "weird:1"])
 
 
+@pytest.mark.parametrize("world", ["50", "inf,50", "50,nan", "0,50", "1,2,3"])
+def test_generate_rejects_bad_world(world):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--n", "3", "--seed", "1", "--world", world])
+    assert exc.value.code == 2
+
+
 def test_plan_emits_parseable_plan(tmp_path):
     sp = write_scenario(tmp_path / "s.json")
     pp = tmp_path / "p.json"
     assert main(["plan", "--scenario", str(sp), "--plan-out", str(pp)]) == 0
     plan = parse_plan(pp.read_text())
-    assert plan.segments[0].path.vertices[0].as_list() == [0.0, 0.0]
+    start = plan.segments[0].path.vertices[0]
+    assert (start.x, start.y) == (0.0, 0.0)
 
 
 def test_simulate_writes_trace_and_metrics(tmp_path):
@@ -115,6 +123,18 @@ def test_bad_scenario_file_exits_1(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["simulate", "--scenario", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_tick_size_exits_1(tmp_path, capsys):
+    sp = write_scenario(tmp_path / "s.json")
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--scenario", str(sp), "--dt", "0"]) == 1
+    assert main(["batch", "--sweep-targets", "3", "--sweep-fuel", "50",
+                 "--dt", "-0.05", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: dt must be finite and > 0, got 0.0",
+        "error: dt must be finite and > 0, got -0.05"]
+    assert not out.exists()
 
 
 def test_missing_subcommand_usage_error():

@@ -84,7 +84,7 @@ def test_tour_near_optimal_on_small_random_instances():
 def test_split_collinear_tour_into_three_tanks():
     plan = plan_mission(collinear_scenario())
     assert [seg.length for seg in plan.segments] == [25.0, 50.0, 5.0]
-    assert [s.as_list() for s in plan.sites] == [[25.0, 0.0], [5.0, 0.0], [0.0, 0.0]]
+    assert [(s.x, s.y) for s in plan.sites] == [(25.0, 0.0), (5.0, 0.0), (0.0, 0.0)]
     assert [seg.target_ids() for seg in plan.segments] == [[10, 20], [30, 40], []]
     assert plan.segments[0].target_arcs == ((10, 10.0), (20, 20.0))
     assert plan.segments[1].target_arcs == ((30, 5.0), (40, 15.0))
@@ -94,7 +94,7 @@ def test_split_collinear_tour_into_three_tanks():
 def test_split_single_far_target_cuts_on_return_leg():
     plan = plan_mission(single_target_scenario(30.0, 0.0))
     assert [seg.length for seg in plan.segments] == [50.0, 10.0]
-    assert [s.as_list() for s in plan.sites] == [[10.0, 0.0], [0.0, 0.0]]
+    assert [(s.x, s.y) for s in plan.sites] == [(10.0, 0.0), (0.0, 0.0)]
     assert plan.segments[0].target_arcs == ((7, 30.0),)
 
 
@@ -102,7 +102,7 @@ def test_split_respects_rendezvous_cap():
     # capping the site-to-site distance at 8 forces short creeping hops
     plan = plan_mission(single_target_scenario(30.0, 0.0, r_max=8.0))
     assert [seg.length for seg in plan.segments] == [8.0, 50.0, 2.0]
-    assert [s.as_list() for s in plan.sites] == [[8.0, 0.0], [2.0, 0.0], [0.0, 0.0]]
+    assert [(s.x, s.y) for s in plan.sites] == [(8.0, 0.0), (2.0, 0.0), (0.0, 0.0)]
     assert validate_plan(plan, single_target_scenario(30.0, 0.0, r_max=8.0)).ok
 
 

@@ -161,7 +161,7 @@ def test_repair_walks_terminal_back_along_the_path():
     nxt = SegmentPlan(index=1, path=Polyline([P(35, 0), P(10, 0)]))
     plan, shed, modified = transfer_and_repair(
         P(0, 0), [(9, P(35, 0))], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=1)
-    assert [v.as_list() for v in plan.path.vertices] == [[0, 0], [35, 0], [20, 0]]
+    assert plan.path.vertices == (P(0, 0), P(35, 0), P(20, 0))
     assert math.isclose(plan.length, 50.0, abs_tol=1e-9)
     assert plan.target_arcs == ((9, 35.0),)
     assert plan.site == P(20.0, 0.0)  # pulled back 10 from the planned (10, 0)
@@ -174,7 +174,7 @@ def test_repair_sheds_unreachable_tail_targets():
         P(0, 0), [(1, P(20, 0)), (2, P(45, 0))], nxt, P(0, 0),
         DEFAULT_PARAMS, ordinal=1)
     assert shed == [(2, P(45.0, 0.0))]
-    assert [v.as_list() for v in plan.path.vertices] == [[0, 0], [20, 0], [25, 0]]
+    assert plan.path.vertices == (P(0, 0), P(20, 0), P(25, 0))
     assert plan.target_arcs == ((1, 20.0),)
     assert plan.site == P(25.0, 0.0)
     assert modified
@@ -188,7 +188,7 @@ def test_repair_doubles_back_when_terminal_is_hopeless():
     nxt = SegmentPlan(index=3, path=Polyline([P(20, 0), P(0, 40)]))
     plan, shed, modified = transfer_and_repair(
         P(0, 0), [(5, P(20, 0))], nxt, P(0, 0), tight, ordinal=1)
-    assert [v.as_list() for v in plan.path.vertices] == [[0, 0], [20, 0], [0, 0]]
+    assert plan.path.vertices == (P(0, 0), P(20, 0), P(0, 0))
     assert plan.target_arcs == ((5, 20.0),)
     assert plan.site == P(0.0, 0.0)
     assert shed == [] and modified
@@ -208,7 +208,7 @@ def test_repair_passes_clean_segments_through():
     plan, shed, modified = transfer_and_repair(
         P(20, 0), [], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=1)
     assert not modified and shed == []
-    assert [v.as_list() for v in plan.path.vertices] == [[20, 0], [0, 0]]
+    assert plan.path.vertices == (P(20, 0), P(0, 0))
     assert plan.target_arcs == ()
 
 
@@ -216,7 +216,7 @@ def test_repair_reanchors_after_short_rendezvous():
     # the rendezvous landed at (15, 0), short of the planned start (20, 0)
     plan, shed, modified = transfer_and_repair(
         P(15, 0), [], line_plan().segments[1], P(0, 0), DEFAULT_PARAMS, ordinal=1)
-    assert [v.as_list() for v in plan.path.vertices] == [[15, 0], [0, 0]]
+    assert plan.path.vertices == (P(15, 0), P(0, 0))
     assert not modified
 
 
@@ -232,8 +232,8 @@ def test_repair_rethreads_straight_through_targets():
                       target_arcs=((8, 10.0),))
     plan, shed, modified = transfer_and_repair(
         P(14, 0), [(7, P(15, 0))], nxt, P(0, 0), wide, ordinal=1)
-    assert [v.as_list() for v in plan.path.vertices] == [
-        [14, 0], [15, 0], [30, 0], [40, 0]]
+    assert plan.path.vertices == (
+        P(14, 0), P(15, 0), P(30, 0), P(40, 0))
     assert plan.path.length == pytest.approx(26.0, abs=1e-12)
     assert plan.target_arcs == ((7, 1.0), (8, 16.0))
     assert shed == [] and not modified
@@ -243,7 +243,7 @@ def test_repair_keeps_deferred_target_at_the_rendezvous():
     plan, shed, modified = transfer_and_repair(
         P(5, 0), [(3, P(5, 0))], None, P(0, 0), DEFAULT_PARAMS, ordinal=1)
     assert plan.target_arcs == ((3, 0.0),)  # may start directly on it
-    assert [v.as_list() for v in plan.path.vertices] == [[5, 0], [0, 0]]
+    assert plan.path.vertices == (P(5, 0), P(0, 0))
     assert not modified
 
 

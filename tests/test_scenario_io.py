@@ -86,6 +86,44 @@ def test_plan_round_trip():
      "duplicate target id 1"),
     (lambda d: d["targets"][0].__setitem__("x", 99.0),
      "target 1 outside world bounds"),
+    (lambda d: d.__setitem__("world", None),
+     "scenario: field 'world' must be an object, got None"),
+    (lambda d: d.__setitem__("depot", [0.0, 0.0]),
+     "scenario: field 'depot' must be an object"),
+    (lambda d: d.__setitem__("vehicle", "x"),
+     "scenario: field 'vehicle' must be an object"),
+    (lambda d: d.__setitem__("cost_model", []),
+     "scenario: field 'cost_model' must be an object"),
+    (lambda d: d.__setitem__("targets", {}),
+     "scenario: field 'targets' must be a list"),
+    (lambda d: d["targets"].__setitem__(1, None),
+     "scenario: targets\\[1\\] must be an object, got None"),
+    (lambda d: d["targets"][0].__setitem__("id", 1.5),
+     "targets\\[0\\]: field 'id' must be an integer, got 1.5"),
+    (lambda d: d["world"].__setitem__("width", float("inf")),
+     "world: field 'width' must be a finite number, got inf"),
+    (lambda d: d["world"].__setitem__("height", 0.0),
+     "world: world bounds must be positive and finite"),
+    (lambda d: d["depot"].__setitem__("y", None),
+     "depot: field 'y' must be a finite number, got None"),
+    (lambda d: d["targets"][0].__setitem__("y", 10 ** 400),
+     "target 1: field 'y' must be a finite number"),
+    (lambda d: d["vehicle"].__setitem__("r_max", -1.0),
+     "vehicle: r_max must be positive and finite"),
+    (lambda d: d.__setitem__("cost_model", {"kind": "uniform", "low": 0.0,
+                                            "high": 1.0, "seed": True}),
+     "cost_model: field 'seed' must be an integer, got True"),
+    (lambda d: d.__setitem__("cost_model", {"kind": "lognormal", "mu": 0.0,
+                                            "sigma": 1.0, "seed": None}),
+     "cost_model: field 'seed' must be an integer, got None"),
+    (lambda d: (d.__setitem__("cost_model", {"kind": "lognormal", "mu": 1000.0,
+                                             "sigma": 1.0}),
+                d["targets"][1].pop("tau")),
+     "cost_model: lognormal cost of target 2 overflows a float"),
+    (lambda d: (d.__setitem__("cost_model", {"kind": "uniform", "low": -5.0,
+                                             "high": -1.0}),
+                d["targets"][1].pop("tau")),
+     "cost_model: target 2: tau must be finite and >= 0"),
 ])
 def test_malformed_document_names_the_fault(mutate, message):
     doc = valid_doc()
@@ -219,9 +257,34 @@ def test_generation_rejects_bad_counts():
 # --- plan documents --------------------------------------------------------
 
 def test_parse_plan_rejects_empty_and_malformed():
-    with pytest.raises(ScenarioFormatError, match="plan: no segments"):
-        parse_plan('{"segments": []}')
-    with pytest.raises(ScenarioFormatError, match="segments\\[0\\]: missing field 'vertices'"):
-        parse_plan('{"segments": [{"index": 0}]}')
-    with pytest.raises(ScenarioFormatError, match="not valid JSON"):
-        parse_plan("{")
+    for text, message in [
+        ('{"segments": []}', "plan: no segments"),
+        ('{"segments": [{"index": 0}]}', "segments\\[0\\]: missing field 'vertices'"),
+        ("{", "not valid JSON"),
+        ("[" * 100000, "not valid JSON: maximum recursion depth"),
+        ('{"segments": ' + "1" * 5000 + "}", "not valid JSON: Exceeds the limit"),
+        ('[]', "top level must be an object"),
+        ('{"segments": null}', "plan: field 'segments' must be a list"),
+        ('{"segments": [null]}', "plan: segments\\[0\\] must be an object"),
+        ('{"segments": [{"vertices": [[0, 0], [10]]}]}',
+         "segments\\[0\\]: field 'vertices' must be a list of \\[x, y\\] pairs"),
+        ('{"segments": [{"vertices": [[0, 0], [null, 0]]}]}',
+         "segments\\[0\\]: vertices\\[1\\] must be a finite number, got None"),
+        ('{"segments": [{"vertices": [[0, 0], [true, 0]]}]}',
+         "segments\\[0\\]: vertices\\[1\\] must be a finite number, got True"),
+        ('{"segments": [{"vertices": [[0, 0]]}]}',
+         "segments\\[0\\]: polyline needs at least 2 vertices"),
+        ('{"segments": [{"vertices": [[0, 0], [0, 0]]}]}', "segments\\[0\\]: zero-length edge"),
+        ('{"segments": [{"vertices": [[-1e308, 0], [1e308, 0]]}]}',
+         "segments\\[0\\]: non-finite edge"),
+        ('{"segments": [{"vertices": [[0, 0], [1, 0]], "index": true}]}',
+         "segments\\[0\\]: field 'index' must be an integer"),
+        ('{"segments": [{"vertices": [[0, 0], [1, 0]], "targets": {}}]}',
+         "segments\\[0\\]: field 'targets' must be a list"),
+        ('{"segments": [{"vertices": [[0, 0], [1, 0]], "targets": [{"id": "x", "arc": 0.5}]}]}',
+         "segments\\[0\\].targets\\[0\\]: field 'id' must be an integer"),
+        ('{"segments": [{"vertices": [[0, 0], [1, 0]], "targets": [{"id": 1, "arc": NaN}]}]}',
+         "segments\\[0\\].targets\\[0\\]: field 'arc' must be a finite number"),
+    ]:
+        with pytest.raises(ScenarioFormatError, match=message):
+            parse_plan(text)

@@ -92,6 +92,17 @@ def test_timeout_reports_unprocessed_targets():
     assert math.isclose(rep.metrics["mission_time"], 10.0, abs_tol=1e-9)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("dt", 0.0), ("dt", -0.05), ("dt", math.nan), ("dt", math.inf),
+    ("eps_pos", -0.1), ("eps_pos", math.nan), ("refuel_duration", math.inf),
+    ("max_mission_time", 0.0), ("max_mission_time", math.inf),
+])
+def test_config_rejects_bad_numbers(field, bad):
+    # a zero or negative dt would never advance the clock
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: bad})
+
+
 def test_kept_progress_lets_oversized_jobs_finish():
     rep = run(line_scenario(60.0), plan=line_plan())
     assert rep.completed
