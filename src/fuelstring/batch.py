@@ -50,13 +50,13 @@ class CellResult:
 
 def run_cell(n_targets: int, fuel_capacity: float, speed_ratio: float,
              seed: int, sweep: SweepConfig) -> CellResult:
-    params = VehicleParams(
-        v_uav=BASE_V_UAV,
-        v_ugv=speed_ratio * BASE_V_UAV,
-        fuel_capacity=fuel_capacity,
-        fuel_per_meter=1.0,
-    )
     try:
+        params = VehicleParams(
+            v_uav=BASE_V_UAV,
+            v_ugv=speed_ratio * BASE_V_UAV,
+            fuel_capacity=fuel_capacity,
+            fuel_per_meter=1.0,
+        )
         scenario = generate_scenario(
             n_targets, seed=seed, world=sweep.world, params=params,
             cost_model=CostModel(kind="uniform", low=sweep.cost_low,

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import EPS_GEOM, Point2D, distance
 
@@ -90,9 +90,11 @@ class Scenario:
     world: World
     depot: Point2D
     params: VehicleParams
-    targets: tuple[Target, ...] = field(default_factory=tuple)
+    targets: tuple[Target, ...]
 
     def __post_init__(self):
+        if not self.targets:
+            raise ValueError("a scenario needs at least one target, got none")
         if not self.world.contains(self.depot):
             raise ValueError(f"depot ({self.depot.x}, {self.depot.y}) outside world bounds")
         seen_ids: set[int] = set()

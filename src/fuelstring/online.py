@@ -9,6 +9,7 @@ costs enter as per-tick burn amounts and a done flag, never as totals.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc, step_toward
@@ -56,6 +57,12 @@ class SegmentState:
     skipped: list[int] = field(default_factory=list)
     abandoned: bool = False
     deferred: list[tuple[int, Point2D]] = field(default_factory=list)
+    # the last point computed for each arc, keyed on the arc's value so that
+    # a direct assignment to site_arc or uav_arc can never leave it stale
+    _site_cache: tuple[float, Point2D | None] = field(
+        default=(math.nan, None), init=False, repr=False, compare=False)
+    _uav_cache: tuple[float, Point2D | None] = field(
+        default=(math.nan, None), init=False, repr=False, compare=False)
 
     @classmethod
     def begin(cls, plan: SegmentPlan, ordinal: int, fuel: float) -> SegmentState:
@@ -72,11 +79,19 @@ class SegmentState:
 
     @property
     def site_position(self) -> Point2D:
-        return self.plan.path.point_at_arc(self.site_arc)
+        arc, point = self._site_cache
+        if arc != self.site_arc:
+            point = self.plan.path.point_at_arc(self.site_arc)
+            self._site_cache = (self.site_arc, point)
+        return point
 
     @property
     def uav_position(self) -> Point2D:
-        return self.plan.path.point_at_arc(self.uav_arc)
+        arc, point = self._uav_cache
+        if arc != self.uav_arc:
+            point = self.plan.path.point_at_arc(self.uav_arc)
+            self._uav_cache = (self.uav_arc, point)
+        return point
 
     def string_gap(self) -> float:
         return self.site_arc - self.uav_arc

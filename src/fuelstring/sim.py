@@ -184,6 +184,7 @@ class WorldState:
         self.config = config
         self.clock = 0.0
         self.trackers = {t.id: TargetTracker(t.tau) for t in scenario.targets}
+        self.done_ids: set[int] = set()  # grows at each "complete" event
         self.queue: list[SegmentPlan] = list(plan.segments[1:])
         self.active = SegmentState.begin(plan.segments[0], 0,
                                          fuel=self.params.fuel_capacity)
@@ -234,10 +235,10 @@ class WorldState:
     # -- helpers -----------------------------------------------------------
 
     def all_processed(self) -> bool:
-        return all(tr.done for tr in self.trackers.values())
+        return len(self.done_ids) == len(self.trackers)
 
     def unprocessed_ids(self) -> list[int]:
-        return sorted(tid for tid, tr in self.trackers.items() if not tr.done)
+        return sorted(tid for tid in self.trackers if tid not in self.done_ids)
 
     def fault(self, message: str):
         st = self.active
@@ -316,6 +317,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float):
                     "site_arc": st.site_arc,
                 })
             if done:
+                world.done_ids.add(target_id)
                 world.emit_event(t_now, "complete", {
                     "segment": st.ordinal, "target": target_id,
                 })
@@ -329,6 +331,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float):
             if arrival == "target":
                 used0, done0 = world.trackers[st.current].reveal(0.0)
                 if done0:
+                    world.done_ids.add(st.current)
                     world.emit_event(t_now, "complete", {
                         "segment": st.ordinal, "target": st.current,
                     })
@@ -414,23 +417,24 @@ def _check_invariants(world: WorldState):
     if not world.abandoned_this_tick:
         if not ugv_reachable(world.ugv_pos, st.site_position, st.fuel, params):
             world.fault("refuel site out of ground-vehicle reach")
-    ids = set()
-    for tid in (tid for tid, _ in st.pending):
-        ids.add(tid)
+    # every target is held exactly once (pending, current, deferred, carried
+    # or queued) or done, never both
+    held = [tid for tid, _ in st.pending]
     if st.current is not None:
-        ids.add(st.current)
-    for tid, _ in st.deferred:
-        ids.add(tid)
-    for tid, _ in world.carry:
-        ids.add(tid)
+        held.append(st.current)
+    held += [tid for tid, _ in st.deferred]
+    held += [tid for tid, _ in world.carry]
     for seg in world.queue:
-        ids.update(seg.target_ids())
-    done_ids = {tid for tid, tr in world.trackers.items() if tr.done}
-    expected = set(world.trackers)
-    live = ids | done_ids
-    if live != expected or len(done_ids & ids) > 0:
-        world.fault(f"target conservation broken: live={sorted(live)} "
-                    f"done-and-tracked={sorted(done_ids & ids)}")
+        held += seg.target_ids()
+    ids = set(held)
+    done = world.done_ids
+    if (len(ids) != len(held) or not ids.isdisjoint(done)
+            or ids.union(done) != world.trackers.keys()):
+        twice = sorted({tid for tid in held if held.count(tid) > 1})
+        world.fault(f"target conservation broken: held twice={twice} "
+                    f"held and done={sorted(ids & done)} "
+                    f"missing={sorted(world.trackers.keys() - ids - done)} "
+                    f"unknown={sorted(ids - world.trackers.keys())}")
 
 
 def run(scenario: Scenario, config: SimConfig | None = None,

@@ -1,6 +1,7 @@
 """Sweep grids, CSV shape, and frozen family regressions."""
 import csv
 import io
+import math
 
 import pytest
 
@@ -85,6 +86,19 @@ def test_failed_cell_recorded_without_aborting():
     assert [r[4] for r in rows[2:5]] == ["no-data"] * 3
     assert all(v == "" for r in rows[2:5] for v in r[5:])
     assert rows[1][5:] == [""] * len(METRIC_KEYS)
+
+
+def test_bad_vehicle_value_fails_only_its_cells():
+    # a fuel or speed no vehicle can have is an error row, like any failed run
+    cfg = small_sweep(target_counts=(3,), fuel_capacities=(math.nan, 50.0),
+                      speed_ratios=(-1.0, 0.5), seeds=(1,))
+    statuses = [r.status for r in batch_run(cfg)]
+    assert statuses[:3] == [
+        "error: ValueError: v_ugv must be positive and finite, got -2.0",
+        "error: ValueError: fuel_capacity must be positive and finite, got nan",
+        "error: ValueError: v_ugv must be positive and finite, got -2.0",
+    ]
+    assert statuses[3] == "completed"
 
 
 def test_empty_grid_rejected():

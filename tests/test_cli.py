@@ -1,4 +1,5 @@
 """End-to-end command-line behavior through main(argv)."""
+import csv
 import json
 
 import pytest
@@ -125,6 +126,14 @@ def test_bad_scenario_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "plan"])
+def test_scenario_without_targets_exits_1(tmp_path, capsys, command):
+    sp = write_scenario(tmp_path / "s.json", extra={"targets": []})
+    assert main([command, "--scenario", str(sp)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scenario: a scenario needs at least one target, got none"]
+
+
 def test_bad_tick_size_exits_1(tmp_path, capsys):
     sp = write_scenario(tmp_path / "s.json")
     out = tmp_path / "r.csv"
@@ -150,6 +159,16 @@ def test_batch_csv_to_file(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("n_targets,fuel_capacity,speed_ratio,seed,status")
     assert len(lines) == 9
+
+
+def test_batch_bad_fuel_value_is_an_error_row(tmp_path):
+    out = tmp_path / "r.csv"
+    rc = main(["batch", "--sweep-targets", "3", "--sweep-fuel", "nan,50",
+               "--sweep-ratio", "0.5", "--seeds", "1", "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[1][4] == "error: ValueError: fuel_capacity must be positive and finite, got nan"
+    assert rows[5][4] == "completed"
 
 
 def test_stdout_default_sink(tmp_path, capsys):

@@ -114,6 +114,20 @@ def test_processing_drags_site_and_defers_passed_targets():
     assert classify_segment_outcome(st) is Case.BACKTRACK_SKIP
 
 
+def test_cached_points_follow_their_arcs():
+    st = SegmentState.begin(bend_plan().segments[0], ordinal=0, fuel=30.0)
+    assert st.site_position == P(4.0, 8.0)
+    on_transit_tick(st, 2.0, DEFAULT_PARAMS)
+    assert st.uav_position == st.plan.path.point_at_arc(2.0) == P(2.0, 0.0)
+    on_processing_tick(st, 14.0, False, DEFAULT_PARAMS)  # drags the site to 16
+    assert st.site_arc == 16.0
+    assert st.site_position == st.plan.path.point_at_arc(16.0) == P(6.4, 4.8)
+    st.site_arc = 12.0  # a direct assignment, no setter involved
+    assert st.site_position == st.plan.path.point_at_arc(12.0) == P(8.8, 1.6)
+    st.uav_arc = 10.0
+    assert st.uav_position == st.plan.path.point_at_arc(10.0) == P(10.0, 0.0)
+
+
 def test_processing_tick_requires_processing_mode():
     st = started_line_state()
     with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
 """Mission engine behavior on hand-solvable missions."""
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
-from conftest import bend_plan, bend_scenario, line_plan, line_scenario
+from conftest import bend_plan, bend_scenario, collinear_scenario, line_plan, line_scenario
+from fuelstring.geometry import Point2D
+from fuelstring.offline import PlanningError, plan_mission
+from fuelstring.rng import SplitMix64
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import (
     InvariantViolation,
@@ -170,6 +174,57 @@ def test_invariant_checks_catch_forward_site_motion():
     world.active.site_arc_seen = world.active.site_arc - 1.0
     with pytest.raises(InvariantViolation, match="site moved forward"):
         step(world)
+
+
+def _collinear_world() -> WorldState:
+    # segments [10, 20], [30, 40], [] with free processing
+    sc = collinear_scenario()
+    return WorldState(sc, plan_mission(sc), SimConfig(check_invariants=True))
+
+
+def test_conservation_catches_target_dropped_from_queue():
+    world = _collinear_world()
+    seg = world.queue[0]
+    world.queue[0] = dataclasses.replace(seg, target_arcs=seg.target_arcs[1:])
+    with pytest.raises(InvariantViolation, match="target conservation"):
+        step(world)
+
+
+def test_conservation_catches_done_target_back_in_pending():
+    world = _collinear_world()
+    while not world.done_ids:
+        step(world)
+    assert world.done_ids == {10}
+    world.active.pending.append((10, 10.0))
+    with pytest.raises(InvariantViolation, match="target conservation"):
+        step(world)
+
+
+def test_conservation_catches_target_held_twice():
+    world = _collinear_world()
+    assert world.active.pending[0][0] == 10
+    world.carry.append((10, Point2D(10.0, 0.0)))
+    with pytest.raises(InvariantViolation, match="target conservation"):
+        step(world)
+
+
+def test_checks_leave_generated_traces_byte_identical():
+    # acceptance 7's recipe, first ten missions: checking reads, never writes
+    for i in range(10):
+        n = int(5 + SplitMix64(9000 + i).next_u64() % 26)
+        sc = generate_scenario(n, seed=9000 + i, cost_model=CostModel(
+            kind="uniform", low=0.0, high=25.0, seed=17 + i))
+        try:
+            plan = plan_mission(sc)
+        except PlanningError:
+            continue
+        traces = []
+        for checked in (False, True):
+            buf = io.StringIO()
+            run(sc, SimConfig(check_invariants=checked, keep_trace=False),
+                plan=plan, trace_file=buf)
+            traces.append(buf.getvalue())
+        assert traces[0] == traces[1], f"mission {9000 + i}"
 
 
 def _checked_generated_run(n: int, seed: int):
