@@ -44,6 +44,7 @@ from .sim import (
     InvariantViolation,
     RunReport,
     SimConfig,
+    TickLimitError,
     WorldState,
     fold_jsonl,
     fold_records,

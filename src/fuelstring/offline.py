@@ -101,55 +101,81 @@ class ValidationReport:
 def build_tour(scenario: Scenario) -> Tour:
     """Nearest-neighbour order from the depot, then first-improvement 2-opt.
 
-    Distance ties in the greedy pass go to the lowest target id; 2-opt
-    restarts its scan after each applied move, so the result is fully
-    deterministic.
+    Both passes read one distance matrix over the depot (index 0) and the
+    targets in ascending id order.  Distance ties in the greedy pass go to
+    the lowest target id.  2-opt applies the first improving move in
+    lexicographic order and returns the same tour as a scan that restarts
+    from the beginning after every move (see _two_opt), so the result is
+    fully deterministic.
     """
     depot = scenario.depot
-    order: list[int] = []
-    remaining = {t.id: t for t in scenario.targets}
-    cur = depot
+    targets = sorted(scenario.targets, key=lambda t: t.id)
+    points = [depot] + [t.position for t in targets]
+    dist = [[distance(p, q) for q in points] for p in points]
+
+    tour = [0]
+    remaining = list(range(1, len(points)))
     while remaining:
-        best_id = None
+        row = dist[tour[-1]]
+        best_k = 0
         best_d = None
-        for tid in sorted(remaining):
-            d = distance(cur, remaining[tid].position)
+        for k, idx in enumerate(remaining):
+            d = row[idx]
             if best_d is None or d < best_d - EPS_GEOM:
-                best_id, best_d = tid, d
-        order.append(best_id)
-        cur = remaining.pop(best_id).position
+                best_k, best_d = k, d
+        tour.append(remaining.pop(best_k))
+    tour.append(0)
+    tour = _two_opt(tour, dist)
 
-    pos = {t.id: t.position for t in scenario.targets}
-    order = _two_opt(order, pos, depot)
-
-    points = [depot] + [pos[tid] for tid in order] + [depot]
-    path = Polyline(points)
+    path = Polyline([points[k] for k in tour])
     visits = tuple(
-        (tid, path.cumulative_arc[i + 1]) for i, tid in enumerate(order)
+        (targets[k - 1].id, arc)
+        for k, arc in zip(tour[1:-1], path.cumulative_arc[1:-1])
     )
     return Tour(path=path, visits=visits)
 
 
-def _two_opt(order: list[int], pos: dict[int, Point2D], depot: Point2D) -> list[int]:
-    if len(order) < 3:
-        return order
-    pts = [depot] + [pos[t] for t in order] + [depot]
-    n = len(pts)
-    improved = True
-    while improved:
-        improved = False
+def _two_opt(tour: list[int], dist: list[list[float]]) -> list[int]:
+    """First-improvement 2-opt on a closed index tour (tour[0] == tour[-1]).
+
+    Edge k joins tour[k] and tour[k + 1].  Pair (i, j), j >= i + 2, swaps
+    edges i and j for (tour[i], tour[j]) and (tour[i + 1], tour[j + 1]) by
+    reversing tour[i + 1:j + 1], when that shortens the tour by more than
+    EPS_GEOM.  The pairs are tried in lexicographic order and the first
+    improving one is applied.
+
+    The result equals that of restarting the scan at (0, 2) after every
+    move, at a fraction of the cost.  When a move at (i, j) is found, every
+    earlier pair was found non-improving.  The move changes only edges
+    i..j, so a pair in a row below i can have changed only if its column
+    lies in [i, j]: the next pass rechecks those rows at those columns
+    alone, then scans from row i onward in full.  It finds the same first
+    improving pair as a restart would.  The comparison is the same float
+    expression as computing each distance afresh (hypot is symmetric), so
+    ties and near-ties resolve identically too.
+    """
+    n = len(tour)
+    edge = [dist[a][b] for a, b in zip(tour, tour[1:])]
+    row0, lo, hi = 0, 0, -1  # rows below row0 need only columns lo..hi
+    while True:
+        move = None
         for i in range(n - 3):
-            for j in range(i + 2, n - 1):
-                old = distance(pts[i], pts[i + 1]) + distance(pts[j], pts[j + 1])
-                new = distance(pts[i], pts[j]) + distance(pts[i + 1], pts[j + 1])
-                if new < old - EPS_GEOM:
-                    pts[i + 1:j + 1] = pts[i + 1:j + 1][::-1]
-                    order[i:j] = order[i:j][::-1]
-                    improved = True
+            a, b = tour[i], tour[i + 1]
+            da, db, dab = dist[a], dist[b], edge[i]
+            first = i + 2 if i >= row0 else max(lo, i + 2)
+            last = n - 2 if i >= row0 else hi
+            for j in range(first, last + 1):
+                if da[tour[j]] + db[tour[j + 1]] < dab + edge[j] - EPS_GEOM:
+                    move = (i, j)
                     break
-            if improved:
+            if move is not None:
                 break
-    return order
+        if move is None:
+            return tour
+        i, j = move
+        tour[i + 1:j + 1] = tour[j:i:-1]
+        edge[i:j + 1] = [dist[tour[k]][tour[k + 1]] for k in range(i, j + 1)]
+        row0, lo, hi = i, i, j
 
 
 def split_tour(tour: Tour, params: VehicleParams) -> MissionPlan:

@@ -38,8 +38,17 @@ METRIC_KEYS = (
 )
 
 
+# Bounds a run's work.  The largest tick count in the default sweep grid and
+# the generated mission corpora at dt 0.05 is 45,775, about 1/218 of this.
+MAX_TICKS = 10_000_000
+
+
 class InvariantViolation(RuntimeError):
     """A physical or bookkeeping invariant broke; the run is aborted."""
+
+
+class TickLimitError(ValueError):
+    """The mission time cap divided by dt exceeds MAX_TICKS."""
 
 
 @dataclass
@@ -72,11 +81,6 @@ class TargetTracker:
         self.tau = tau
         self.progress = progress
         self.visited = False
-
-    @property
-    def done(self) -> bool:
-        # a zero-cost target still needs its visit before it counts
-        return self.visited and self.progress >= self.tau
 
     def reveal(self, fuel_avail: float) -> tuple[float, bool]:
         """Consume up to fuel_avail of processing; exact completion splits
@@ -442,7 +446,9 @@ def run(scenario: Scenario, config: SimConfig | None = None,
     """Plan (unless given) and fly the whole mission.
 
     Returns a completed or timeout report; raises PlanningError when no
-    feasible plan exists and InvariantViolation on internal faults.
+    feasible plan exists, TickLimitError before the first tick when the
+    time cap would take more than MAX_TICKS ticks, and InvariantViolation
+    on internal faults.
     """
     cfg = config if config is not None else SimConfig()
     if plan is None:
@@ -451,10 +457,15 @@ def run(scenario: Scenario, config: SimConfig | None = None,
     if not audit.ok:
         raise PlanningError("invalid mission plan:\n" + audit.describe())
 
-    world = WorldState(scenario, plan, cfg, trace_file=trace_file)
     max_t = cfg.max_mission_time
     if max_t is None:
         max_t = 10.0 * plan.total_length / scenario.params.v_uav
+    if max_t / cfg.dt > MAX_TICKS:
+        raise TickLimitError(
+            f"time cap {max_t:.6g} s at dt {cfg.dt:.6g} s needs {max_t / cfg.dt:.3g} "
+            f"ticks, more than the limit of {MAX_TICKS}")
+
+    world = WorldState(scenario, plan, cfg, trace_file=trace_file)
     world.record_tick()
     while not world.mission_complete and world.clock < max_t - EPS_TIME:
         step(world)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through main(argv)."""
 import csv
 import json
+import time
 
 import pytest
 
@@ -144,6 +145,30 @@ def test_bad_tick_size_exits_1(tmp_path, capsys):
         "error: dt must be finite and > 0, got 0.0",
         "error: dt must be finite and > 0, got -0.05"]
     assert not out.exists()
+
+
+def test_tiny_tick_size_is_refused_before_the_first_tick(tmp_path, capsys):
+    # a ~400 s time cap at dt 1e-7 would take ~4e9 ticks
+    sp = tmp_path / "s.json"
+    assert main(["generate", "--n", "3", "--seed", "7", "--out", str(sp)]) == 0
+    start = time.perf_counter()
+    assert main(["simulate", "--scenario", str(sp), "--dt", "1e-7"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: time cap ")
+    assert err[0].endswith("more than the limit of 10000000")
+
+
+def test_batch_tiny_tick_size_gives_error_rows(tmp_path):
+    out = tmp_path / "r.csv"
+    rc = main(["batch", "--sweep-targets", "3", "--sweep-fuel", "50",
+               "--sweep-ratio", "0.5", "--seeds", "1,2", "--dt", "1e-7",
+               "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [row[4].split(":")[:2] for row in rows[1:3]] == [
+        ["error", " TickLimitError"]] * 2
 
 
 def test_missing_subcommand_usage_error():

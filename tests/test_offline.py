@@ -3,16 +3,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
 from conftest import collinear_scenario
-from fuelstring.geometry import Point2D, Polyline, distance
+from fuelstring.geometry import EPS_GEOM, Point2D, Polyline, distance
 from fuelstring.model import Scenario, Target, VehicleParams, World
 from fuelstring.offline import (
     MissionPlan,
     PlanningError,
     SegmentPlan,
+    _two_opt,
     build_tour,
     plan_mission,
     split_tour,
@@ -79,6 +81,75 @@ def test_tour_near_optimal_on_small_random_instances():
         for tid, arc in tour.visits:
             assert distance(tour.path.point_at_arc(arc),
                             sc.target_by_id(tid).position) <= 1e-9
+
+
+def reference_two_opt(order: list[int], pos: dict[int, Point2D],
+                      depot: Point2D) -> list[int]:
+    """Restart-from-zero first-improvement 2-opt: after every applied move
+    the scan starts again at the first pair.  _two_opt must return exactly
+    this order."""
+    if len(order) < 3:
+        return order
+    pts = [depot] + [pos[t] for t in order] + [depot]
+    n = len(pts)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n - 3):
+            for j in range(i + 2, n - 1):
+                old = distance(pts[i], pts[i + 1]) + distance(pts[j], pts[j + 1])
+                new = distance(pts[i], pts[j]) + distance(pts[i + 1], pts[j + 1])
+                if new < old - EPS_GEOM:
+                    pts[i + 1:j + 1] = pts[i + 1:j + 1][::-1]
+                    order[i:j] = order[i:j][::-1]
+                    improved = True
+                    break
+            if improved:
+                break
+    return order
+
+
+def two_opt_cases():
+    """200 seeded (start order, positions, depot) cases: generated scenarios
+    with 3 to 60 targets, collinear targets, and lattices full of exact
+    distance ties.  Start orders are shuffled so that 2-opt has work to do."""
+    cases = []
+    for seed in range(150):
+        sc = generate_scenario(3 + seed % 58, seed=seed)
+        cases.append(({t.id: t.position for t in sc.targets}, sc.depot))
+    for seed in range(25):
+        rng = random.Random(seed)
+        xs = rng.sample(range(-40, 41), rng.randint(3, 30))
+        slope = rng.choice((0.0, 1.0, -0.5, 3.0))
+        cases.append(({k: Point2D(float(x), slope * x) for k, x in enumerate(xs)},
+                      Point2D(0.0, 0.0)))
+    for seed in range(25):
+        rng = random.Random(1000 + seed)
+        cells = rng.sample([(x, y) for x in range(8) for y in range(8)],
+                           rng.randint(3, 40))
+        pos = {k: Point2D(2.0 * x, 2.0 * y) for k, (x, y) in enumerate(cells[1:])}
+        cases.append((pos, Point2D(2.0 * cells[0][0], 2.0 * cells[0][1])))
+    out = []
+    for k, (pos, depot) in enumerate(cases):
+        order = sorted(pos)
+        random.Random(k).shuffle(order)
+        out.append((order, pos, depot))
+    return out
+
+
+def test_two_opt_matches_restarting_reference():
+    moved = 0
+    cases = two_opt_cases()
+    assert len(cases) >= 200
+    for order, pos, depot in cases:
+        expected = reference_two_opt(list(order), pos, depot)
+        points = [depot] + [pos[t] for t in order]
+        dist = [[distance(p, q) for q in points] for p in points]
+        tour = _two_opt(list(range(len(points))) + [0], dist)
+        assert tour[0] == tour[-1] == 0
+        assert [order[k - 1] for k in tour[1:-1]] == expected, (order, depot)
+        moved += expected != order
+    assert moved >= 190  # the cases exercise many moves, not just the scan
 
 
 def test_split_collinear_tour_into_three_tanks():

@@ -30,17 +30,17 @@ from fuelstring.sim import (
 def test_tracker_splits_the_completing_tick():
     tr = TargetTracker(7.0)
     assert tr.reveal(5.0) == (5.0, False)
-    assert not tr.done
+    assert tr.progress == 5.0
     assert tr.reveal(5.0) == (2.0, True)  # refunds the unused 3.0
-    assert tr.done
+    assert tr.progress == 7.0
     assert tr.reveal(3.0) == (0.0, True)
 
 
 def test_tracker_zero_cost_completes_on_contact():
     tr = TargetTracker(0.0)
-    assert not tr.done  # free jobs still require their visit
+    assert not tr.visited  # free jobs still require their visit
     assert tr.reveal(0.0) == (0.0, True)
-    assert tr.done
+    assert tr.visited
 
 
 def test_single_tank_out_and_back():
