@@ -41,6 +41,24 @@ def _write(path: str | None, text: str):
             fh.write(text)
 
 
+class _OpenOnWrite:
+    """A text file that is opened (and truncated) by its first write, so a
+    run refused before its first record leaves the path as it was."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = None
+
+    def write(self, text: str) -> int:
+        self._fh = open(self.path, "w", encoding="utf-8")
+        self.write = self._fh.write  # later writes go straight to the file
+        return self._fh.write(text)
+
+    def close(self):
+        if self._fh is not None:
+            self._fh.close()
+
+
 def _parse_cost_spec(spec: str) -> CostModel:
     """uniform:LO,HI or lognormal:MU,SIGMA or explicit."""
     if spec == "explicit":
@@ -83,11 +101,12 @@ def cmd_simulate(args) -> int:
     scenario = parse_scenario(_read(args.scenario), seed_override=args.seed)
     plan = parse_plan(_read(args.plan)) if args.plan else None
     cfg = SimConfig(dt=args.dt, keep_trace=False)
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            report = run(scenario, cfg, plan=plan, trace_file=fh)
-    else:
-        report = run(scenario, cfg, plan=plan)
+    trace = _OpenOnWrite(args.trace_out) if args.trace_out else None
+    try:
+        report = run(scenario, cfg, plan=plan, trace_file=trace)
+    finally:
+        if trace is not None:
+            trace.close()
     out = metrics_to_text(report.metrics) + f"status = {report.status!r}\n"
     if report.unprocessed:
         out += f"unprocessed = {report.unprocessed!r}\n"

@@ -111,7 +111,13 @@ def build_tour(scenario: Scenario) -> Tour:
     depot = scenario.depot
     targets = sorted(scenario.targets, key=lambda t: t.id)
     points = [depot] + [t.position for t in targets]
-    dist = [[distance(p, q) for q in points] for p in points]
+    # one triangle, mirrored: hypot of exactly negated differences is equal
+    n = len(points)
+    dist = [[0.0] * n for _ in range(n)]
+    for i, p in enumerate(points):
+        row = dist[i]
+        for j in range(i + 1, n):
+            row[j] = dist[j][i] = distance(p, points[j])
 
     tour = [0]
     remaining = list(range(1, len(points)))

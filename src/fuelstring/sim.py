@@ -38,6 +38,9 @@ METRIC_KEYS = (
 )
 
 
+# Each mode's JSON string, as tick lines write it.
+_MODE_JSON = {m: json.dumps(m.value) for m in Mode}
+
 # Bounds a run's work.  The largest tick count in the default sweep grid and
 # the generated mission corpora at dt 0.05 is 45,775, about 1/218 of this.
 MAX_TICKS = 10_000_000
@@ -75,17 +78,15 @@ class SimConfig:
 class TargetTracker:
     """Simulator-private processing state; the only place tau is read."""
 
-    __slots__ = ("tau", "progress", "visited")
+    __slots__ = ("tau", "progress")
 
     def __init__(self, tau: float, progress: float = 0.0):
         self.tau = tau
         self.progress = progress
-        self.visited = False
 
     def reveal(self, fuel_avail: float) -> tuple[float, bool]:
         """Consume up to fuel_avail of processing; exact completion splits
         the tick, refunding the unused remainder to the caller."""
-        self.visited = True
         rem = self.tau - self.progress
         if rem <= fuel_avail + EPS_FUEL:
             self.progress = self.tau
@@ -152,8 +153,24 @@ def fold_records(records) -> dict:
     return fold.result()
 
 
+# One decoder for every trace line; json.loads builds the same one per call.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str):
+    """json.loads(line), as one bound call: strip JSON whitespace only, and
+    reject any characters left after the value."""
+    text = line.strip(" \t\n\r")
+    rec, end = _raw_decode(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return rec
+
+
 def fold_jsonl(lines) -> dict:
-    return fold_records(json.loads(line) for line in lines if line.strip())
+    """Recompute the metrics block from JSONL text lines; blank lines are
+    skipped."""
+    return fold_records(_decode_line(line) for line in lines if line.strip())
 
 
 @dataclass
@@ -212,25 +229,36 @@ class WorldState:
         self._write(rec)
 
     def record_tick(self):
+        """Fold the tick and write it as one compact JSON line.
+
+        The line is the bytes json.dumps(rec, separators=(",", ":")) gives
+        for the record dict kept in `trace`: the JSON encoder writes a
+        finite float with float.__repr__ and an int with int.__repr__.  Every
+        value here is finite, because each input is checked where it enters
+        (World, VehicleParams, Polyline, SimConfig).
+        """
         st = self.active
         uav = st.uav_position
         site = st.site_position
-        self.fold.add_tick(self.clock, uav.x, uav.y,
-                           self.ugv_pos.x, self.ugv_pos.y, st.ordinal,
+        ugv = self.ugv_pos
+        self.fold.add_tick(self.clock, uav.x, uav.y, ugv.x, ugv.y, st.ordinal,
                            site.x, site.y)
-        if self.trace is not None or self._trace_file is not None:
-            rec = {
+        if self.trace is not None:
+            self.trace.append({
                 "t": self.clock,
                 "uav": [uav.x, uav.y],
                 "fuel": st.fuel,
-                "ugv": [self.ugv_pos.x, self.ugv_pos.y],
+                "ugv": [ugv.x, ugv.y],
                 "seg": st.ordinal,
                 "site": [site.x, site.y],
                 "mode": st.mode.value,
-            }
-            if self.trace is not None:
-                self.trace.append(rec)
-            self._write(rec)
+            })
+        if self._trace_file is not None:
+            self._trace_file.write(
+                f'{{"t":{self.clock!r},"uav":[{uav.x!r},{uav.y!r}],'
+                f'"fuel":{st.fuel!r},"ugv":[{ugv.x!r},{ugv.y!r}],'
+                f'"seg":{st.ordinal!r},"site":[{site.x!r},{site.y!r}],'
+                f'"mode":{_MODE_JSON[st.mode]}}}\n')
 
     def _write(self, rec: dict):
         if self._trace_file is not None:

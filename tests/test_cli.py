@@ -160,6 +160,21 @@ def test_tiny_tick_size_is_refused_before_the_first_tick(tmp_path, capsys):
     assert err[0].endswith("more than the limit of 10000000")
 
 
+def test_refused_run_leaves_trace_path_untouched(tmp_path):
+    sp = tmp_path / "s.json"
+    assert main(["generate", "--n", "3", "--seed", "7", "--out", str(sp)]) == 0
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    assert main(["simulate", "--scenario", str(sp), "--trace-out", str(old),
+                 "--metrics-out", str(tmp_path / "m.txt")]) == 0
+    before = old.read_bytes()
+    assert before
+    for path in (old, new):
+        assert main(["simulate", "--scenario", str(sp), "--dt", "1e-7",
+                     "--trace-out", str(path)]) == 1
+    assert old.read_bytes() == before
+    assert not new.exists()
+
+
 def test_batch_tiny_tick_size_gives_error_rows(tmp_path):
     out = tmp_path / "r.csv"
     rc = main(["batch", "--sweep-targets", "3", "--sweep-fuel", "50",

@@ -4,10 +4,13 @@ Each mutant replaces one node of a valid document with a hostile value, or
 deletes one key or list entry, then runs `fuelstring validate` in-process.
 Whatever the document says, the command must answer with an exit code (0
 plan ok, 1 with an `error:` line, 2 plan violations) and never a traceback.
+Hostile tick sizes go through `simulate` and `batch` the same way, each
+within a time bound.
 """
 import copy
 import json
 import math
+import time
 
 import pytest
 
@@ -95,3 +98,27 @@ def test_mutated_plans_give_named_errors(tmp_path, capsys):
         path.write_text(text)
         validate_exits_cleanly(["validate", "--scenario", str(scenario_path),
                                 "--plan", str(path)], text, capsys)
+
+
+@pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf", "1e-7", "1e-300", "1e308", "x"])
+def test_hostile_tick_sizes_exit_cleanly_and_quickly(dt, tmp_path, capsys):
+    sp = tmp_path / "s.json"
+    assert main(["generate", "--n", "3", "--seed", "7", "--out", str(sp)]) == 0
+    commands = (
+        ["simulate", "--scenario", str(sp), "--metrics-out", str(tmp_path / "m.txt")],
+        ["batch", "--sweep-targets", "3", "--sweep-fuel", "50", "--sweep-ratio", "0.5",
+         "--out", str(tmp_path / "r.csv")],
+    )
+    for argv in commands:
+        argv = argv + ["--dt", dt]
+        start = time.perf_counter()
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} from {argv}")
+        assert time.perf_counter() - start < 2.0, argv
+        assert rc in (0, 1, 2), argv
+        if rc == 1:
+            assert capsys.readouterr().err.splitlines()[-1].startswith("error:"), argv

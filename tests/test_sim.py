@@ -37,10 +37,16 @@ def test_tracker_splits_the_completing_tick():
 
 
 def test_tracker_zero_cost_completes_on_contact():
-    tr = TargetTracker(0.0)
-    assert not tr.visited  # free jobs still require their visit
-    assert tr.reveal(0.0) == (0.0, True)
-    assert tr.visited
+    # a free job still requires its visit: target 1 sits at arc 10 of the
+    # line plan and is done only from the tick that carries the UAV there
+    world = WorldState(line_scenario(0.0), line_plan(), SimConfig())
+    while world.active.uav_arc < 10.0:
+        assert not world.done_ids
+        step(world)
+    assert world.done_ids == {1}
+    complete = [e for e in world.events if e["kind"] == "complete"]
+    assert len(complete) == 1
+    assert world.clock - 0.05 <= complete[0]["t"] <= world.clock
 
 
 def test_single_tank_out_and_back():
@@ -135,6 +141,55 @@ def test_trace_stream_matches_memory_and_refolds():
     # metrics are a pure fold over the stream: refolding reproduces them
     assert fold_jsonl(lines) == rep.metrics
     assert fold_records(records) == rep.metrics
+
+
+def _compact(rec) -> str:
+    return json.dumps(rec, separators=(",", ":"))
+
+
+def test_trace_lines_are_compact_json_of_their_records():
+    # acceptance 7's recipe, first twenty missions
+    for i in range(20):
+        n = int(5 + SplitMix64(9000 + i).next_u64() % 26)
+        sc = generate_scenario(n, seed=9000 + i, cost_model=CostModel(
+            kind="uniform", low=0.0, high=25.0, seed=17 + i))
+        try:
+            plan = plan_mission(sc)
+        except PlanningError:
+            continue
+        buf = io.StringIO()
+        rep = run(sc, SimConfig(keep_trace=True), plan=plan, trace_file=buf)
+        ticks, events = iter(rep.trace), iter(rep.events)
+        lines = buf.getvalue().splitlines()
+        for k, line in enumerate(lines):
+            rec = next(events) if "kind" in json.loads(line) else next(ticks)
+            assert line == _compact(rec), f"mission {9000 + i}, line {k}"
+        assert next(ticks, None) is None and next(events, None) is None
+        assert len(lines) == len(rep.trace) + len(rep.events)
+
+
+@pytest.mark.parametrize("value", [-0.0, 25.0, 1e-17, 1e16, 0.1 + 0.2, 7])
+def test_tick_line_matches_json_on_edge_floats(value):
+    buf = io.StringIO()
+    world = WorldState(line_scenario(25.0), line_plan(), SimConfig(), trace_file=buf)
+    world.ugv_pos = Point2D(value, -value)
+    world.active.fuel = value
+    world.record_tick()
+    assert buf.getvalue() == _compact(world.trace[-1]) + "\n"
+    assert json.loads(buf.getvalue())["fuel"] == value
+
+
+def test_fold_jsonl_reads_json_lines_like_json_loads():
+    buf = io.StringIO()
+    rep = run(bend_scenario(), plan=bend_plan(), trace_file=buf)
+    lines = buf.getvalue().splitlines()
+    padded = ["", " \t"] + [f" \t{line} \r" for line in lines] + ["\x0c", "\n"]
+    assert fold_jsonl(padded) == rep.metrics
+    for bad in (lines[0] + " x", "\x0c" + lines[0]):
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(bad)
+        with pytest.raises(json.JSONDecodeError):
+            fold_jsonl([bad])
 
 
 def test_repeat_runs_are_identical():
