@@ -34,6 +34,7 @@ from .online import (
 from .scenario_io import (
     CostModel,
     ScenarioFormatError,
+    TooManyTargetsError,
     emit_plan,
     emit_scenario,
     generate_scenario,

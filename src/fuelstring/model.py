@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .geometry import EPS_GEOM, Point2D, distance
 
@@ -14,7 +15,8 @@ EPS_TIME = 1e-9
 class VehicleParams:
     """Speeds and fuel characteristics of the UAV / UGV pair.
 
-    The UGV has no fuel budget of its own; only its speed matters.
+    The UGV has no fuel budget of its own; only its speed matters.  The
+    derived constants are computed once per instance, on first use.
     """
 
     v_uav: float = 2.0
@@ -31,22 +33,22 @@ class VehicleParams:
         if self.r_max is not None and not (math.isfinite(self.r_max) and self.r_max > 0):
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
 
-    @property
+    @cached_property
     def burn_rate(self) -> float:
         """Fuel consumed per second while airborne."""
         return self.fuel_per_meter * self.v_uav
 
-    @property
+    @cached_property
     def flight_range(self) -> float:
         """Meters the UAV can fly on a full tank."""
         return self.fuel_capacity / self.fuel_per_meter
 
-    @property
+    @cached_property
     def endurance(self) -> float:
         """Seconds aloft on a full tank."""
         return self.fuel_capacity / self.burn_rate
 
-    @property
+    @cached_property
     def reach_radius(self) -> float:
         """Farthest the UGV can drive while the UAV stays airborne on a full
         tank; consecutive refuel sites must never be farther apart than this."""

@@ -38,7 +38,8 @@ class Mode(enum.Enum):
 class SegmentState:
     """Live execution state of one segment.
 
-    pending holds (target id, arc) pairs not yet visited, ascending by arc;
+    pending holds (target id, arc) pairs not yet visited, nondecreasing by
+    arc (a repaired segment can hold equal arcs for coincident targets);
     deferred collects targets pushed out of this segment, kept in original
     visit order as (id, position) pairs ready to prefix the next segment.
     """
@@ -173,15 +174,20 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
         state.site_moved = True
     state.site_arc = new_site
     state.site_arc_seen = min(state.site_arc_seen, new_site)
-    if state.pending:
-        keep = [p for p in state.pending if p[1] <= state.site_arc + EPS_GEOM]
-        passed = [p for p in state.pending if p[1] > state.site_arc + EPS_GEOM]
-        if passed:
-            state.pending = keep
-            group = [(tid, state.plan.path.point_at_arc(arc)) for tid, arc in passed]
-            state.deferred = group + state.deferred
-            skipped_now = [tid for tid, _ in passed]
-            state.skipped.extend(skipped_now)
+    # pending is nondecreasing by arc, so the targets the site passed are a
+    # suffix, and none is passed unless the last one is
+    pending = state.pending
+    cut = new_site + EPS_GEOM
+    if pending and pending[-1][1] > cut:
+        k = len(pending) - 1
+        while k and pending[k - 1][1] > cut:
+            k -= 1
+        passed = pending[k:]
+        del pending[k:]
+        group = [(tid, state.plan.path.point_at_arc(arc)) for tid, arc in passed]
+        state.deferred = group + state.deferred
+        skipped_now = [tid for tid, _ in passed]
+        state.skipped.extend(skipped_now)
     if done:
         state.current = None
         state.mode = Mode.TRANSIT
@@ -209,8 +215,11 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, dt: float,
         site_next = max(
             min(state.site_arc, state.uav_arc + fuel_next / params.fuel_per_meter),
             state.uav_arc)
-        ugv_next = step_toward(ugv_pos, state.site_position, params.v_ugv * dt)
-        site_next_pos = state.plan.path.point_at_arc(site_next)
+        site_pos = state.site_position
+        ugv_next = step_toward(ugv_pos, site_pos, params.v_ugv * dt)
+        # a slack string leaves the site where it is
+        site_next_pos = (site_pos if site_next == state.site_arc
+                         else state.plan.path.point_at_arc(site_next))
         doomed = not ugv_reachable(ugv_next, site_next_pos, fuel_next, params)
     if not doomed:
         return None
@@ -242,6 +251,12 @@ def transfer_and_repair(start: Point2D,
     gives up on the terminal entirely and doubles back toward its start.
     Returns (plan, shed targets, whether anything had to change).
 
+    The leg start -> targets is threaded once (see _thread).  Each candidate
+    leg is a prefix of that thread plus one edge to its terminal, so its
+    vertices, arcs and target arcs are the prefix's own and a shed costs one
+    new edge.  A candidate whose last target arc already uses the whole tank
+    is shed without building a path: no site can lie past it.
+
     Raises PlanningError only when that last resort fails too, i.e. the
     out-and-back distance exceeds range plus reach: no path from this
     start visits the target and ends at any reachable site.
@@ -256,67 +271,73 @@ def transfer_and_repair(start: Point2D,
 
     reach = params.reach_radius
     max_len = params.flight_range
-    shed: list[tuple[int, Point2D]] = []
-    modified = False
+    verts, cum, at = _thread(start, [p for _, p in entries])
+    if not math.isfinite(cum[-1]):
+        Polyline(verts)  # raises, naming the first edge too long for a float
+    m = len(entries)  # the candidate leg visits entries[:m], then terminal
     out_and_back = False
 
     while True:
-        pts, arcs = _thread_path(start, [p for _, p in entries], terminal)
-        target_arcs = arcs[1:-1]
-        if len(pts) >= 2:
-            path = Polyline(pts)
-            lo = target_arcs[-1] if target_arcs else 0.0
-            best = farthest_site_arc(path, lo, min(path.length, max_len), start, reach)
-            if best is not None:
-                if best < path.length - EPS_GEOM:
-                    path = path.sub_polyline(0.0, best)
-                    modified = True
-                plan = SegmentPlan(
-                    index=ordinal,
-                    path=path,
-                    target_arcs=tuple((tid, arc) for (tid, _), arc in zip(entries, target_arcs)),
-                )
-                return plan, shed, modified
+        k = at[m - 1] + 1 if m else 1  # the prefix's vertex count
+        lo = cum[k - 1]  # the last target's arc, or 0 at the start
+        d = distance(verts[k - 1], terminal)
+        if d > EPS_GEOM:
+            pts = verts[:k] + [terminal]
+            length = lo + d
+            if not math.isfinite(length):
+                Polyline(pts)  # raises, naming the terminal edge
+            hi = min(length, max_len)
+            if hi > lo + EPS_GEOM:
+                path = Polyline.from_arcs(pts, cum[:k] + [length])
+                best = farthest_site_arc(path, lo, hi, start, reach)
+                if best is not None:
+                    modified = out_and_back or m < len(entries)
+                    if best < length - EPS_GEOM:
+                        path = path.sub_polyline(0.0, best)
+                        modified = True
+                    plan = SegmentPlan(
+                        index=ordinal,
+                        path=path,
+                        target_arcs=tuple((tid, cum[j]) for (tid, _), j in zip(entries, at[:m])),
+                    )
+                    return plan, entries[m:], modified
         if out_and_back:
             raise PlanningError(
                 f"target {entries[0][0]} permanently infeasible: from ({start.x:.6g}, "
                 f"{start.y:.6g}) even an out-and-back leg through it has no "
                 f"refuel site within range {max_len:.6g} and reach {reach:.6g}")
-        if not entries:
+        if m == 0:
             raise PlanningError(
                 f"no refuel site reachable on the leg from ({start.x:.6g}, "
                 f"{start.y:.6g}) within range {max_len:.6g} and reach {reach:.6g}")
-        if len(entries) == 1:
+        if m == 1:
             # last resort: fly out to the lone target, then double back
             terminal = start
             out_and_back = True
         else:
-            shed.insert(0, entries.pop())
-        modified = True
+            m -= 1
 
 
-def _thread_path(start: Point2D, waypoints: list[Point2D],
-                 terminal: Point2D) -> tuple[list[Point2D], list[float]]:
-    """Arc-annotate start -> waypoints -> terminal.
+def _thread(start: Point2D, waypoints: list[Point2D],
+            ) -> tuple[list[Point2D], list[float], list[int]]:
+    """Arc-annotate start -> waypoints.
 
     Coincident neighbours collapse into one vertex (a deferred target can
-    sit exactly at the rendezvous); every stop still gets an arc.  Returns
-    (unique vertices, arcs of start + each waypoint + terminal).
+    sit exactly at the rendezvous); every waypoint still gets a vertex.
+    Returns (unique vertices, their cumulative arcs, each waypoint's vertex
+    index).  Every prefix of the result is the thread of a prefix of the
+    waypoints, arcs included, since each arc adds one edge to the last.
     """
-    uniq = [start]
-    for p in waypoints + [terminal]:
-        if distance(uniq[-1], p) > EPS_GEOM:
-            uniq.append(p)
+    verts = [start]
     cum = [0.0]
-    for a, b in zip(uniq, uniq[1:]):
-        cum.append(cum[-1] + distance(a, b))
-    arcs = [0.0]
-    j = 0
-    for p in waypoints + [terminal]:
-        if distance(uniq[j], p) > EPS_GEOM:
-            j += 1
-        arcs.append(cum[j])
-    return uniq, arcs
+    at = []
+    for p in waypoints:
+        d = distance(verts[-1], p)
+        if d > EPS_GEOM:
+            verts.append(p)
+            cum.append(cum[-1] + d)
+        at.append(len(verts) - 1)
+    return verts, cum, at
 
 
 def classify_segment_outcome(state: SegmentState) -> Case:

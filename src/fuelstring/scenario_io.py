@@ -19,6 +19,7 @@ carry tau), "uniform" (low, high), "lognormal" (mu, sigma).
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -33,6 +34,11 @@ _PLACEMENT_ATTEMPTS = 10000
 
 class ScenarioFormatError(ValueError):
     """Input document is malformed; the message names the offending field."""
+
+
+class TooManyTargetsError(ValueError):
+    """generate_scenario was asked for more separated targets than its
+    bounds can hold."""
 
 
 @dataclass(frozen=True)
@@ -222,25 +228,48 @@ def generate_scenario(n_targets: int, seed: int,
     """Uniformly scatter targets with a minimum pairwise separation.
 
     Fully determined by the seed (positions) and the cost model's own seed
-    (taus).  The depot sits at the world center.  Raises when n_targets < 1
-    or the bounds cannot fit that many separated points.
+    (taus).  The depot sits at the world center.  Raises ValueError when
+    n_targets < 1 or no target fits after _PLACEMENT_ATTEMPTS candidates,
+    and TooManyTargetsError, before placing any, when the bounds cannot
+    hold that many separated points.
+
+    A candidate is checked only against the points in the 3 x 3 buckets
+    around its own; see _Buckets.  A separation of 0 or less constrains
+    nothing.
     """
     if n_targets < 1:
         raise ValueError(f"n_targets must be >= 1, got {n_targets}")
+    if math.isnan(min_separation):
+        raise ValueError("min_separation must be a number, got nan")
     world = world if world is not None else World()
     params = params if params is not None else VehicleParams()
     cost_model = cost_model if cost_model is not None else CostModel(
         kind="uniform", low=0.0, high=20.0, seed=seed)
 
+    sep = min_separation
+    # Discs of radius sep/2 around the depot and the targets are disjoint and
+    # lie in the bounds grown by sep/2 on every side.
+    disc = math.pi * sep * sep / 4.0
+    if sep > 0.0 and disc > 0.0:
+        fit = (world.width + sep) * (world.height + sep) / disc
+        if n_targets + 1 > fit:
+            raise TooManyTargetsError(
+                f"cannot place {n_targets} targets with separation {sep} in "
+                f"{world.width}x{world.height} bounds: the depot and the "
+                f"targets need {n_targets + 1} disjoint discs of diameter {sep}, "
+                f"and the bounds hold at most {math.floor(fit)}")
+
     rng = SplitMix64(seed)
     depot = Point2D(world.width / 2.0, world.height / 2.0)
     placed: list[Point2D] = [depot]
+    buckets = _Buckets(sep, world)
+    buckets.add_if_clear(depot)
     for i in range(n_targets):
         ok = None
         for _ in range(_PLACEMENT_ATTEMPTS):
             cand = Point2D(rng.next_float() * world.width,
                            rng.next_float() * world.height)
-            if all(distance(cand, p) >= min_separation for p in placed):
+            if buckets.add_if_clear(cand):
                 ok = cand
                 break
         if ok is None:
@@ -257,6 +286,43 @@ def generate_scenario(n_targets: int, seed: int,
         for tid, pos in zip(ids, placed[1:])
     )
     return Scenario(world=world, depot=depot, params=params, targets=targets)
+
+
+class _Buckets:
+    """Placed points bucketed on a square grid, for the separation test.
+
+    A bucket's side is at least twice the separation, so a point closer
+    than the separation to a candidate lies less than half a side away on
+    each axis, and its bucket index differs from the candidate's by at most
+    one, with a margin of half a side left for rounding.  add_if_clear(c)
+    checks the 3 x 3 buckets around c, so its test is exactly
+    all(distance(c, p) >= sep for every placed p).  The side is also at
+    least 2^-30 of the world's larger extent, so bucket indices stay small
+    when the separation is tiny against the world.  A bucket's key is
+    column * stride + row, and the stride exceeds the row count by two, so
+    a neighbour's key never names a bucket in another column.
+    """
+
+    def __init__(self, sep: float, world: World):
+        self.sep = sep
+        self.side = max(2.0 * sep, max(world.width, world.height) * 2.0 ** -30)
+        self.stride = int(world.height // self.side) + 3
+        # the candidate's own bucket first: a rejected candidate usually fails there
+        self.ring = tuple(di * self.stride + dj for di in (0, -1, 1) for dj in (0, -1, 1))
+        self.cells: dict[int, list[Point2D]] = {}
+
+    def add_if_clear(self, c: Point2D) -> bool:
+        """Place c unless a placed point lies closer than the separation."""
+        side = self.side
+        key = int(c.x // side) * self.stride + int(c.y // side)
+        cells = self.cells
+        sep = self.sep
+        for off in self.ring:
+            for p in cells.get(key + off, ()):
+                if distance(c, p) < sep:
+                    return False
+        cells.setdefault(key, []).append(c)
+        return True
 
 
 def plan_to_doc(plan: MissionPlan) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, distance, step_toward
@@ -58,19 +59,15 @@ class TickLimitError(ValueError):
 class SimConfig:
     dt: float = 0.05
     eps_pos: float = 0.1
-    refuel_duration: float = 0.0
     max_mission_time: float | None = None  # None: 10x offline flight time
-    resume_progress: bool = True
     check_invariants: bool = False
     keep_trace: bool = True
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        for name in ("eps_pos", "refuel_duration"):
-            v = getattr(self, name)
-            if not 0 <= v < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not 0 <= self.eps_pos < math.inf:
+            raise ValueError(f"eps_pos must be finite and >= 0, got {self.eps_pos}")
         if self.max_mission_time is not None and not 0 < self.max_mission_time < math.inf:
             raise ValueError(f"max_mission_time must be finite and > 0, got {self.max_mission_time}")
 
@@ -211,7 +208,6 @@ class WorldState:
                                          fuel=self.params.fuel_capacity)
         self.ugv_pos = scenario.depot
         self.carry: list[tuple[int, Point2D]] = []
-        self.refuel_hold = 0.0
         self.mission_complete = False
         self.final_time: float | None = None
         self.abandoned_this_tick = False
@@ -219,6 +215,9 @@ class WorldState:
         self.trace: list[dict] | None = [] if config.keep_trace else None
         self.fold = MetricsFold()
         self._trace_file = trace_file
+        # the conservation check's memo: the queued segments it last read,
+        # and their target ids
+        self._queued: tuple[tuple[SegmentPlan, ...], list[int]] = ((), [])
 
     # -- recording ---------------------------------------------------------
 
@@ -287,12 +286,6 @@ def step(world: WorldState, dt: float | None = None):
     t0 = world.clock
     world.abandoned_this_tick = False
 
-    if world.refuel_hold > EPS_TIME:
-        world.refuel_hold = max(0.0, world.refuel_hold - dt)
-        world.clock = t0 + dt
-        world.record_tick()
-        return
-
     _uav_phase(world, t0, dt)
     if world.mission_complete:
         world.clock = world.final_time
@@ -325,9 +318,8 @@ def step(world: WorldState, dt: float | None = None):
 
 def _uav_phase(world: WorldState, t0: float, dt: float):
     params = world.params
-    cfg = world.config
     t_rem = dt
-    while t_rem > EPS_TIME and not world.mission_complete and world.refuel_hold <= EPS_TIME:
+    while t_rem > EPS_TIME and not world.mission_complete:
         st = world.active
         if st.mode is Mode.PROCESSING:
             tracker = world.trackers[st.current]
@@ -340,9 +332,6 @@ def _uav_phase(world: WorldState, t0: float, dt: float):
             t_rem -= used / params.burn_rate
             t_now = t0 + (dt - max(t_rem, 0.0))
             if skipped_now:
-                if not cfg.resume_progress:
-                    for tid in skipped_now:
-                        world.trackers[tid].progress = 0.0
                 world.emit_event(t_now, "skip", {
                     "segment": st.ordinal,
                     "targets": skipped_now,
@@ -411,9 +400,6 @@ def _refuel(world: WorldState, t_now: float):
         "site": [site.x, site.y],
         "fuel": params.fuel_capacity,
     })
-    if not world.config.resume_progress:
-        for tid, _ in st.deferred:
-            world.trackers[tid].progress = 0.0
 
     deferred_all = st.deferred + world.carry
     next_plan = world.queue.pop(0) if world.queue else None
@@ -427,7 +413,6 @@ def _refuel(world: WorldState, t_now: float):
         })
     world.active = SegmentState.begin(new_plan, st.ordinal + 1,
                                       fuel=params.fuel_capacity)
-    world.refuel_hold = world.config.refuel_duration
 
 
 def _check_invariants(world: WorldState):
@@ -456,8 +441,7 @@ def _check_invariants(world: WorldState):
         held.append(st.current)
     held += [tid for tid, _ in st.deferred]
     held += [tid for tid, _ in world.carry]
-    for seg in world.queue:
-        held += seg.target_ids()
+    held += _queued_ids(world)
     ids = set(held)
     done = world.done_ids
     if (len(ids) != len(held) or not ids.isdisjoint(done)
@@ -467,6 +451,22 @@ def _check_invariants(world: WorldState):
                     f"held and done={sorted(ids & done)} "
                     f"missing={sorted(world.trackers.keys() - ids - done)} "
                     f"unknown={sorted(ids - world.trackers.keys())}")
+
+
+def _queued_ids(world: WorldState) -> list[int]:
+    """Target ids of the queued segments, in queue order.
+
+    Read again only when the queue holds other SegmentPlan objects than at
+    the last call.  A SegmentPlan is frozen, so the same objects hold the
+    same ids, and a segment swapped in is seen by its identity.
+    """
+    segs, ids = world._queued
+    queue = world.queue
+    if len(segs) != len(queue) or not all(map(operator.is_, segs, queue)):
+        segs = tuple(queue)
+        ids = [tid for seg in segs for tid, _ in seg.target_arcs]
+        world._queued = (segs, ids)
+    return ids
 
 
 def run(scenario: Scenario, config: SimConfig | None = None,

@@ -4,8 +4,8 @@ Each mutant replaces one node of a valid document with a hostile value, or
 deletes one key or list entry, then runs `fuelstring validate` in-process.
 Whatever the document says, the command must answer with an exit code (0
 plan ok, 1 with an `error:` line, 2 plan violations) and never a traceback.
-Hostile tick sizes go through `simulate` and `batch` the same way, each
-within a time bound.
+Hostile tick sizes go through `simulate` and `batch` the same way, and
+hostile target counts through `generate`, each within a time bound.
 """
 import copy
 import json
@@ -100,6 +100,22 @@ def test_mutated_plans_give_named_errors(tmp_path, capsys):
                                 "--plan", str(path)], text, capsys)
 
 
+def exits_cleanly_and_quickly(argv, capsys):
+    capsys.readouterr()
+    start = time.perf_counter()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        rc = exc.code
+    except Exception as exc:
+        pytest.fail(f"{type(exc).__name__}: {exc} from {argv}")
+    assert time.perf_counter() - start < 2.0, argv
+    assert rc in (0, 1, 2), argv
+    if rc == 1:
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error:"), argv
+    return rc
+
+
 @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf", "1e-7", "1e-300", "1e308", "x"])
 def test_hostile_tick_sizes_exit_cleanly_and_quickly(dt, tmp_path, capsys):
     sp = tmp_path / "s.json"
@@ -110,15 +126,12 @@ def test_hostile_tick_sizes_exit_cleanly_and_quickly(dt, tmp_path, capsys):
          "--out", str(tmp_path / "r.csv")],
     )
     for argv in commands:
-        argv = argv + ["--dt", dt]
-        start = time.perf_counter()
-        try:
-            rc = main(argv)
-        except SystemExit as exc:  # argparse's usage error
-            rc = exc.code
-        except Exception as exc:
-            pytest.fail(f"{type(exc).__name__}: {exc} from {argv}")
-        assert time.perf_counter() - start < 2.0, argv
-        assert rc in (0, 1, 2), argv
-        if rc == 1:
-            assert capsys.readouterr().err.splitlines()[-1].startswith("error:"), argv
+        exits_cleanly_and_quickly(argv + ["--dt", dt], capsys)
+
+
+# 2000 passes the disc-packing bound of the 50 x 50 world (3310 targets) but
+# gets stuck after 1682 placements; 10**9 is refused before any placement
+@pytest.mark.parametrize("n", ["2000", str(10**9), "0", "-1", "x"])
+def test_hostile_target_counts_exit_cleanly_and_quickly(n, tmp_path, capsys):
+    exits_cleanly_and_quickly(["generate", "--n", n, "--seed", "1",
+                               "--out", str(tmp_path / "s.json")], capsys)

@@ -6,9 +6,10 @@ import math
 import pytest
 
 from conftest import DEFAULT_PARAMS, bend_plan, line_plan
-from fuelstring.geometry import Point2D, Polyline
+from fuelstring.geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc
 from fuelstring.model import VehicleParams
 from fuelstring.offline import PlanningError, SegmentPlan
+from fuelstring.rng import SplitMix64
 from fuelstring.online import (
     Case,
     Mode,
@@ -112,6 +113,30 @@ def test_processing_drags_site_and_defers_passed_targets():
     assert on_processing_tick(st, 0.0, True, DEFAULT_PARAMS) == []
     assert st.mode is Mode.TRANSIT and st.current is None
     assert classify_segment_outcome(st) is Case.BACKTRACK_SKIP
+
+
+def test_processing_defers_a_passed_suffix_of_equal_arcs():
+    # a repaired segment can hold equal arcs (coincident stops); the site
+    # passes a target only once it is more than EPS_GEOM short of its arc
+    plan = SegmentPlan(index=3, path=Polyline([P(0, 0), P(20, 0)]),
+                       target_arcs=((1, 2.0), (2, 8.0), (3, 8.0), (4, 12.0)))
+    st = SegmentState.begin(plan, ordinal=3, fuel=50.0)
+    assert on_transit_tick(st, 2.0, DEFAULT_PARAMS) == (2.0, "target")
+    assert st.current == 1 and st.fuel == 48.0
+
+    # taut: the site follows the fuel to 0.5 EPS_GEOM past the pair at 8
+    assert on_processing_tick(st, 42.0 - 0.5 * EPS_GEOM, False, DEFAULT_PARAMS) == [4]
+    assert 8.0 < st.site_arc < 8.0 + EPS_GEOM
+    assert st.pending == [(2, 8.0), (3, 8.0)]
+    # 0.5 EPS_GEOM short of them: still within EPS_GEOM, both kept
+    assert on_processing_tick(st, EPS_GEOM, False, DEFAULT_PARAMS) == []
+    assert 8.0 - EPS_GEOM < st.site_arc < 8.0
+    assert st.pending == [(2, 8.0), (3, 8.0)]
+    # 1.5 EPS_GEOM short: both passed in one tick, in visit order
+    assert on_processing_tick(st, EPS_GEOM, False, DEFAULT_PARAMS) == [2, 3]
+    assert st.pending == []
+    assert st.deferred == [(2, P(8.0, 0.0)), (3, P(8.0, 0.0)), (4, P(12.0, 0.0))]
+    assert st.skipped == [4, 2, 3]
 
 
 def test_cached_points_follow_their_arcs():
@@ -269,6 +294,159 @@ def test_repair_threads_deferred_before_planned_targets():
     assert plan.target_arcs == ((4, 3.0), (6, 9.0))
     assert plan.site == P(12.0, 0.0)
     assert not modified and shed == []
+
+
+def reference_repair(start, deferred, next_plan, depot, params, ordinal):
+    """transfer_and_repair as it was written before the leg was threaded
+    once: every candidate re-threads its whole leg and builds a new path.
+    Also returns whether the out-and-back last resort was taken."""
+    entries = list(deferred)
+    if next_plan is not None:
+        entries += [(tid, next_plan.path.point_at_arc(arc))
+                    for tid, arc in next_plan.target_arcs]
+        terminal = next_plan.site
+    else:
+        terminal = depot
+    reach = params.reach_radius
+    max_len = params.flight_range
+    shed = []
+    modified = False
+    out_and_back = False
+    while True:
+        pts, arcs = reference_thread_path(start, [p for _, p in entries], terminal)
+        target_arcs = arcs[1:-1]
+        if len(pts) >= 2:
+            path = Polyline(pts)
+            lo = target_arcs[-1] if target_arcs else 0.0
+            best = farthest_site_arc(path, lo, min(path.length, max_len), start, reach)
+            if best is not None:
+                if best < path.length - EPS_GEOM:
+                    path = path.sub_polyline(0.0, best)
+                    modified = True
+                plan = SegmentPlan(
+                    index=ordinal,
+                    path=path,
+                    target_arcs=tuple((tid, arc) for (tid, _), arc in zip(entries, target_arcs)),
+                )
+                return plan, shed, modified, out_and_back
+        if out_and_back:
+            raise PlanningError(
+                f"target {entries[0][0]} permanently infeasible: from ({start.x:.6g}, "
+                f"{start.y:.6g}) even an out-and-back leg through it has no "
+                f"refuel site within range {max_len:.6g} and reach {reach:.6g}")
+        if not entries:
+            raise PlanningError(
+                f"no refuel site reachable on the leg from ({start.x:.6g}, "
+                f"{start.y:.6g}) within range {max_len:.6g} and reach {reach:.6g}")
+        if len(entries) == 1:
+            terminal = start
+            out_and_back = True
+        else:
+            shed.insert(0, entries.pop())
+        modified = True
+
+
+def reference_thread_path(start, waypoints, terminal):
+    uniq = [start]
+    for p in waypoints + [terminal]:
+        if distance(uniq[-1], p) > EPS_GEOM:
+            uniq.append(p)
+    cum = [0.0]
+    for a, b in zip(uniq, uniq[1:]):
+        cum.append(cum[-1] + distance(a, b))
+    arcs = [0.0]
+    j = 0
+    for p in waypoints + [terminal]:
+        if distance(uniq[j], p) > EPS_GEOM:
+            j += 1
+        arcs.append(cum[j])
+    return uniq, arcs
+
+
+def repair_case(seed: int, family: str):
+    """One seeded transfer_and_repair input.  Points lie on a 2.5 m lattice,
+    so coincident stops and exact distance ties are common."""
+    rng = SplitMix64(seed)
+
+    def pick(options):
+        return options[rng.next_u64() % len(options)]
+
+    def point(span=16):
+        return P(2.5 * (rng.next_u64() % span), 2.5 * (rng.next_u64() % span) * pick((0, 1, 1)))
+
+    def path_from(first, count, span=16):
+        verts = [first]
+        while len(verts) < count:
+            p = point(span)
+            if distance(verts[-1], p) > EPS_GEOM:
+                verts.append(p)
+        return Polyline(verts)
+
+    params = VehicleParams(v_uav=2.0, v_ugv=pick((0.4, 1.0, 2.0, 4.0)),
+                           fuel_capacity=pick((15.0, 30.0, 50.0, 80.0)),
+                           fuel_per_meter=pick((1.0, 1.0, 0.5)),
+                           r_max=pick((None, None, 5.0, 10.0, 25.0)))
+    start, depot = point(), point()
+    ids = iter(range(1, 100))
+    deferred = [(next(ids), point()) for _ in range(rng.next_u64() % 4)]
+    next_plan = None
+    if family == "start":
+        deferred.insert(0, (next(ids), start))
+    if family == "tail":
+        path = path_from(point(), 4 + rng.next_u64() % 8, span=24)
+        arcs = path.cumulative_arc[1:-1]
+        next_plan = SegmentPlan(index=9, path=path,
+                                target_arcs=tuple((next(ids), a) for a in arcs))
+    elif family == "lone":
+        # one far target and a tight reach: out-and-back, or nothing fits
+        params = VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=50.0,
+                               fuel_per_meter=1.0, r_max=pick((2.0, 5.0, 10.0)))
+        start = P(0.0, 0.0)
+        deferred = [(next(ids), P(2.5 * (8 + rng.next_u64() % 12), 0.0))]
+        depot = P(0.0, 2.5 * (rng.next_u64() % 20))
+    elif family == "empty":
+        # a bare run to the depot: none when it sits on the start, or when
+        # no candidate arc lies within a 0.3 m reach
+        params = VehicleParams(r_max=pick((None, 0.3)))
+        deferred = []
+        depot = pick((start, point()))
+    elif rng.next_u64() % 5:
+        path = path_from(pick((point(), start)), 2 + rng.next_u64() % 5)
+        arcs = [a for a in path.cumulative_arc[1:-1] if rng.next_u64() % 3]
+        if rng.next_u64() % 2:
+            arcs.append(path.length * (rng.next_u64() % 1000) / 1000.0)
+        arcs = sorted(a for a in arcs if EPS_GEOM < a < path.length - EPS_GEOM)
+        next_plan = SegmentPlan(index=9, path=path,
+                                target_arcs=tuple((next(ids), a) for a in arcs))
+    return start, deferred, next_plan, depot, params
+
+
+def test_repair_matches_rethreading_reference():
+    families = ["mixed"] * 140 + ["start"] * 30 + ["tail"] * 50 + ["lone"] * 40 + ["empty"] * 20
+    seen = {"shed": 0, "trimmed": 0, "out_and_back": 0, "start": 0,
+            "infeasible": 0, "no site": 0}
+    for seed, family in enumerate(families):
+        args = repair_case(1000 + seed, family)
+        try:
+            want = reference_repair(*args, ordinal=4)
+        except PlanningError as exc:
+            with pytest.raises(PlanningError) as got:
+                transfer_and_repair(*args, ordinal=4)
+            assert str(got.value) == str(exc), (seed, family)
+            seen["infeasible" if "infeasible" in str(exc) else "no site"] += 1
+            continue
+        plan, shed, modified = transfer_and_repair(*args, ordinal=4)
+        ref_plan, ref_shed, ref_modified, out_and_back = want
+        assert plan.index == ref_plan.index
+        assert plan.path.vertices == ref_plan.path.vertices, (seed, family)
+        assert plan.path.cumulative_arc == ref_plan.path.cumulative_arc, (seed, family)
+        assert plan.target_arcs == ref_plan.target_arcs, (seed, family)
+        assert (shed, modified) == (ref_shed, ref_modified), (seed, family)
+        seen["shed"] += bool(shed)
+        seen["trimmed"] += modified and not shed and not out_and_back
+        seen["out_and_back"] += out_and_back
+        seen["start"] += any(arc == 0.0 for _, arc in plan.target_arcs)
+    assert all(count >= 5 for count in seen.values()), seen
 
 
 def test_outcome_classification_precedence():

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from fuelstring.geometry import Point2D, distance
 from fuelstring.model import VehicleParams, World
 from fuelstring.rng import SplitMix64
 from fuelstring.scenario_io import (
+    _PLACEMENT_ATTEMPTS,
     CostModel,
     ScenarioFormatError,
+    TooManyTargetsError,
     emit_plan,
     emit_scenario,
     generate_scenario,
@@ -252,6 +255,54 @@ def test_generation_rejects_bad_counts():
         generate_scenario(0, seed=1)
     with pytest.raises(ValueError, match="cannot place 30 targets"):
         generate_scenario(30, seed=1, world=World(width=2.0, height=2.0))
+
+
+def test_generation_refuses_counts_past_the_disc_packing_bound():
+    # discs of diameter 1 around 3311 points need more than the 51 x 51
+    # square the 50 x 50 world grows to; 3310 targets plus the depot fit
+    with pytest.raises(TooManyTargetsError, match="cannot place 3311 targets"):
+        generate_scenario(3311, seed=1)
+    with pytest.raises(TooManyTargetsError, match="hold at most 3311"):
+        generate_scenario(10**400, seed=1)
+    # the bound is necessary, not sufficient: 3310 gets stuck while placing
+    with pytest.raises(ValueError, match=r"stuck at target \d+\)"):
+        generate_scenario(3310, seed=1)
+
+
+def reference_placement(n, seed, world, sep):
+    """generate_scenario's placement before the bucket grid: every
+    candidate against every placed point."""
+    rng = SplitMix64(seed)
+    placed = [Point2D(world.width / 2.0, world.height / 2.0)]
+    for i in range(n):
+        for _ in range(_PLACEMENT_ATTEMPTS):
+            cand = Point2D(rng.next_float() * world.width, rng.next_float() * world.height)
+            if all(distance(cand, p) >= sep for p in placed):
+                placed.append(cand)
+                break
+        else:
+            return f"stuck at target {i + 1}"
+    return placed[1:]
+
+
+def test_bucketed_placement_matches_brute_force():
+    rng = SplitMix64(41)
+    outcomes = {"placed": 0, "stuck": 0}
+    for case in range(60):
+        world = World(width=(2.0, 5.0, 13.7, 50.0)[rng.next_u64() % 4],
+                      height=(0.5, 5.0, 9.25, 50.0)[rng.next_u64() % 4])
+        sep = (0.0, 1e-3, 0.5, 1.0, 1.3, 2.5)[rng.next_u64() % 6]
+        n = 1 + rng.next_u64() % 40
+        try:
+            got = [t.position for t in generate_scenario(n, case, world=world,
+                                                         min_separation=sep).targets]
+        except TooManyTargetsError:
+            continue
+        except ValueError as exc:
+            got = str(exc).rsplit("(", 1)[-1].rstrip(")")
+        assert got == reference_placement(n, case, world, sep), (case, n, world, sep)
+        outcomes["stuck" if isinstance(got, str) else "placed"] += 1
+    assert outcomes["placed"] >= 30 and outcomes["stuck"] >= 3, outcomes
 
 
 # --- plan documents --------------------------------------------------------

@@ -87,13 +87,6 @@ def test_uav_hovers_until_ground_vehicle_arrives():
     assert math.isclose(rep.metrics["ugv_distance"], 20.85, abs_tol=1e-6)
 
 
-def test_refuel_pause_delays_departure():
-    rep = run(line_scenario(25.0), SimConfig(refuel_duration=1.0), plan=line_plan())
-    assert rep.completed
-    assert math.isclose(rep.metrics["mission_time"], 33.5, abs_tol=1e-6)
-    assert rep.metrics["rendezvous_count"] == 1
-
-
 def test_timeout_reports_unprocessed_targets():
     rep = run(line_scenario(25.0), SimConfig(max_mission_time=10.0), plan=line_plan())
     assert rep.status == "timeout"
@@ -104,7 +97,7 @@ def test_timeout_reports_unprocessed_targets():
 
 @pytest.mark.parametrize("field, bad", [
     ("dt", 0.0), ("dt", -0.05), ("dt", math.nan), ("dt", math.inf),
-    ("eps_pos", -0.1), ("eps_pos", math.nan), ("refuel_duration", math.inf),
+    ("eps_pos", -0.1), ("eps_pos", math.nan),
     ("max_mission_time", 0.0), ("max_mission_time", math.inf),
 ])
 def test_config_rejects_bad_numbers(field, bad):
@@ -114,19 +107,12 @@ def test_config_rejects_bad_numbers(field, bad):
 
 
 def test_kept_progress_lets_oversized_jobs_finish():
+    # progress carries across visits: 60 fuel of processing cannot finish in
+    # one tank, so the target is abandoned once and finished on the next visit
     rep = run(line_scenario(60.0), plan=line_plan())
     assert rep.completed
     assert rep.metrics["abandonments"] == 1
     assert math.isclose(rep.metrics["mission_time"], 45.0, abs_tol=1e-6)
-
-
-def test_restarting_progress_can_defer_forever():
-    # 60 fuel of processing can never finish in one visit; losing partial
-    # progress on every abandonment keeps the mission cycling until time out
-    rep = run(line_scenario(60.0), SimConfig(resume_progress=False), plan=line_plan())
-    assert rep.status == "timeout"
-    assert rep.unprocessed == [1]
-    assert rep.metrics["abandonments"] >= 2
 
 
 def test_trace_stream_matches_memory_and_refolds():
