@@ -113,7 +113,6 @@ def exits_cleanly_and_quickly(argv, capsys):
     assert rc in (0, 1, 2), argv
     if rc == 1:
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:"), argv
-    return rc
 
 
 @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf", "1e-7", "1e-300", "1e308", "x"])

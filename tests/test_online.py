@@ -9,7 +9,6 @@ from conftest import DEFAULT_PARAMS, bend_plan, line_plan
 from fuelstring.geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc
 from fuelstring.model import VehicleParams
 from fuelstring.offline import PlanningError, SegmentPlan
-from fuelstring.rng import SplitMix64
 from fuelstring.online import (
     Case,
     Mode,
@@ -23,6 +22,7 @@ from fuelstring.online import (
     transfer_and_repair,
     ugv_reachable,
 )
+from fuelstring.rng import SplitMix64
 
 P = Point2D
 
