@@ -6,31 +6,9 @@ refuel site: while it has slack the plan stands, and once taut the site is
 dragged back toward the UAV, skipping or abandoning targets as needed to
 keep the rendezvous reachable by both vehicles.
 """
-from .geometry import Point2D, Polyline
+from .geometry import Point2D
 from .model import Scenario, Target, VehicleParams, World
-from .offline import (
-    MissionPlan,
-    PlanningError,
-    SegmentPlan,
-    Tour,
-    build_tour,
-    plan_mission,
-    split_tour,
-    validate_plan,
-)
-from .online import (
-    Case,
-    Mode,
-    SegmentState,
-    backtrack_site,
-    check_abandonment,
-    classify_segment_outcome,
-    on_processing_tick,
-    on_transit_tick,
-    slack,
-    transfer_and_repair,
-    ugv_reachable,
-)
+from .offline import MissionPlan, PlanningError, plan_mission, validate_plan
 from .scenario_io import (
     CostModel,
     ScenarioFormatError,
@@ -46,12 +24,9 @@ from .sim import (
     RunReport,
     SimConfig,
     TickLimitError,
-    WorldState,
     fold_jsonl,
-    fold_records,
     metrics_to_text,
     run,
-    step,
 )
 
 __version__ = "0.1.0"

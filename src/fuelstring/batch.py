@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .model import VehicleParams, World
+from .model import VehicleParams
 from .offline import PlanningError
 from .scenario_io import CostModel, generate_scenario
 from .sim import METRIC_KEYS, InvariantViolation, RunReport, SimConfig, run
@@ -25,8 +25,6 @@ class SweepConfig:
     fuel_capacities: tuple[float, ...] = (50.0, 200.0, 500.0)
     speed_ratios: tuple[float, ...] = (0.2, 0.5, 1.0)  # v_ugv / v_uav
     seeds: tuple[int, ...] = (1,)
-    world: World = field(default_factory=World)
-    cost_low: float = 0.0
     cost_high: float = 20.0
     dt: float = 0.05
 
@@ -58,9 +56,9 @@ def run_cell(n_targets: int, fuel_capacity: float, speed_ratio: float,
             fuel_per_meter=1.0,
         )
         scenario = generate_scenario(
-            n_targets, seed=seed, world=sweep.world, params=params,
-            cost_model=CostModel(kind="uniform", low=sweep.cost_low,
-                                 high=sweep.cost_high, seed=seed + 1))
+            n_targets, seed=seed, params=params,
+            cost_model=CostModel(kind="uniform", low=0.0, high=sweep.cost_high,
+                                 seed=seed + 1))
         report = run(scenario, SimConfig(dt=sweep.dt, keep_trace=False))
         return CellResult(n_targets, fuel_capacity, speed_ratio, seed,
                           report.status, report.metrics)

@@ -69,9 +69,10 @@ class Polyline:
         s is clamped within EPS_GEOM of the valid range; anything further
         outside raises.
         """
-        if s < -EPS_GEOM or s > self.length + EPS_GEOM:
-            raise ValueError(f"arc {s} outside [0, {self.length}]")
-        s = min(max(s, 0.0), self.length)
+        length = self.cumulative_arc[-1]
+        if s < -EPS_GEOM or s > length + EPS_GEOM:
+            raise ValueError(f"arc {s} outside [0, {length}]")
+        s = min(max(s, 0.0), length)
         i = bisect_right(self.cumulative_arc, s) - 1
         if i >= len(self.vertices) - 1:
             return self.vertices[-1]

@@ -100,21 +100,58 @@ class Scenario:
         if not self.world.contains(self.depot):
             raise ValueError(f"depot ({self.depot.x}, {self.depot.y}) outside world bounds")
         seen_ids: set[int] = set()
-        placed: list[tuple[int, Point2D]] = [(-1, self.depot)]
+        # distances are floats: d <= EPS_GEOM exactly when d < nextafter(EPS_GEOM)
+        placed = Buckets(math.nextafter(EPS_GEOM, math.inf), self.world)
+        placed.add_if_clear(self.depot)
         for t in self.targets:
             if t.id in seen_ids:
                 raise ValueError(f"duplicate target id {t.id}")
             seen_ids.add(t.id)
             if not self.world.contains(t.position):
                 raise ValueError(f"target {t.id} outside world bounds")
-            for other_id, pos in placed:
-                if distance(t.position, pos) <= EPS_GEOM:
-                    where = "depot" if other_id == -1 else f"target {other_id}"
-                    raise ValueError(f"target {t.id} coincides with {where}")
-            placed.append((t.id, t.position))
+            if not placed.add_if_clear(t.position):
+                k = next(i for i, p in enumerate(placed.points)
+                         if distance(t.position, p) <= EPS_GEOM)
+                where = "depot" if k == 0 else f"target {self.targets[k - 1].id}"
+                raise ValueError(f"target {t.id} coincides with {where}")
 
-    def target_by_id(self, target_id: int) -> Target:
-        for t in self.targets:
-            if t.id == target_id:
-                return t
-        raise KeyError(target_id)
+
+class Buckets:
+    """Points added in order, bucketed on a square grid, for the separation
+    test; every point must lie in the world's bounds.
+
+    A bucket's side is at least twice the separation, so a point closer
+    than the separation to a candidate lies less than half a side away on
+    each axis, and its bucket index differs from the candidate's by at most
+    one, with a margin of half a side left for rounding.  add_if_clear(c)
+    checks the 3 x 3 buckets around c, so its test is exactly
+    all(distance(c, p) >= sep for every added p).  The side is also at
+    least 2^-30 of the world's larger extent, so bucket indices stay small
+    when the separation is tiny against the world.  A bucket's key is
+    column * stride + row, and the stride exceeds the row count by two, so
+    a neighbour's key never names a bucket in another column.
+    """
+
+    def __init__(self, sep: float, world: World):
+        self.sep = sep
+        self.side = max(2.0 * sep, max(world.width, world.height) * 2.0 ** -30)
+        self.stride = int(world.height // self.side) + 3
+        # the candidate's own bucket first: a rejected candidate usually fails there
+        st = self.stride
+        self.ring = (0, -1, 1, -st, -st - 1, -st + 1, st, st - 1, st + 1)
+        self.points: list[Point2D] = []  # in the order added
+        self.cells: dict[int, list[Point2D]] = {}
+
+    def add_if_clear(self, c: Point2D) -> bool:
+        """Add c unless an added point lies closer than the separation."""
+        side = self.side
+        key = int(c.x // side) * self.stride + int(c.y // side)
+        cells = self.cells
+        sep = self.sep
+        for off in self.ring:
+            for p in cells.get(key + off, ()):
+                if distance(c, p) < sep:
+                    return False
+        cells.setdefault(key, []).append(c)
+        self.points.append(c)
+        return True

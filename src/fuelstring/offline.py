@@ -6,6 +6,7 @@ difference once costs start revealing themselves.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc
@@ -239,6 +240,7 @@ def validate_plan(plan: MissionPlan, scenario: Scenario) -> ValidationReport:
     segs = plan.segments
     if not segs:
         return ValidationReport(violations=(Violation("empty", "plan has no segments"),))
+    positions = {t.id: t.position for t in scenario.targets}
 
     if distance(segs[0].start, scenario.depot) > EPS_GEOM:
         v.append(Violation("start", "first segment does not start at the depot"))
@@ -279,7 +281,7 @@ def validate_plan(plan: MissionPlan, scenario: Scenario) -> ValidationReport:
             prev = arc
             try:
                 at = seg.path.point_at_arc(arc)
-                actual = scenario.target_by_id(tid).position
+                actual = positions[tid]
                 if distance(at, actual) > 1e-6:
                     v.append(Violation(
                         "target-position",
@@ -288,15 +290,12 @@ def validate_plan(plan: MissionPlan, scenario: Scenario) -> ValidationReport:
             except (ValueError, KeyError) as exc:
                 v.append(Violation("target-position", f"target {tid}: {exc}"))
 
-    planned = plan.target_ids()
-    dupes = {t for t in planned if planned.count(t) > 1}
-    for t in sorted(dupes):
+    planned = Counter(plan.target_ids())
+    for t in sorted(t for t, count in planned.items() if count > 1):
         v.append(Violation("duplicate-target", f"target {t} appears in more than one segment"))
-    missing = {t.id for t in scenario.targets} - set(planned)
-    for t in sorted(missing):
+    for t in sorted(positions.keys() - planned.keys()):
         v.append(Violation("missing-target", f"target {t} not covered by any segment"))
-    unknown = set(planned) - {t.id for t in scenario.targets}
-    for t in sorted(unknown):
+    for t in sorted(planned.keys() - positions.keys()):
         v.append(Violation("unknown-target", f"plan references target {t} not in scenario"))
 
     return ValidationReport(violations=tuple(v))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc, step_toward
-from .model import EPS_FUEL, EPS_TIME, VehicleParams
+from .model import EPS_TIME, VehicleParams
 from .offline import PlanningError, SegmentPlan
 
 
@@ -98,19 +98,9 @@ class SegmentState:
         return self.site_arc - self.uav_arc
 
 
-def slack(plan: SegmentPlan, params: VehicleParams) -> float:
-    """Fuel left over after flying the whole segment, before any processing."""
-    need = plan.length * params.fuel_per_meter
-    if need > params.fuel_capacity + EPS_FUEL:
-        raise ValueError(
-            f"segment length {plan.length:.6g} exceeds flight range "
-            f"{params.flight_range:.6g}; repair it first")
-    return params.fuel_capacity - need
-
-
-def backtrack_site(state: SegmentState, params: VehicleParams) -> float:
-    """Arc the site must retreat to so remaining fuel still spans the string."""
-    reachable = state.uav_arc + max(state.fuel, 0.0) / params.fuel_per_meter
+def backtrack_site(state: SegmentState, fuel: float, params: VehicleParams) -> float:
+    """Arc the site must retreat to so that fuel still spans the string."""
+    reachable = state.uav_arc + max(fuel, 0.0) / params.fuel_per_meter
     return max(min(state.site_arc, reachable), state.uav_arc)
 
 
@@ -169,7 +159,7 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
         raise ValueError("processing tick outside processing mode")
     state.fuel -= fuel_used
     skipped_now: list[int] = []
-    new_site = backtrack_site(state, params)
+    new_site = backtrack_site(state, state.fuel, params)
     if new_site < state.site_arc - EPS_GEOM:
         state.site_moved = True
     state.site_arc = new_site
@@ -212,9 +202,7 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, dt: float,
     if fuel_next < 0.0:
         doomed = True
     else:
-        site_next = max(
-            min(state.site_arc, state.uav_arc + fuel_next / params.fuel_per_meter),
-            state.uav_arc)
+        site_next = backtrack_site(state, fuel_next, params)
         site_pos = state.site_position
         ugv_next = step_toward(ugv_pos, site_pos, params.v_ugv * dt)
         # a slack string leaves the site where it is

@@ -23,8 +23,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .geometry import Point2D, Polyline, distance
-from .model import Scenario, Target, VehicleParams, World
+from .geometry import Point2D, Polyline
+from .model import Buckets, Scenario, Target, VehicleParams, World
 from .offline import MissionPlan, SegmentPlan
 from .rng import SplitMix64
 
@@ -234,7 +234,7 @@ def generate_scenario(n_targets: int, seed: int,
     hold that many separated points.
 
     A candidate is checked only against the points in the 3 x 3 buckets
-    around its own; see _Buckets.  A separation of 0 or less constrains
+    around its own; see model.Buckets.  A separation of 0 or less constrains
     nothing.
     """
     if n_targets < 1:
@@ -261,68 +261,27 @@ def generate_scenario(n_targets: int, seed: int,
 
     rng = SplitMix64(seed)
     depot = Point2D(world.width / 2.0, world.height / 2.0)
-    placed: list[Point2D] = [depot]
-    buckets = _Buckets(sep, world)
-    buckets.add_if_clear(depot)
+    placed = Buckets(sep, world)
+    placed.add_if_clear(depot)
     for i in range(n_targets):
-        ok = None
         for _ in range(_PLACEMENT_ATTEMPTS):
             cand = Point2D(rng.next_float() * world.width,
                            rng.next_float() * world.height)
-            if buckets.add_if_clear(cand):
-                ok = cand
+            if placed.add_if_clear(cand):
                 break
-        if ok is None:
+        else:
             raise ValueError(
                 f"cannot place {n_targets} targets with separation "
                 f"{min_separation} in {world.width}x{world.height} bounds "
                 f"(stuck at target {i + 1})")
-        placed.append(ok)
 
     ids = list(range(1, n_targets + 1))
     costs = sample_costs(cost_model, ids)
     targets = tuple(
         Target(id=tid, position=pos, tau=costs[tid])
-        for tid, pos in zip(ids, placed[1:])
+        for tid, pos in zip(ids, placed.points[1:])
     )
     return Scenario(world=world, depot=depot, params=params, targets=targets)
-
-
-class _Buckets:
-    """Placed points bucketed on a square grid, for the separation test.
-
-    A bucket's side is at least twice the separation, so a point closer
-    than the separation to a candidate lies less than half a side away on
-    each axis, and its bucket index differs from the candidate's by at most
-    one, with a margin of half a side left for rounding.  add_if_clear(c)
-    checks the 3 x 3 buckets around c, so its test is exactly
-    all(distance(c, p) >= sep for every placed p).  The side is also at
-    least 2^-30 of the world's larger extent, so bucket indices stay small
-    when the separation is tiny against the world.  A bucket's key is
-    column * stride + row, and the stride exceeds the row count by two, so
-    a neighbour's key never names a bucket in another column.
-    """
-
-    def __init__(self, sep: float, world: World):
-        self.sep = sep
-        self.side = max(2.0 * sep, max(world.width, world.height) * 2.0 ** -30)
-        self.stride = int(world.height // self.side) + 3
-        # the candidate's own bucket first: a rejected candidate usually fails there
-        self.ring = tuple(di * self.stride + dj for di in (0, -1, 1) for dj in (0, -1, 1))
-        self.cells: dict[int, list[Point2D]] = {}
-
-    def add_if_clear(self, c: Point2D) -> bool:
-        """Place c unless a placed point lies closer than the separation."""
-        side = self.side
-        key = int(c.x // side) * self.stride + int(c.y // side)
-        cells = self.cells
-        sep = self.sep
-        for off in self.ring:
-            for p in cells.get(key + off, ()):
-                if distance(c, p) < sep:
-                    return False
-        cells.setdefault(key, []).append(c)
-        return True
 
 
 def plan_to_doc(plan: MissionPlan) -> dict:

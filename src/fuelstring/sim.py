@@ -42,6 +42,9 @@ METRIC_KEYS = (
 # Each mode's JSON string, as tick lines write it.
 _MODE_JSON = {m: json.dumps(m.value) for m in Mode}
 
+# The UAV docks once the ground vehicle is this close to the refuel site (m).
+EPS_DOCK = 0.1
+
 # Bounds a run's work.  The largest tick count in the default sweep grid and
 # the generated mission corpora at dt 0.05 is 45,775, about 1/218 of this.
 MAX_TICKS = 10_000_000
@@ -58,7 +61,6 @@ class TickLimitError(ValueError):
 @dataclass
 class SimConfig:
     dt: float = 0.05
-    eps_pos: float = 0.1
     max_mission_time: float | None = None  # None: 10x offline flight time
     check_invariants: bool = False
     keep_trace: bool = True
@@ -66,8 +68,6 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if not 0 <= self.eps_pos < math.inf:
-            raise ValueError(f"eps_pos must be finite and >= 0, got {self.eps_pos}")
         if self.max_mission_time is not None and not 0 < self.max_mission_time < math.inf:
             raise ValueError(f"max_mission_time must be finite and > 0, got {self.max_mission_time}")
 
@@ -77,9 +77,9 @@ class TargetTracker:
 
     __slots__ = ("tau", "progress")
 
-    def __init__(self, tau: float, progress: float = 0.0):
+    def __init__(self, tau: float):
         self.tau = tau
-        self.progress = progress
+        self.progress = 0.0
 
     def reveal(self, fuel_avail: float) -> tuple[float, bool]:
         """Consume up to fuel_avail of processing; exact completion splits
@@ -279,10 +279,10 @@ class WorldState:
             f"ugv=({self.ugv_pos.x:.6g}, {self.ugv_pos.y:.6g})]")
 
 
-def step(world: WorldState, dt: float | None = None):
+def step(world: WorldState):
     """Advance the world by one tick."""
     cfg = world.config
-    dt = cfg.dt if dt is None else dt
+    dt = cfg.dt
     t0 = world.clock
     world.abandoned_this_tick = False
 
@@ -307,7 +307,7 @@ def step(world: WorldState, dt: float | None = None):
         })
 
     st = world.active
-    if st.mode is Mode.WAIT and distance(world.ugv_pos, st.site_position) <= cfg.eps_pos:
+    if st.mode is Mode.WAIT and distance(world.ugv_pos, st.site_position) <= EPS_DOCK:
         _refuel(world, t0 + dt)
 
     world.clock = t0 + dt
@@ -381,7 +381,7 @@ def _handle_site_arrival(world: WorldState, t_now: float):
         world.mission_complete = True
         world.final_time = t_now
         return
-    if distance(world.ugv_pos, site) <= world.config.eps_pos:
+    if distance(world.ugv_pos, site) <= EPS_DOCK:
         _refuel(world, t_now)
     else:
         st.mode = Mode.WAIT

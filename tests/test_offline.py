@@ -72,6 +72,7 @@ def test_tour_near_optimal_on_small_random_instances():
     # deterministic seeds; local search may miss the optimum but not by much
     for seed in range(8):
         sc = generate_scenario(7, seed=seed)
+        positions = {t.id: t.position for t in sc.targets}
         tour = build_tour(sc)
         best = brute_force_tour_length(sc)
         assert tour.length <= best * 1.05 + 1e-9
@@ -79,8 +80,7 @@ def test_tour_near_optimal_on_small_random_instances():
         arcs = [arc for _, arc in tour.visits]
         assert all(b > a for a, b in zip(arcs, arcs[1:]))
         for tid, arc in tour.visits:
-            assert distance(tour.path.point_at_arc(arc),
-                            sc.target_by_id(tid).position) <= 1e-9
+            assert distance(tour.path.point_at_arc(arc), positions[tid]) <= 1e-9
 
 
 def reference_two_opt(order: list[int], pos: dict[int, Point2D],

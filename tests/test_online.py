@@ -18,7 +18,6 @@ from fuelstring.online import (
     classify_segment_outcome,
     on_processing_tick,
     on_transit_tick,
-    slack,
     transfer_and_repair,
     ugv_reachable,
 )
@@ -42,25 +41,13 @@ def test_begin_loads_full_segment():
     assert st.uav_position == P(0.0, 0.0)
 
 
-def test_slack_is_fuel_left_after_pure_flight():
-    assert slack(line_plan().segments[0], DEFAULT_PARAMS) == 30.0
-    assert slack(line_plan().segments[1], DEFAULT_PARAMS) == 30.0
-    long = SegmentPlan(index=0, path=Polyline([P(0, 0), P(60, 0)]))
-    with pytest.raises(ValueError, match="exceeds flight range"):
-        slack(long, DEFAULT_PARAMS)
-
-
 def test_backtrack_site_follows_remaining_fuel():
     st = started_line_state()
     st.uav_arc = 10.0
-    st.fuel = 5.0
-    assert backtrack_site(st, DEFAULT_PARAMS) == 15.0
-    st.fuel = 50.0
-    assert backtrack_site(st, DEFAULT_PARAMS) == 20.0  # never advances
-    st.fuel = 0.0
-    assert backtrack_site(st, DEFAULT_PARAMS) == 10.0
-    st.fuel = -3.0
-    assert backtrack_site(st, DEFAULT_PARAMS) == 10.0  # clamped at the UAV
+    assert backtrack_site(st, 5.0, DEFAULT_PARAMS) == 15.0
+    assert backtrack_site(st, 50.0, DEFAULT_PARAMS) == 20.0  # never advances
+    assert backtrack_site(st, 0.0, DEFAULT_PARAMS) == 10.0
+    assert backtrack_site(st, -3.0, DEFAULT_PARAMS) == 10.0  # clamped at the UAV
 
 
 def test_ugv_reachable_boundary_counts():

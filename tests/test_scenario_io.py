@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from fuelstring.geometry import Point2D, distance
-from fuelstring.model import VehicleParams, World
+from fuelstring.geometry import EPS_GEOM, Point2D, distance
+from fuelstring.model import Scenario, Target, VehicleParams, World
 from fuelstring.rng import SplitMix64
 from fuelstring.scenario_io import (
     _PLACEMENT_ATTEMPTS,
@@ -303,6 +303,68 @@ def test_bucketed_placement_matches_brute_force():
         assert got == reference_placement(n, case, world, sep), (case, n, world, sep)
         outcomes["stuck" if isinstance(got, str) else "placed"] += 1
     assert outcomes["placed"] >= 30 and outcomes["stuck"] >= 3, outcomes
+
+
+# --- coincident points -----------------------------------------------------
+
+def scenario_at(depot, *targets):
+    """A scenario in the 50 x 50 world; targets are (id, x, y)."""
+    return Scenario(world=World(), depot=Point2D(*depot), params=VehicleParams(),
+                    targets=tuple(Target(id=tid, position=Point2D(x, y), tau=1.0)
+                                  for tid, x, y in targets))
+
+
+def reference_coincidence(depot, targets):
+    """The pairwise test: the first target within EPS_GEOM of a point placed
+    before it, and the earliest such point (-1 for the depot)."""
+    placed = [(-1, Point2D(*depot))]
+    for tid, x, y in targets:
+        for other, p in placed:
+            if distance(Point2D(x, y), p) <= EPS_GEOM:
+                return tid, other
+        placed.append((tid, Point2D(x, y)))
+    return None
+
+
+def test_coinciding_points_are_rejected():
+    with pytest.raises(ValueError, match="^target 4 coincides with depot$"):
+        scenario_at((25, 25), (1, 10, 10), (4, 25, 25 + 0.5 * EPS_GEOM))
+    # exactly EPS_GEOM apart coincides; twice that does not
+    with pytest.raises(ValueError, match="^target 2 coincides with target 1$"):
+        scenario_at((25, 25), (1, 0, 0), (2, EPS_GEOM, 0))
+    scenario_at((25, 25), (1, 0, 0), (2, 2 * EPS_GEOM, 0))
+    # x0 is a bucket boundary of the 50 x 50 grid (its side is 50 * 2^-30).
+    # Target 9 shares a bucket with target 3 and coincides with both 7 and 3,
+    # which are 1.5 EPS_GEOM apart: the message names 7, placed first.
+    x0 = 50 * 2.0 ** -10
+    with pytest.raises(ValueError, match="^target 9 coincides with target 7$"):
+        scenario_at((25, 25), (7, x0 - 0.6 * EPS_GEOM, 5), (3, x0 + 0.9 * EPS_GEOM, 5),
+                    (9, x0 + 0.2 * EPS_GEOM, 5))
+
+
+def test_coincidence_check_matches_pairwise_reference():
+    rng = SplitMix64(17)
+    outcomes = {"accepted": 0, "depot": 0, "target": 0}
+    for case in range(200):
+        # points crowd a few anchors, some on bucket boundaries, within a few
+        # EPS_GEOM of each other
+        anchors = [(50 * 2.0 ** -10, 5.0), (25.0, 25.0), (3.0, 0.0)]
+        depot = (25.0, 25.0)
+        targets = []
+        for tid in range(1 + rng.next_u64() % 8, 0, -1):
+            ax, ay = anchors[rng.next_u64() % len(anchors)]
+            targets.append((tid, ax + (rng.next_float() * 6 - 1) * EPS_GEOM,
+                            ay + rng.next_float() * 2 * EPS_GEOM))
+        want = reference_coincidence(depot, targets)
+        try:
+            scenario_at(depot, *targets)
+            got = None
+        except ValueError as exc:
+            tid, _, where = str(exc).removeprefix("target ").partition(" coincides with ")
+            got = (int(tid), -1 if where == "depot" else int(where.removeprefix("target ")))
+        assert got == want, (case, targets)
+        outcomes["accepted" if got is None else "depot" if got[1] == -1 else "target"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 # --- plan documents --------------------------------------------------------

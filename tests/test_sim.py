@@ -97,7 +97,6 @@ def test_timeout_reports_unprocessed_targets():
 
 @pytest.mark.parametrize("field, bad", [
     ("dt", 0.0), ("dt", -0.05), ("dt", math.nan), ("dt", math.inf),
-    ("eps_pos", -0.1), ("eps_pos", math.nan),
     ("max_mission_time", 0.0), ("max_mission_time", math.inf),
 ])
 def test_config_rejects_bad_numbers(field, bad):
@@ -275,7 +274,7 @@ def _checked_generated_run(n: int, seed: int):
 
 
 @pytest.mark.xfail(strict=True, raises=InvariantViolation,
-                   reason="known defect: a refuel within eps_pos short of the site, "
+                   reason="known defect: a refuel within EPS_DOCK short of the site, "
                           "then a repaired site at the full reach radius from it")
 def test_reach_holds_after_refuel_short_of_site():
     # segment 2, in transit at uav_arc=0 right after the refuel
