@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .batch import SweepConfig, batch_run, results_to_csv
@@ -22,6 +23,7 @@ from .scenario_io import (
     emit_plan,
     emit_scenario,
     generate_scenario,
+    parse_cost_model,
     parse_plan,
     parse_scenario,
 )
@@ -60,17 +62,17 @@ class _OpenOnWrite:
 
 
 def _parse_cost_spec(spec: str) -> CostModel:
-    """uniform:LO,HI or lognormal:MU,SIGMA or explicit."""
-    if spec == "explicit":
-        return CostModel(kind="explicit")
+    """uniform:LO,HI or lognormal:MU,SIGMA, checked as the scenario parser
+    checks a cost_model object."""
     kind, _, rest = spec.partition(":")
-    parts = rest.split(",") if rest else []
-    if kind == "uniform" and len(parts) == 2:
-        return CostModel(kind="uniform", low=float(parts[0]), high=float(parts[1]))
-    if kind == "lognormal" and len(parts) == 2:
-        return CostModel(kind="lognormal", mu=float(parts[0]), sigma=float(parts[1]))
-    raise argparse.ArgumentTypeError(
-        f"bad cost spec {spec!r}; expected uniform:LO,HI | lognormal:MU,SIGMA | explicit")
+    names = {"uniform": ("low", "high"), "lognormal": ("mu", "sigma")}.get(kind)
+    try:
+        values = _floats(rest) if names else ()
+        if len(values) != 2:
+            raise ValueError("expected uniform:LO,HI | lognormal:MU,SIGMA")
+        return parse_cost_model({"kind": kind, **dict(zip(names, values))})
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad cost spec {spec!r}: {exc}") from None
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -115,15 +117,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cost = args.cost if args.cost is not None else CostModel(
-        kind="uniform", low=0.0, high=20.0, seed=args.seed)
-    if cost.kind != "explicit" and cost.seed == 0:
-        cost = CostModel(kind=cost.kind, low=cost.low, high=cost.high,
-                         mu=cost.mu, sigma=cost.sigma, seed=args.seed)
     scenario = generate_scenario(
         args.n, seed=args.seed,
         world=args.world,
-        cost_model=cost)
+        cost_model=dataclasses.replace(args.cost, seed=args.seed))
     _write(args.out, emit_scenario(scenario))
     return 0
 
@@ -175,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--world", type=_world, default=World(),
                    metavar="W,H", help="world bounds (default 50,50)")
-    p.add_argument("--cost", type=_parse_cost_spec, default=None,
-                   metavar="SPEC", help="uniform:LO,HI | lognormal:MU,SIGMA")
+    p.add_argument("--cost", type=_parse_cost_spec, default="uniform:0,20",
+                   metavar="SPEC", help="uniform:LO,HI | lognormal:MU,SIGMA "
+                   "(default uniform:0,20), seeded with --seed")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(fn=cmd_generate)
 

@@ -279,15 +279,17 @@ def validate_plan(plan: MissionPlan, scenario: Scenario) -> ValidationReport:
                     f"target {tid} arc {arc:.6g} not strictly after previous "
                     f"arc {prev:.6g} in segment {seg.index}"))
             prev = arc
+            actual = positions.get(tid)
+            if actual is None:
+                continue  # reported once, as unknown-target, below
             try:
                 at = seg.path.point_at_arc(arc)
-                actual = positions[tid]
                 if distance(at, actual) > 1e-6:
                     v.append(Violation(
                         "target-position",
                         f"target {tid} arc {arc:.6g} maps to ({at.x:.6g}, {at.y:.6g}), "
                         f"expected ({actual.x:.6g}, {actual.y:.6g})"))
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 v.append(Violation("target-position", f"target {tid}: {exc}"))
 
     planned = Counter(plan.target_ids())

@@ -151,9 +151,8 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
 
     Burns the fuel, drags the site back if the string is taut, and defers
     any pending target the site has passed.  Returns target ids skipped by
-    this tick.  Completion flips the mode back to transit; it takes
-    precedence over any same-tick abandonment, which the caller checks
-    separately at tick end.
+    this tick.  Completion flips the mode back to transit; the caller runs
+    the abandonment lookahead before each processing sub-step, never after.
     """
     if state.mode is not Mode.PROCESSING:
         raise ValueError("processing tick outside processing mode")
@@ -184,21 +183,21 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
     return skipped_now
 
 
-def check_abandonment(state: SegmentState, ugv_pos: Point2D, dt: float,
-                      params: VehicleParams) -> list[int] | None:
-    """One-tick lookahead: would another full processing tick leave the site
-    out of the ground vehicle's reach?
+def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
+                      dt: float, params: VehicleParams) -> list[int] | None:
+    """Lookahead: would processing for the t_left seconds left in the tick
+    leave the site out of the ground vehicle's reach at tick end?
 
-    Evaluated at tick end with the UGV's latest position; the prediction
-    advances the UGV one pursuit step so it matches what the next tick will
-    actually do.  If the answer is yes, abandon now: the current target and
+    Evaluated where a processing sub-step starts, with the UGV where it is
+    during the UAV's sub-steps; the prediction advances the UGV one full
+    pursuit step (v_ugv * dt) so it matches what the UGV will actually do at
+    tick end.  If the answer is yes, abandon now: the current target and
     all pending ones are deferred and the UAV heads for the site.  Returns
     the newly deferred target ids, or None when processing may continue.
     """
     if state.mode is not Mode.PROCESSING:
         return None
-    tick_fuel = params.burn_rate * dt
-    fuel_next = state.fuel - tick_fuel
+    fuel_next = state.fuel - params.burn_rate * t_left
     if fuel_next < 0.0:
         doomed = True
     else:

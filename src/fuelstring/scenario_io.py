@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .geometry import Point2D, Polyline
 from .model import Buckets, Scenario, Target, VehicleParams, World
@@ -131,7 +131,12 @@ def parse_cost_model(obj: dict) -> CostModel:
 
 
 def sample_costs(model: CostModel, target_ids: list[int]) -> dict[int, float]:
-    """Draw a cost per target, in ascending id order, from one seeded stream."""
+    """Draw a cost per target, in ascending id order, from one seeded stream.
+
+    Raises ValueError for a model with no distribution ("explicit").
+    """
+    if model.kind not in ("uniform", "lognormal"):
+        raise ValueError(f"cost model {model.kind!r} has no distribution to sample")
     rng = SplitMix64(model.seed)
     out = {}
     for tid in sorted(target_ids):
@@ -169,8 +174,7 @@ def parse_scenario(text: str, seed_override: int | None = None) -> Scenario:
 
     model = parse_cost_model(_obj(doc, "cost_model", "scenario"))
     if seed_override is not None:
-        model = CostModel(kind=model.kind, low=model.low, high=model.high,
-                          mu=model.mu, sigma=model.sigma, seed=seed_override)
+        model = replace(model, seed=seed_override)
 
     entries = []
     for i, tobj in enumerate(_objects(doc, "targets", "scenario")):
@@ -229,9 +233,9 @@ def generate_scenario(n_targets: int, seed: int,
 
     Fully determined by the seed (positions) and the cost model's own seed
     (taus).  The depot sits at the world center.  Raises ValueError when
-    n_targets < 1 or no target fits after _PLACEMENT_ATTEMPTS candidates,
-    and TooManyTargetsError, before placing any, when the bounds cannot
-    hold that many separated points.
+    n_targets < 1, no target fits after _PLACEMENT_ATTEMPTS candidates or
+    the cost model is explicit, and TooManyTargetsError, before placing
+    any, when the bounds cannot hold that many separated points.
 
     A candidate is checked only against the points in the 3 x 3 buckets
     around its own; see model.Buckets.  A separation of 0 or less constrains

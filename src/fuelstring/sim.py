@@ -1,10 +1,11 @@
 """Deterministic fixed-step mission simulator.
 
 One tick: the UAV consumes its time slice in exact sub-steps (transit,
-processing, hovering -- split at target arrivals and completions), the UGV
-takes one pursuit step toward the current site, then the abandonment
-lookahead and rendezvous resolution run.  Identical inputs give identical
-traces, byte for byte.
+processing, hovering -- split at target arrivals and completions), then the
+UGV takes one pursuit step toward the current site and rendezvous resolution
+runs.  Each processing sub-step starts with the abandonment lookahead, both
+when processing carries over into a tick and when the UAV reaches a target
+mid-tick.  Identical inputs give identical traces, byte for byte.
 
 Processing costs stay hidden from the planning layer: the simulator reveals
 them strictly one tick of burn at a time through TargetTracker.reveal, and
@@ -210,7 +211,6 @@ class WorldState:
         self.carry: list[tuple[int, Point2D]] = []
         self.mission_complete = False
         self.final_time: float | None = None
-        self.abandoned_this_tick = False
         self.events: list[dict] = []
         self.trace: list[dict] | None = [] if config.keep_trace else None
         self.fold = MetricsFold()
@@ -284,7 +284,6 @@ def step(world: WorldState):
     cfg = world.config
     dt = cfg.dt
     t0 = world.clock
-    world.abandoned_this_tick = False
 
     _uav_phase(world, t0, dt)
     if world.mission_complete:
@@ -294,17 +293,6 @@ def step(world: WorldState):
 
     goal = world.active.site_position
     world.ugv_pos = step_toward(world.ugv_pos, goal, world.params.v_ugv * dt)
-
-    deferred_now = check_abandonment(world.active, world.ugv_pos, dt, world.params)
-    if deferred_now is not None:
-        world.abandoned_this_tick = True
-        st = world.active
-        site = st.site_position
-        world.emit_event(t0 + dt, "abandon", {
-            "segment": st.ordinal,
-            "targets": deferred_now,
-            "site": [site.x, site.y],
-        })
 
     st = world.active
     if st.mode is Mode.WAIT and distance(world.ugv_pos, st.site_position) <= EPS_DOCK:
@@ -322,6 +310,15 @@ def _uav_phase(world: WorldState, t0: float, dt: float):
     while t_rem > EPS_TIME and not world.mission_complete:
         st = world.active
         if st.mode is Mode.PROCESSING:
+            deferred_now = check_abandonment(st, world.ugv_pos, t_rem, dt, params)
+            if deferred_now is not None:
+                site = st.site_position
+                world.emit_event(t0 + (dt - t_rem), "abandon", {
+                    "segment": st.ordinal,
+                    "targets": deferred_now,
+                    "site": [site.x, site.y],
+                })
+                continue
             tracker = world.trackers[st.current]
             avail = params.burn_rate * t_rem
             used, done = tracker.reveal(avail)
@@ -431,9 +428,8 @@ def _check_invariants(world: WorldState):
                     f"({st.site_arc_seen:.9g} -> {st.site_arc:.9g})")
     if st.mode in (Mode.WAIT, Mode.TO_RENDEZVOUS) and st.pending:
         world.fault("pending targets while heading to rendezvous")
-    if not world.abandoned_this_tick:
-        if not ugv_reachable(world.ugv_pos, st.site_position, st.fuel, params):
-            world.fault("refuel site out of ground-vehicle reach")
+    if not ugv_reachable(world.ugv_pos, st.site_position, st.fuel, params):
+        world.fault("refuel site out of ground-vehicle reach")
     # every target is held exactly once (pending, current, deferred, carried
     # or queued) or done, never both
     held = [tid for tid, _ in st.pending]

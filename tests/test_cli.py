@@ -6,7 +6,13 @@ import time
 import pytest
 
 from fuelstring.cli import main
-from fuelstring.scenario_io import parse_plan, parse_scenario
+from fuelstring.scenario_io import (
+    CostModel,
+    emit_scenario,
+    generate_scenario,
+    parse_plan,
+    parse_scenario,
+)
 
 
 def write_scenario(path, tau=0.0, extra=None):
@@ -47,6 +53,27 @@ def test_generate_cost_spec_controls_taus(tmp_path):
 def test_generate_rejects_bad_cost_spec(tmp_path):
     with pytest.raises(SystemExit):
         main(["generate", "--n", "3", "--seed", "1", "--cost", "weird:1"])
+
+
+@pytest.mark.parametrize("spec", ["explicit", "uniform:5,1", "uniform:nan,1",
+                                  "lognormal:0,inf"])
+def test_generate_checks_cost_spec_like_a_cost_model_document(spec):
+    # e.g. the scenario parser refuses a uniform model with high < low
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--n", "3", "--seed", "1", "--cost", spec])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("spec, model", [
+    (None, CostModel(kind="uniform", low=0.0, high=20.0, seed=4)),
+    ("uniform:2.5,7", CostModel(kind="uniform", low=2.5, high=7.0, seed=4)),
+    ("lognormal:1,0.5", CostModel(kind="lognormal", mu=1.0, sigma=0.5, seed=4)),
+])
+def test_generate_seeds_the_cost_spec_with_seed(tmp_path, spec, model):
+    out = tmp_path / "s.json"
+    cost = ["--cost", spec] if spec else []
+    assert main(["generate", "--n", "9", "--seed", "4", *cost, "--out", str(out)]) == 0
+    assert out.read_text() == emit_scenario(generate_scenario(9, seed=4, cost_model=model))
 
 
 @pytest.mark.parametrize("world", ["50", "inf,50", "50,nan", "0,50", "1,2,3"])

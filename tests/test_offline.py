@@ -281,8 +281,10 @@ def test_validator_flags_duplicate_and_unknown_targets():
 
     seg3 = SegmentPlan(index=1, path=Polyline([Point2D(20, 0), Point2D(0, 0)]),
                        target_arcs=((99, 10.0),))
-    kinds2 = {v.kind for v in validate_plan(MissionPlan(segments=(seg, seg3)), sc).violations}
-    assert "unknown-target" in kinds2
+    violations = validate_plan(MissionPlan(segments=(seg, seg3)), sc).violations
+    assert "unknown-target" in {v.kind for v in violations}
+    # the unknown id is named once, not also as a failed position lookup
+    assert [v.kind for v in violations if "99" in v.message] == ["unknown-target"]
 
 
 def test_empty_plan_is_rejected():

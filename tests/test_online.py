@@ -160,7 +160,7 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
     # present state is exactly reachable, one more tick is not
     st = processing_state(5.0)
     assert ugv_reachable(P(17.5, 0), st.site_position, st.fuel, DEFAULT_PARAMS)
-    deferred = check_abandonment(st, P(17.5, 0), 0.05, DEFAULT_PARAMS)
+    deferred = check_abandonment(st, P(17.5, 0), 0.05, 0.05, DEFAULT_PARAMS)
     assert deferred == [1]
     assert st.mode is Mode.TO_RENDEZVOUS
     assert st.abandoned and st.current is None
@@ -168,19 +168,19 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
 
     # a slightly closer ground vehicle keeps the margin
     st = processing_state(5.0)
-    assert check_abandonment(st, P(17.3, 0), 0.05, DEFAULT_PARAMS) is None
+    assert check_abandonment(st, P(17.3, 0), 0.05, 0.05, DEFAULT_PARAMS) is None
     assert st.mode is Mode.PROCESSING
 
     # imminent fuel exhaustion forces the call even with the UGV on site
     st = processing_state(0.04)
     st.site_arc = 10.04
-    assert check_abandonment(st, st.site_position, 0.05, DEFAULT_PARAMS) == [1]
+    assert check_abandonment(st, st.site_position, 0.05, 0.05, DEFAULT_PARAMS) == [1]
 
 
 def test_abandonment_only_applies_while_processing():
     st = started_line_state()
     st.fuel = 0.01
-    assert check_abandonment(st, P(40, 0), 0.05, DEFAULT_PARAMS) is None
+    assert check_abandonment(st, P(40, 0), 0.05, 0.05, DEFAULT_PARAMS) is None
 
 
 def test_repair_walks_terminal_back_along_the_path():

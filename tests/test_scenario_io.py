@@ -180,6 +180,14 @@ def test_sample_costs_id_order_not_list_order():
     assert sample_costs(model, [3, 1, 2]) == sample_costs(model, [1, 2, 3])
 
 
+def test_explicit_cost_model_has_nothing_to_sample():
+    # an explicit model names no distribution; it must not pass for lognormal(0, 0)
+    with pytest.raises(ValueError, match="explicit"):
+        generate_scenario(3, seed=1, cost_model=CostModel(kind="explicit"))
+    with pytest.raises(ValueError, match="explicit"):
+        sample_costs(CostModel(kind="explicit"), [1, 2])
+
+
 def test_lognormal_costs_positive_and_deterministic():
     model = CostModel(kind="lognormal", mu=1.0, sigma=0.5, seed=9)
     a = sample_costs(model, list(range(1, 30)))

@@ -11,6 +11,7 @@ import pytest
 from conftest import bend_plan, bend_scenario, collinear_scenario, line_plan, line_scenario
 from fuelstring.geometry import Point2D
 from fuelstring.offline import PlanningError, plan_mission
+from fuelstring.online import Mode
 from fuelstring.rng import SplitMix64
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import (
@@ -281,11 +282,59 @@ def test_reach_holds_after_refuel_short_of_site():
     _checked_generated_run(10, 9422)
 
 
-@pytest.mark.xfail(strict=True, raises=InvariantViolation,
-                   reason="known defect: the site leaves ground-vehicle reach "
-                          "on the way to the rendezvous after an abandon")
 def test_reach_holds_on_the_way_to_rendezvous_after_abandon():
     _checked_generated_run(22, 9414)
+
+
+@pytest.mark.parametrize("n, seed", [(28, 9204), (25, 9241), (18, 9370), (25, 9494)])
+def test_reach_holds_when_processing_starts_with_under_a_tick_of_margin(n, seed):
+    # in each the UAV reaches a target with under one tick of reach margin left
+    assert _checked_generated_run(n, seed).completed
+
+
+def test_abandon_decided_at_a_mid_tick_target_arrival():
+    # tank 26.73; the target at (20.03, 0) lies past the site at (13.33, 0),
+    # so a taut string drags the site away from the approaching UGV.  The UAV
+    # arrives at t=10.015, 0.015 s into a tick, with 3.35 s of hover left
+    # against the UGV's 3.33 s drive.  Processing to the tick end would put
+    # the site out of reach, so the abandon happens at the arrival.
+    from fuelstring.geometry import Polyline
+    from fuelstring.model import Scenario, Target, VehicleParams, World
+    from fuelstring.offline import MissionPlan, SegmentPlan
+
+    P = Point2D
+    sc = Scenario(world=World(50.0, 50.0), depot=P(0.0, 0.0),
+                  params=VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=26.73,
+                                       fuel_per_meter=1.0),
+                  targets=(Target(id=1, position=P(20.03, 0.0), tau=5.0),))
+    plan = MissionPlan(segments=(
+        SegmentPlan(index=0, path=Polyline([P(0, 0), P(20.03, 0), P(13.33, 0)]),
+                    target_arcs=((1, 20.03),)),
+        SegmentPlan(index=1, path=Polyline([P(13.33, 0), P(0, 0)])),
+    ))
+    rep = run(sc, SimConfig(check_invariants=True), plan=plan)
+    assert rep.completed
+    abandon = [e for e in rep.events if e["kind"] == "abandon"]
+    assert len(abandon) == 1
+    assert math.isclose(abandon[0]["t"], 20.03 / 2.0, abs_tol=1e-9)
+    tick_end = min(r["t"] for r in rep.trace if r["t"] > abandon[0]["t"])
+    assert tick_end - abandon[0]["t"] > 0.03
+    assert next(r for r in rep.trace if r["t"] == tick_end)["mode"] == "to_rendezvous"
+
+
+def test_reach_is_checked_on_the_tick_the_lookahead_fires():
+    # mid-processing at the line target with the UGV 110 m from the site:
+    # the first step abandons, and the site is already out of reach
+    world = WorldState(line_scenario(25.0), line_plan(),
+                       SimConfig(check_invariants=True))
+    st = world.active
+    st.uav_arc, st.fuel = 10.0, 40.0
+    st.current, st.current_arc = st.pending.pop(0)
+    st.mode = Mode.PROCESSING
+    world.ugv_pos = Point2D(-90.0, 0.0)
+    with pytest.raises(InvariantViolation, match="out of ground-vehicle reach"):
+        step(world)
+    assert [e["kind"] for e in world.events] == ["abandon"]
 
 
 def test_fold_counts_maximal_backtrack_episodes():
