@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 from .model import VehicleParams
 from .offline import PlanningError
 from .scenario_io import CostModel, generate_scenario
-from .sim import METRIC_KEYS, InvariantViolation, RunReport, SimConfig, run
+from .sim import METRIC_KEYS, InvariantViolation, SimConfig, run
 
 BASE_V_UAV = 2.0
 CSV_COLUMNS = ("n_targets", "fuel_capacity", "speed_ratio", "seed", "status") + METRIC_KEYS
@@ -100,17 +101,9 @@ def results_to_csv(results: list[CellResult]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    i = 0
-    while i < len(results):
-        cell_key = (results[i].n_targets, results[i].fuel_capacity,
-                    results[i].speed_ratio)
-        cell = []
-        while i < len(results) and (results[i].n_targets, results[i].fuel_capacity,
-                                    results[i].speed_ratio) == cell_key:
-            cell.append(results[i])
-            i += 1
-        for r in cell:
-            writer.writerow(r.row())
-        for row in _aggregate(cell):
-            writer.writerow(row)
+    for _, group in itertools.groupby(
+            results, key=lambda r: (r.n_targets, r.fuel_capacity, r.speed_ratio)):
+        cell = list(group)
+        writer.writerows(r.row() for r in cell)
+        writer.writerows(_aggregate(cell))
     return buf.getvalue()

@@ -19,7 +19,6 @@ from .model import World
 from .offline import PlanningError, plan_mission, validate_plan
 from .scenario_io import (
     CostModel,
-    ScenarioFormatError,
     emit_plan,
     emit_scenario,
     generate_scenario,
@@ -199,10 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioFormatError, PlanningError, InvariantViolation, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PlanningError, InvariantViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,11 +44,6 @@ class VehicleParams:
         return self.fuel_capacity / self.fuel_per_meter
 
     @cached_property
-    def endurance(self) -> float:
-        """Seconds aloft on a full tank."""
-        return self.fuel_capacity / self.burn_rate
-
-    @cached_property
     def reach_radius(self) -> float:
         """Farthest the UGV can drive while the UAV stays airborne on a full
         tank; consecutive refuel sites must never be farther apart than this."""

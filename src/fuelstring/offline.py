@@ -6,11 +6,18 @@ difference once costs start revealing themselves.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc
 from .model import Scenario, VehicleParams
+
+
+# Bounds split_tour's work.  The largest segment estimate (tour length over
+# min(reach, range)) among the default sweep grid, the generated mission
+# corpora and plan-large is 44.1, about 1/227 of this.
+MAX_SEGMENTS = 10_000
 
 
 class PlanningError(Exception):
@@ -190,12 +197,20 @@ def split_tour(tour: Tour, params: VehicleParams) -> MissionPlan:
 
     From each cut, the next refuel site goes at the farthest site arc
     (see farthest_site_arc) whose segment fits in one tank and whose site
-    the ground vehicle can reach from the previous one.  Raises
-    PlanningError when no candidate advances the cut.
+    the ground vehicle can reach from the previous one.  Each cut but the
+    last (or one stepped back off a target) advances at least min(reach,
+    range), as no arc is shorter than its chord.  Raises PlanningError when
+    that allows more than MAX_SEGMENTS segments, or no site advances a cut.
     """
     reach = params.reach_radius
     max_len = params.flight_range
     total = tour.length
+    step = min(reach, max_len)  # 0 when a huge burn rate underflows the reach
+    if not total <= MAX_SEGMENTS * step:
+        raise PlanningError(
+            f"plan needs about {total / step if step else math.inf:.3g} segments (tour "
+            f"{total:.6g} over min(reach, range) {step:.6g}), more than the limit of "
+            f"{MAX_SEGMENTS}")
     target_arcs = [arc for _, arc in tour.visits]
 
     cuts = [0.0]
@@ -205,7 +220,7 @@ def split_tour(tour: Tour, params: VehicleParams) -> MissionPlan:
                                  tour.path.point_at_arc(a_prev), reach, target_arcs)
         if best is None:
             raise PlanningError(
-                f"cannot place a refuel site after arc {a_prev:.6g}: no candidate "
+                f"cannot place a refuel site after arc {a_prev:.6g}: no arc "
                 f"within range {max_len:.6g} is inside reach radius {reach:.6g}"
             )
         cuts.append(best)

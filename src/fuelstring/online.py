@@ -154,8 +154,6 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
     this tick.  Completion flips the mode back to transit; the caller runs
     the abandonment lookahead before each processing sub-step, never after.
     """
-    if state.mode is not Mode.PROCESSING:
-        raise ValueError("processing tick outside processing mode")
     state.fuel -= fuel_used
     skipped_now: list[int] = []
     new_site = backtrack_site(state, state.fuel, params)
@@ -195,20 +193,14 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
     all pending ones are deferred and the UAV heads for the site.  Returns
     the newly deferred target ids, or None when processing may continue.
     """
-    if state.mode is not Mode.PROCESSING:
-        return None
     fuel_next = state.fuel - params.burn_rate * t_left
-    if fuel_next < 0.0:
-        doomed = True
-    else:
-        site_next = backtrack_site(state, fuel_next, params)
-        site_pos = state.site_position
-        ugv_next = step_toward(ugv_pos, site_pos, params.v_ugv * dt)
-        # a slack string leaves the site where it is
-        site_next_pos = (site_pos if site_next == state.site_arc
-                         else state.plan.path.point_at_arc(site_next))
-        doomed = not ugv_reachable(ugv_next, site_next_pos, fuel_next, params)
-    if not doomed:
+    site_next = backtrack_site(state, fuel_next, params)
+    site_pos = state.site_position
+    ugv_next = step_toward(ugv_pos, site_pos, params.v_ugv * dt)
+    # a slack string leaves the site where it is; a tank run dry is never in reach
+    site_next_pos = (site_pos if site_next == state.site_arc
+                     else state.plan.path.point_at_arc(site_next))
+    if ugv_reachable(ugv_next, site_next_pos, fuel_next, params):
         return None
     head = [(state.current, state.plan.path.point_at_arc(state.current_arc))]
     body = [(tid, state.plan.path.point_at_arc(arc)) for tid, arc in state.pending]
@@ -221,18 +213,19 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
 
 
 def transfer_and_repair(start: Point2D,
+                        ugv_pos: Point2D,
                         deferred: list[tuple[int, Point2D]],
                         next_plan: SegmentPlan | None,
                         depot: Point2D,
                         params: VehicleParams,
                         ordinal: int,
                         ) -> tuple[SegmentPlan, list[tuple[int, Point2D]], bool]:
-    """Build the segment the UAV will fly after refueling at start.
+    """Build the segment flown after refueling at start, the UGV at ugv_pos.
 
     Deferred targets are prefixed, in order, to the next planned segment
     (or to a bare run back to the depot when none remains).  If the result
-    does not fit one tank, or its site falls outside the ground vehicle's
-    reach, the terminal site is walked back along the path; targets past
+    does not fit one tank, or its site lies beyond reach of ugv_pos, the
+    terminal site is walked back along the path; targets past
     any feasible site are shed, last first, onto the following segment.
     When even a single target cannot head toward the terminal, the leg
     gives up on the terminal entirely and doubles back toward its start.
@@ -244,9 +237,9 @@ def transfer_and_repair(start: Point2D,
     new edge.  A candidate whose last target arc already uses the whole tank
     is shed without building a path: no site can lie past it.
 
-    Raises PlanningError only when that last resort fails too, i.e. the
-    out-and-back distance exceeds range plus reach: no path from this
-    start visits the target and ends at any reachable site.
+    Raises PlanningError only when that last resort fails too: no path
+    from this start visits the target and ends in range at a site within
+    reach of ugv_pos.
     """
     entries = list(deferred)
     if next_plan is not None:
@@ -276,7 +269,7 @@ def transfer_and_repair(start: Point2D,
             hi = min(length, max_len)
             if hi > lo + EPS_GEOM:
                 path = Polyline.from_arcs(pts, cum[:k] + [length])
-                best = farthest_site_arc(path, lo, hi, start, reach)
+                best = farthest_site_arc(path, lo, hi, ugv_pos, reach)
                 if best is not None:
                     modified = out_and_back or m < len(entries)
                     if best < length - EPS_GEOM:

@@ -225,7 +225,8 @@ class WorldState:
         rec = {"t": t, "kind": kind, "detail": detail}
         self.events.append(rec)
         self.fold.add_event(kind, detail)
-        self._write(rec)
+        if self._trace_file is not None:
+            self._trace_file.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
     def record_tick(self):
         """Fold the tick and write it as one compact JSON line.
@@ -258,10 +259,6 @@ class WorldState:
                 f'"fuel":{st.fuel!r},"ugv":[{ugv.x!r},{ugv.y!r}],'
                 f'"seg":{st.ordinal!r},"site":[{site.x!r},{site.y!r}],'
                 f'"mode":{_MODE_JSON[st.mode]}}}\n')
-
-    def _write(self, rec: dict):
-        if self._trace_file is not None:
-            self._trace_file.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
     # -- helpers -----------------------------------------------------------
 
@@ -401,7 +398,7 @@ def _refuel(world: WorldState, t_now: float):
     deferred_all = st.deferred + world.carry
     next_plan = world.queue.pop(0) if world.queue else None
     new_plan, shed, modified = transfer_and_repair(
-        site, deferred_all, next_plan, world.scenario.depot, params,
+        site, world.ugv_pos, deferred_all, next_plan, world.scenario.depot, params,
         ordinal=st.ordinal + 1)
     world.carry = shed
     if modified:

@@ -13,8 +13,10 @@ from fuelstring.batch import (
     results_to_csv,
     run_cell,
 )
-from fuelstring.geometry import Point2D
+from fuelstring import sim
+from fuelstring.geometry import Point2D, distance
 from fuelstring.model import Scenario, Target, VehicleParams, World
+from fuelstring.online import transfer_and_repair
 from fuelstring.sim import METRIC_KEYS, SimConfig, run
 
 
@@ -59,16 +61,40 @@ def test_cell_runs_are_deterministic():
     assert run_cell(6, 50.0, 0.5, 3, cfg) == run_cell(6, 50.0, 0.5, 3, cfg)
 
 
-def test_zero_processing_cost_never_replans():
-    # with tau identically 0 the offline plan survives untouched
-    cfg = small_sweep(target_counts=(4, 9), speed_ratios=(0.2, 1.0),
-                      seeds=(1,), cost_high=0.0)
-    for r in batch_run(cfg):
-        assert r.status == "completed"
-        assert r.metrics["abandonments"] == 0
-        assert r.metrics["targets_deferred"] == 0
-        for case in ("case_2", "case_3", "case_4", "case_5"):
-            assert r.metrics[case] == 0
+def test_zero_processing_cost_never_replans(monkeypatch):
+    """With tau identically 0 no site moves and no target is deferred.
+
+    A segment is still repaired (case 5) after a refuel at which the UGV
+    docked short of the site, as sim.EPS_DOCK allows: the next site's reach
+    counts from the UGV, so a planned site at the full reach from the old
+    one is pulled back along the path.  Such a repair sheds no target, and
+    with the UGV on the site none happens.  Of these cells only n=9 at
+    speed ratio 0.2 (reach 10 m) needs such repairs: five.
+    """
+    calls = []
+
+    def spy(start, ugv_pos, *args, **kwargs):
+        plan, shed, modified = transfer_and_repair(start, ugv_pos, *args, **kwargs)
+        calls.append((distance(start, ugv_pos), shed, modified))
+        return plan, shed, modified
+
+    monkeypatch.setattr(sim, "transfer_and_repair", spy)
+    cfg = small_sweep(cost_high=0.0)
+    repaired = {}
+    for n in (4, 9):
+        for ratio in (0.2, 1.0):
+            calls.clear()
+            r = run_cell(n, 50.0, ratio, 1, cfg)
+            assert r.status == "completed"
+            assert r.metrics["abandonments"] == 0
+            assert r.metrics["targets_deferred"] == 0
+            for case in ("case_2", "case_3", "case_4"):
+                assert r.metrics[case] == 0
+            assert all(shed == [] for _, shed, _ in calls)
+            assert all(short > 0.0 for short, _, modified in calls if modified)
+            assert r.metrics["case_5"] == sum(modified for _, _, modified in calls)
+            repaired[n, ratio] = r.metrics["case_5"]
+    assert repaired == {(4, 0.2): 0, (4, 1.0): 0, (9, 0.2): 5, (9, 1.0): 0}
 
 
 def test_failed_cell_recorded_without_aborting():
@@ -126,12 +152,18 @@ def test_collinear_abandonments_monotone_in_speed_ratio():
     """Faster chase support means fewer abandoned rendezvous on this family.
 
     Holds for the frozen tau values below; it is a recorded observation,
-    not a theorem (tau=10 breaks it, see the free-cost sibling note).
+    not a theorem (tau=10 breaks it, see the free-cost sibling note).  At
+    tau 20 and ratio 0.2 (reach 10 m) each refuel docks the UGV 0.1 m
+    short of the site; the next site is measured from the UGV, so it stays
+    in reach and target 1 completes in its first segment.  Targets 2, 3
+    and 4 are each abandoned once and finished in the next repaired
+    segment: 3 abandonments, and every mission completes.
     """
-    for tau, expect in ((0.0, (0, 0, 0)), (20.0, (15, 3, 1))):
+    for tau, expect in ((0.0, (0, 0, 0)), (20.0, (3, 3, 1))):
         counts = []
         for ratio in (0.2, 0.5, 1.0):
             rep = run(collinear_family(tau, ratio), SimConfig(keep_trace=False))
+            assert rep.completed
             counts.append(rep.metrics["abandonments"])
         assert tuple(counts) == expect
         assert counts == sorted(counts, reverse=True)

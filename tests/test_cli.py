@@ -187,6 +187,20 @@ def test_tiny_tick_size_is_refused_before_the_first_tick(tmp_path, capsys):
     assert err[0].endswith("more than the limit of 10000000")
 
 
+def test_tiny_reach_is_refused_before_planning(tmp_path, capsys):
+    # a 60 m tour over a 1e-8 m rendezvous cap would need ~6e9 segments
+    sp = write_scenario(tmp_path / "s.json", extra={"vehicle": {
+        "v_uav": 2.0, "v_ugv": 1.0, "fuel_capacity": 50.0, "fuel_per_meter": 1.0,
+        "r_max": 1e-8}})
+    start = time.perf_counter()
+    assert main(["plan", "--scenario", str(sp)]) == 1
+    assert main(["simulate", "--scenario", str(sp)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: plan needs about 6e+09 segments") for line in err)
+
+
 def test_refused_run_leaves_trace_path_untouched(tmp_path):
     sp = tmp_path / "s.json"
     assert main(["generate", "--n", "3", "--seed", "7", "--out", str(sp)]) == 0

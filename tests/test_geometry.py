@@ -6,6 +6,8 @@ import math
 import pytest
 
 from fuelstring.geometry import (
+    EPS_GEOM,
+    SITE_STEP_BACK,
     Point2D,
     Polyline,
     distance,
@@ -112,23 +114,42 @@ def test_step_toward_clamps_at_goal():
 
 
 def test_site_search_returns_hi_when_feasible():
-    # hi = 13.3 is neither a vertex nor on the 0.5 grid; (8.02, 2.64) is ~8.44 out
+    # hi = 13.3 is not a vertex; its point (8.02, 2.64) is ~8.44 out
     assert farthest_site_arc(bend(), 0.0, 13.3, Point2D(0, 0), 9.0) == 13.3
+    # hi's point 9 + 5e-10 from the origin still counts, bit for bit
+    line = Polyline([Point2D(0, 0), Point2D(10, 0)])
+    assert farthest_site_arc(line, 0.0, 9.0 + 5e-10, Point2D(0, 0), 9.0) == 9.0 + 5e-10
 
 
 def test_site_search_stops_at_the_reach_circle():
-    # around (10, 0) the second edge stays within 5.2 up to arc 15.2: grid 15.0
-    assert farthest_site_arc(bend(), 0.0, 20.0, Point2D(10, 0), 5.2) == 15.0
-    # arc 3.5 sits at (3.2, 0.3), 3.214 from the origin; the vertex 3.2 is the last inside
+    # the second edge leaves (10, 0) itself, so it crosses the 5.2 m circle
+    # about (10, 0) 5.2 along: arc 10 + 5.2
+    assert farthest_site_arc(bend(), 0.0, 20.0, Point2D(10, 0), 5.2) == pytest.approx(
+        15.2, abs=1e-12)
+    # the vertex (3.2, 0) lies inside the 3.21 m circle about the origin, and
+    # the upright edge from it crosses that circle at y = sqrt(3.21^2 - 3.2^2)
     hook = Polyline([Point2D(0, 0), Point2D(3.2, 0), Point2D(3.2, 10)])
-    assert farthest_site_arc(hook, 0.0, 13.2, Point2D(0, 0), 3.21) == 3.2
+    assert farthest_site_arc(hook, 0.0, 13.2, Point2D(0, 0), 3.21) == pytest.approx(
+        3.2 + math.sqrt(3.21 ** 2 - 3.2 ** 2), abs=1e-12)  # 3.4532
+    # a circle through a vertex that the next edge leaves outward: the vertex's arc
+    assert farthest_site_arc(hook, 0.0, 13.2, Point2D(0, 0), 3.2) == 3.2
 
 
 def test_site_search_skips_avoided_arcs():
+    # the frontier on a target steps back SITE_STEP_BACK (1e-6 m), and again
+    # when that lands within EPS_GEOM of another target
     line = Polyline([Point2D(0, 0), Point2D(10, 0)])
-    assert farthest_site_arc(line, 0.0, 10.0, Point2D(0, 0), 50.0, avoid=[10.0]) == 9.5
-    assert farthest_site_arc(line, 0.0, 10.0, Point2D(0, 0), 50.0,
-                             avoid=[9.5, 10.0 + 1e-12]) == 9.0
+    o = Point2D(0, 0)
+    assert farthest_site_arc(line, 0.0, 10.0, o, 50.0, avoid=[10.0]) == 10.0 - SITE_STEP_BACK
+    assert farthest_site_arc(line, 0.0, 10.0, o, 50.0,
+                             avoid=[9.5, 10.0 + 1e-12]) == 10.0 + 1e-12 - SITE_STEP_BACK
+    twice = farthest_site_arc(line, 0.0, 10.0, o, 50.0,
+                              avoid=[10.0, 10.0 - SITE_STEP_BACK + 0.5 * EPS_GEOM])
+    assert twice == 10.0 - SITE_STEP_BACK + 0.5 * EPS_GEOM - SITE_STEP_BACK
+    # the reach circle through a target: the step back stays inside it
+    assert farthest_site_arc(line, 0.0, 10.0, o, 6.0, avoid=[6.0]) == 6.0 - SITE_STEP_BACK
+    # a step back to lo or below leaves nothing
+    assert farthest_site_arc(line, 9.9999995, 10.0, o, 50.0, avoid=[10.0]) is None
 
 
 def test_site_search_on_empty_or_infeasible_interval_is_none():
@@ -156,3 +177,86 @@ def test_arc_addressing_on_random_paths():
         assert math.isclose(p.sub_polyline(s0, s1).length, s1 - s0, abs_tol=1e-9)
         # chord never longer than arc
         assert distance(p.point_at_arc(s0), p.point_at_arc(s1)) <= s1 - s0 + 1e-9
+
+
+def last_inside_arc(path: Polyline, j: int, center: Point2D, reach: float) -> float | None:
+    """The last arc of edge j (vertex j-1 to j) within reach of center, found
+    by bisection from the edge's closest point to the centre, or None."""
+    a0, a1 = path.cumulative_arc[j - 1], path.cumulative_arc[j]
+    v, w = path.vertices[j - 1], path.vertices[j]
+    dx, dy = w.x - v.x, w.y - v.y
+    t = min(max(((center.x - v.x) * dx + (center.y - v.y) * dy) / (dx * dx + dy * dy), 0.0), 1.0)
+
+    def at(u):
+        return distance(center, Point2D(v.x + u * dx, v.y + u * dy))
+
+    if at(t) > reach:
+        return None
+    if at(1.0) <= reach:
+        return a1
+    inside, outside = t, 1.0
+    for _ in range(100):
+        mid = 0.5 * (inside + outside)
+        inside, outside = (mid, outside) if at(mid) <= reach else (inside, mid)
+    return a0 + inside * (a1 - a0)
+
+
+def test_site_search_against_a_sampling_oracle():
+    """Seeded random paths, centres, reaches, intervals and avoid lists.
+
+    The answer lies in (lo, hi], within reach + EPS_GEOM of the centre and
+    off every avoided arc.  No arc in (answer + SITE_STEP_BACK, hi] (in
+    (lo, hi] when there is no answer) is both inside reach and off the
+    avoided arcs: checked on a dense sample, on every vertex and on each
+    edge's last point inside reach, found by bisection.
+    """
+    rng = SplitMix64(77)
+    seen = {"hi": 0, "crossing": 0, "step back": 0, "none": 0}
+    for _ in range(400):
+        pts = [Point2D(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))]
+        while len(pts) < 2 + rng.next_u64() % 5:
+            cand = Point2D(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))
+            if distance(pts[-1], cand) > 1e-3:
+                pts.append(cand)
+        path = Polyline(pts)
+        arcs = path.cumulative_arc
+        lo = 0.0 if rng.next_u64() % 2 else rng.uniform(0.0, path.length / 2.0)
+        hi = path.length if rng.next_u64() % 3 == 0 else rng.uniform(lo, path.length)
+        center = (path.point_at_arc(lo) if rng.next_u64() % 2
+                  else Point2D(rng.uniform(-25.0, 25.0), rng.uniform(-25.0, 25.0)))
+        reach = rng.uniform(0.5, 30.0)
+        free = farthest_site_arc(path, lo, hi, center, reach)
+        avoid = []
+        for a in [free, hi] + list(arcs) + [rng.uniform(lo, hi) for _ in range(3)]:
+            # every third candidate; spaced apart, so no step back lands on another
+            if (a is not None and rng.next_u64() % 3 == 0
+                    and all(abs(a - b) > 3.0 * SITE_STEP_BACK for b in avoid)):
+                avoid.append(a)
+
+        got = farthest_site_arc(path, lo, hi, center, reach, avoid)
+
+        def clear(a):
+            return all(abs(a - b) > EPS_GEOM for b in avoid)
+
+        def inside(a):
+            return distance(center, path.point_at_arc(a)) <= reach
+
+        if got is None:
+            floor = lo + EPS_GEOM
+            seen["none"] += 1
+        else:
+            assert lo < got <= hi
+            assert distance(center, path.point_at_arc(got)) <= reach + EPS_GEOM
+            assert clear(got)
+            floor = got + SITE_STEP_BACK
+            kind = "step back" if got != free else "hi" if got == hi else "crossing"
+            seen[kind] += 1
+        probes = [floor + (hi - floor) * (k + 1) / 500 for k in range(500)] + list(arcs)
+        for j in range(1, len(arcs)):
+            last = last_inside_arc(path, j, center, reach)
+            if last is not None:
+                probes.append(min(last, hi))
+        for a in probes:
+            if floor < a <= hi:
+                assert not (inside(a) and clear(a)), (a, got, lo, hi, reach, avoid)
+    assert all(count >= 10 for count in seen.values()), seen

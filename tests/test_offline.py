@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -177,10 +178,36 @@ def test_split_respects_rendezvous_cap():
     assert validate_plan(plan, single_target_scenario(30.0, 0.0, r_max=8.0)).ok
 
 
-def test_split_raises_when_no_site_placement_works():
-    # cap below the candidate spacing: no cut can follow another
-    with pytest.raises(PlanningError, match="cannot place a refuel site"):
-        plan_mission(single_target_scenario(30.0, 0.0, r_max=0.2))
+def test_split_creeps_under_a_tiny_rendezvous_cap():
+    """Reach 0.2 against a range of 50, on the 60 m tour 0 -> 30 -> 0.
+
+    On a straight edge chord equals arc, so each cut advances exactly the
+    reach: 25 cuts reach x = 5.  From x = 4.8 the one-tank limit, arc 54.8,
+    lies at x = 5.2 on the way back, 0.4 out, and the return leg comes
+    within 0.2 of x = 4.8 only from arc 55 on; so that cut stops at x = 5.
+    From x = 5 the limit, arc 55, is x = 5 itself: one 50 m out-and-back
+    through the target at its arc 25.  Then 25 more cuts of 0.2 to the
+    depot: 51 segments in all.
+    """
+    sc = single_target_scenario(30.0, 0.0, r_max=0.2)
+    plan = plan_mission(sc)
+    assert len(plan.segments) == 51
+    for k, seg in enumerate(plan.segments):
+        assert seg.length == pytest.approx(50.0 if k == 25 else 0.2, abs=1e-9)
+        expect = 0.2 * (k + 1) if k < 25 else 0.2 * (50 - k)
+        assert seg.site.x == pytest.approx(expect, abs=1e-9) and seg.site.y == 0.0
+        assert seg.target_ids() == ([7] if k == 25 else [])
+    assert plan.segments[25].target_arcs[0][1] == pytest.approx(25.0, abs=1e-9)
+    assert plan.sites[-1] == Point2D(0.0, 0.0)
+    assert validate_plan(plan, sc).ok
+
+
+def test_split_refuses_a_plan_of_too_many_segments():
+    # a 60 m tour over a 1e-8 reach asks for about 6e9 segments
+    start = time.perf_counter()
+    with pytest.raises(PlanningError, match=r"about 6e\+09 segments .*limit of 10000"):
+        plan_mission(single_target_scenario(30.0, 0.0, r_max=1e-8))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sites_never_land_on_targets():

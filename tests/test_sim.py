@@ -274,12 +274,10 @@ def _checked_generated_run(n: int, seed: int):
                SimConfig(check_invariants=True, keep_trace=False))
 
 
-@pytest.mark.xfail(strict=True, raises=InvariantViolation,
-                   reason="known defect: a refuel within EPS_DOCK short of the site, "
-                          "then a repaired site at the full reach radius from it")
 def test_reach_holds_after_refuel_short_of_site():
-    # segment 2, in transit at uav_arc=0 right after the refuel
-    _checked_generated_run(10, 9422)
+    # the UGV docks short of the site; the repaired next site's reach counts
+    # from the UGV, so segment 2 starts in reach
+    assert _checked_generated_run(10, 9422).completed
 
 
 def test_reach_holds_on_the_way_to_rendezvous_after_abandon():
