@@ -9,13 +9,20 @@ EPS_GEOM = 1e-9
 SITE_STEP_BACK = 1e-6  # how far a refuel site steps back off a target (m)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point2D:
     """A plain coordinate pair.  It checks nothing: coordinates are checked
     where they enter the program (document parsers, World, Polyline)."""
 
     x: float
     y: float
+
+    def __init__(self, x: float, y: float):
+        _set_x(self, x)  # the slot setters: the dataclass __init__ calls
+        _set_y(self, y)  # object.__setattr__ by name, at twice the cost
+
+
+_set_x, _set_y = Point2D.x.__set__, Point2D.y.__set__
 
 
 def distance(a: Point2D, b: Point2D) -> float:
@@ -68,17 +75,19 @@ class Polyline:
         s is clamped within EPS_GEOM of the valid range; anything further
         outside raises.
         """
-        length = self.cumulative_arc[-1]
+        arcs, verts = self.cumulative_arc, self.vertices
+        length = arcs[-1]
         if s < -EPS_GEOM or s > length + EPS_GEOM:
             raise ValueError(f"arc {s} outside [0, {length}]")
-        s = min(max(s, 0.0), length)
-        i = bisect_right(self.cumulative_arc, s) - 1
-        if i >= len(self.vertices) - 1:
-            return self.vertices[-1]
-        if s == self.cumulative_arc[i]:
-            return self.vertices[i]
-        a, b = self.vertices[i], self.vertices[i + 1]
-        t = (s - self.cumulative_arc[i]) / (self.cumulative_arc[i + 1] - self.cumulative_arc[i])
+        s = 0.0 if s < 0.0 else length if s > length else s  # min(max(s, 0.0), length)
+        i = bisect_right(arcs, s) - 1
+        if i >= len(verts) - 1:
+            return verts[-1]
+        a0 = arcs[i]
+        if s == a0:
+            return verts[i]
+        a, b = verts[i], verts[i + 1]
+        t = (s - a0) / (arcs[i + 1] - a0)
         return Point2D(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
     def sub_polyline(self, s0: float, s1: float) -> Polyline:

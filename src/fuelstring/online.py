@@ -64,6 +64,9 @@ class SegmentState:
         default=(math.nan, None), init=False, repr=False, compare=False)
     _uav_cache: tuple[float, Point2D | None] = field(
         default=(math.nan, None), init=False, repr=False, compare=False)
+    # check_abandonment's last UGV pursuit step: (from, toward, length, result)
+    pursuit: tuple = field(
+        default=(None, None, math.nan, None), init=False, repr=False, compare=False)
 
     @classmethod
     def begin(cls, plan: SegmentPlan, ordinal: int, fuel: float) -> SegmentState:
@@ -100,8 +103,10 @@ class SegmentState:
 
 def backtrack_site(state: SegmentState, fuel: float, params: VehicleParams) -> float:
     """Arc the site must retreat to so that fuel still spans the string."""
-    reachable = state.uav_arc + max(fuel, 0.0) / params.fuel_per_meter
-    return max(min(state.site_arc, reachable), state.uav_arc)
+    # max(min(site_arc, reachable), uav_arc), without the builtin calls
+    reachable = state.uav_arc + (0.0 if fuel < 0.0 else fuel) / params.fuel_per_meter
+    arc = reachable if reachable < state.site_arc else state.site_arc
+    return state.uav_arc if state.uav_arc > arc else arc
 
 
 def ugv_reachable(ugv_pos: Point2D, site_pos: Point2D, fuel: float,
@@ -128,7 +133,8 @@ def on_transit_tick(state: SegmentState, fuel_budget: float,
     else:
         next_arc = state.site_arc
         kind = "site"
-    d_next = max(next_arc - state.uav_arc, 0.0)
+    d_next = next_arc - state.uav_arc
+    d_next = 0.0 if d_next < 0.0 else d_next
     d_step = fuel_budget / params.fuel_per_meter
     if d_next > d_step + EPS_GEOM:
         state.uav_arc += d_step
@@ -160,7 +166,8 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
     if new_site < state.site_arc - EPS_GEOM:
         state.site_moved = True
     state.site_arc = new_site
-    state.site_arc_seen = min(state.site_arc_seen, new_site)
+    if new_site < state.site_arc_seen:
+        state.site_arc_seen = new_site
     # pending is nondecreasing by arc, so the targets the site passed are a
     # suffix, and none is passed unless the last one is
     pending = state.pending
@@ -192,15 +199,21 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
     tick end.  If the answer is yes, abandon now: the current target and
     all pending ones are deferred and the UAV heads for the site.  Returns
     the newly deferred target ids, or None when processing may continue.
+    The predicted step is kept in state.pursuit for the simulator to reuse.
     """
     fuel_next = state.fuel - params.burn_rate * t_left
     site_next = backtrack_site(state, fuel_next, params)
     site_pos = state.site_position
-    ugv_next = step_toward(ugv_pos, site_pos, params.v_ugv * dt)
+    stride = params.v_ugv * dt
+    ugv_next = step_toward(ugv_pos, site_pos, stride)
+    state.pursuit = (ugv_pos, site_pos, stride, ugv_next)
     # a slack string leaves the site where it is; a tank run dry is never in reach
     site_next_pos = (site_pos if site_next == state.site_arc
                      else state.plan.path.point_at_arc(site_next))
     if ugv_reachable(ugv_next, site_next_pos, fuel_next, params):
+        # a sub-step that burns all of t_left drags the site to site_next
+        if site_next_pos is not site_pos:
+            state._site_cache = (site_next, site_next_pos)
         return None
     head = [(state.current, state.plan.path.point_at_arc(state.current_arc))]
     body = [(tid, state.plan.path.point_at_arc(arc)) for tid, arc in state.pending]

@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .geometry import EPS_GEOM, Point2D, distance, step_toward
+from .geometry import EPS_GEOM, Point2D, distance
 from .model import EPS_FUEL, EPS_TIME, Scenario
 from .offline import MissionPlan, PlanningError, SegmentPlan, plan_mission, validate_plan
 from .online import (
@@ -103,24 +103,25 @@ class MetricsFold:
     """
 
     def __init__(self):
-        self._m = {k: 0 if not k.endswith("distance") and k != "mission_time" else 0.0
-                   for k in METRIC_KEYS}
-        self._last_tick = None
+        self._m = {k: 0 for k in METRIC_KEYS}  # the event counts
+        self._uav = self._ugv = self._time = 0.0
+        self._episodes = 0
         self._in_episode = False
+        self._seg = None  # the last tick's segment, None before the first tick
 
     def add_tick(self, t, ux, uy, gx, gy, seg, sx, sy):
-        last = self._last_tick
-        if last is not None:
-            lt, lux, luy, lgx, lgy, lseg, lsx, lsy = last
-            self._m["uav_distance"] += ((ux - lux) ** 2 + (uy - luy) ** 2) ** 0.5
-            self._m["ugv_distance"] += ((gx - lgx) ** 2 + (gy - lgy) ** 2) ** 0.5
-            site_moved = (seg == lseg
-                          and ((sx - lsx) ** 2 + (sy - lsy) ** 2) ** 0.5 > EPS_GEOM)
+        if self._seg is not None:
+            self._uav += ((ux - self._ux) ** 2 + (uy - self._uy) ** 2) ** 0.5
+            self._ugv += ((gx - self._gx) ** 2 + (gy - self._gy) ** 2) ** 0.5
+            site_moved = (seg == self._seg
+                          and ((sx - self._sx) ** 2 + (sy - self._sy) ** 2) ** 0.5 > EPS_GEOM)
             if site_moved and not self._in_episode:
-                self._m["backtrack_episodes"] += 1
+                self._episodes += 1
             self._in_episode = site_moved
-        self._m["mission_time"] = t
-        self._last_tick = (t, ux, uy, gx, gy, seg, sx, sy)
+        self._time = t
+        self._ux, self._uy = ux, uy
+        self._gx, self._gy = gx, gy
+        self._seg, self._sx, self._sy = seg, sx, sy
 
     def add_event(self, kind: str, detail: dict):
         if kind == "abandon":
@@ -134,7 +135,8 @@ class MetricsFold:
             self._m[f"case_{detail['case']}"] += 1
 
     def result(self) -> dict:
-        return dict(self._m)
+        return {**self._m, "backtrack_episodes": self._episodes, "mission_time": self._time,
+                "uav_distance": self._uav, "ugv_distance": self._ugv}
 
 
 def fold_records(records) -> dict:
@@ -288,11 +290,18 @@ def step(world: WorldState):
         world.record_tick()
         return
 
-    goal = world.active.site_position
-    world.ugv_pos = step_toward(world.ugv_pos, goal, world.params.v_ugv * dt)
-
+    # the UGV's pursuit step: step_toward(ugv, goal, stride) inline, unless
+    # the abandonment lookahead took it from and toward the same points
     st = world.active
-    if st.mode is Mode.WAIT and distance(world.ugv_pos, st.site_position) <= EPS_DOCK:
+    goal, ugv, stride = st.site_position, world.ugv_pos, world.params.v_ugv * dt
+    start, toward, length, ugv_next = st.pursuit
+    if not (start is ugv and toward is goal and length == stride):
+        d = math.hypot(ugv.x - goal.x, ugv.y - goal.y)
+        ugv_next = goal if d <= stride or d <= EPS_GEOM else Point2D(
+            ugv.x + stride / d * (goal.x - ugv.x), ugv.y + stride / d * (goal.y - ugv.y))
+    world.ugv_pos = ugv_next
+    # a step that lands on the site ends 0 from it
+    if st.mode is Mode.WAIT and (ugv_next is goal or distance(ugv_next, goal) <= EPS_DOCK):
         _refuel(world, t0 + dt)
 
     world.clock = t0 + dt
@@ -324,7 +333,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float):
             target_id = st.current
             skipped_now = on_processing_tick(st, used, done, params)
             t_rem -= used / params.burn_rate
-            t_now = t0 + (dt - max(t_rem, 0.0))
+            t_now = t0 + (dt - (0.0 if t_rem < 0.0 else t_rem))
             if skipped_now:
                 world.emit_event(t_now, "skip", {
                     "segment": st.ordinal,
@@ -342,7 +351,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float):
             if st.fuel < -EPS_FUEL:
                 world.fault("fuel exhausted in transit")
             t_rem -= used / params.burn_rate
-            t_now = t0 + (dt - max(t_rem, 0.0))
+            t_now = t0 + (dt - (0.0 if t_rem < 0.0 else t_rem))
             if arrival == "target":
                 used0, done0 = world.trackers[st.current].reveal(0.0)
                 if done0:

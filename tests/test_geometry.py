@@ -1,7 +1,9 @@
 """Path arithmetic checked against hand-computed values."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -30,6 +32,26 @@ def test_point_distance():
     assert distance(Point2D(1, 1), Point2D(1, 1)) == 0.0
     p = Point2D(2.5, -1.0)
     assert (p.x, p.y) == (2.5, -1.0)
+
+
+def test_point_is_a_frozen_slotted_value():
+    p = Point2D(1.5, -2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.x = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.y
+    assert Point2D.__slots__ == ("x", "y") and not hasattr(p, "__dict__")
+    assert (p.x, p.y) == (1.5, -2.0)
+    assert p == Point2D(x=1.5, y=-2.0) == Point2D(1.5, y=-2.0)
+    assert p != Point2D(1.5, 2.0) and p != (1.5, -2.0)
+    assert hash(p) == hash(Point2D(1.5, -2.0)) == hash((1.5, -2.0))
+    assert len({p, Point2D(1.5, -2.0), Point2D(-2.0, 1.5)}) == 2
+    assert repr(p) == "Point2D(x=1.5, y=-2.0)"
+    assert dataclasses.replace(p, y=4.0) == Point2D(1.5, 4.0)
+    assert dataclasses.astuple(p) == (1.5, -2.0)
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(TypeError):
+        Point2D(1.0)
 
 
 def test_non_finite_values_rejected_where_they_enter():

@@ -6,7 +6,14 @@ import math
 import pytest
 
 from conftest import DEFAULT_PARAMS, bend_plan, line_plan
-from fuelstring.geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc
+from fuelstring.geometry import (
+    EPS_GEOM,
+    Point2D,
+    Polyline,
+    distance,
+    farthest_site_arc,
+    step_toward,
+)
 from fuelstring.model import VehicleParams
 from fuelstring.offline import PlanningError, SegmentPlan
 from fuelstring.online import (
@@ -138,6 +145,35 @@ def test_cached_points_follow_their_arcs():
     assert st.site_position == st.plan.path.point_at_arc(12.0) == P(8.8, 1.6)
     st.uav_arc = 10.0
     assert st.uav_position == st.plan.path.point_at_arc(10.0) == P(10.0, 0.0)
+
+    # a taut sub-step: the lookahead computes the dragged site's point once,
+    # and site_position serves it for the new arc only
+    def dragging() -> SegmentState:
+        st = SegmentState.begin(bend_plan().segments[0], ordinal=0, fuel=30.0)
+        on_transit_tick(st, 2.0, DEFAULT_PARAMS)
+        on_processing_tick(st, 12.0, False, DEFAULT_PARAMS)  # drags the site to 18
+        return st
+
+    ugv = P(4.0, 0.0)
+    st = dragging()
+    site = st.site_position
+    arcs = []
+    with pytest.MonkeyPatch.context() as mp:
+        point_at_arc = Polyline.point_at_arc
+        mp.setattr(Polyline, "point_at_arc",
+                   lambda path, s: arcs.append(s) or point_at_arc(path, s))
+        assert check_abandonment(st, ugv, 0.5, 0.5, DEFAULT_PARAMS) is None
+        on_processing_tick(st, 1.0, False, DEFAULT_PARAMS)  # all of the 0.5 s
+        dragged = st.site_position
+    assert arcs == [17.0]
+    assert st.site_arc == 17.0
+    assert dragged == st.plan.path.point_at_arc(17.0)
+    assert (dragged.x, dragged.y) == pytest.approx((5.8, 5.6), abs=1e-12)
+    # the UGV step the simulator may reuse is step_toward on the same inputs
+    assert st.pursuit == (ugv, site, 0.5, step_toward(ugv, site, 0.5))
+    st = dragging()
+    assert check_abandonment(st, ugv, 0.5, 0.5, DEFAULT_PARAMS) is None
+    assert st.site_position == st.plan.path.point_at_arc(18.0)  # not dragged yet
 
 
 def test_abandonment_fires_one_tick_before_losing_the_site():

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from conftest import bend_plan, bend_scenario, collinear_scenario, line_plan, line_scenario
-from fuelstring.geometry import Point2D
+from fuelstring.geometry import Point2D, step_toward
 from fuelstring.offline import PlanningError, plan_mission
 from fuelstring.online import Mode
 from fuelstring.rng import SplitMix64
@@ -333,6 +333,24 @@ def test_reach_is_checked_on_the_tick_the_lookahead_fires():
     with pytest.raises(InvariantViolation, match="out of ground-vehicle reach"):
         step(world)
     assert [e["kind"] for e in world.events] == ["abandon"]
+
+
+def test_ugv_steps_toward_the_site_each_tick():
+    # the tick's UGV step, reused from the lookahead or computed in step,
+    # is step_toward the site the tick ends with, through slack and taut
+    # processing, transit and the final run home
+    world = WorldState(bend_scenario(), bend_plan(), SimConfig())
+    stride = world.params.v_ugv * world.config.dt
+    modes = []
+    while not world.mission_complete:
+        st, ugv, site_arc = world.active, world.ugv_pos, world.active.site_arc
+        step(world)
+        if world.active is st and not world.mission_complete:
+            assert world.ugv_pos == step_toward(ugv, st.site_position, stride), world.clock
+            modes.append((st.mode, st.site_arc != site_arc))
+    assert (Mode.PROCESSING, False) in modes and (Mode.PROCESSING, True) in modes
+    assert (Mode.TRANSIT, False) in modes
+    assert len(modes) > 0.95 * world.clock / world.config.dt
 
 
 def test_fold_counts_maximal_backtrack_episodes():
