@@ -26,7 +26,6 @@ class SweepConfig:
     fuel_capacities: tuple[float, ...] = (50.0, 200.0, 500.0)
     speed_ratios: tuple[float, ...] = (0.2, 0.5, 1.0)  # v_ugv / v_uav
     seeds: tuple[int, ...] = (1,)
-    cost_high: float = 20.0
     dt: float = 0.05
 
 
@@ -58,7 +57,7 @@ def run_cell(n_targets: int, fuel_capacity: float, speed_ratio: float,
         )
         scenario = generate_scenario(
             n_targets, seed=seed, params=params,
-            cost_model=CostModel(kind="uniform", low=0.0, high=sweep.cost_high,
+            cost_model=CostModel(kind="uniform", low=0.0, high=20.0,
                                  seed=seed + 1))
         report = run(scenario, SimConfig(dt=sweep.dt, keep_trace=False))
         return CellResult(n_targets, fuel_capacity, speed_ratio, seed,

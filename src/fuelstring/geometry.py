@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 EPS_GEOM = 1e-9
 SITE_STEP_BACK = 1e-6  # how far a refuel site steps back off a target (m)
@@ -23,6 +23,13 @@ class Point2D:
 
 
 _set_x, _set_y = Point2D.x.__set__, Point2D.y.__set__
+
+
+def _frozen(self, name, *value):  # on 3.11 the generated pair raises TypeError for a non-field
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+Point2D.__setattr__ = Point2D.__delattr__ = _frozen
 
 
 def distance(a: Point2D, b: Point2D) -> float:

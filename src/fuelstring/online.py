@@ -189,22 +189,21 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
 
 
 def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
-                      dt: float, params: VehicleParams) -> list[int] | None:
+                      stride: float, params: VehicleParams) -> list[int] | None:
     """Lookahead: would processing for the t_left seconds left in the tick
     leave the site out of the ground vehicle's reach at tick end?
 
     Evaluated where a processing sub-step starts, with the UGV where it is
-    during the UAV's sub-steps; the prediction advances the UGV one full
-    pursuit step (v_ugv * dt) so it matches what the UGV will actually do at
-    tick end.  If the answer is yes, abandon now: the current target and
-    all pending ones are deferred and the UAV heads for the site.  Returns
-    the newly deferred target ids, or None when processing may continue.
-    The predicted step is kept in state.pursuit for the simulator to reuse.
+    during the UAV's sub-steps; the prediction advances the UGV by stride,
+    the pursuit step it takes at tick end, toward the site.  If the answer
+    is yes, abandon now: the current target and all pending ones are
+    deferred and the UAV heads for the site.  Returns the newly deferred
+    target ids, or None when processing may continue.  The predicted step
+    is kept in state.pursuit for the simulator to reuse.
     """
     fuel_next = state.fuel - params.burn_rate * t_left
     site_next = backtrack_site(state, fuel_next, params)
     site_pos = state.site_position
-    stride = params.v_ugv * dt
     ugv_next = step_toward(ugv_pos, site_pos, stride)
     state.pursuit = (ugv_pos, site_pos, stride, ugv_next)
     # a slack string leaves the site where it is; a tank run dry is never in reach
@@ -226,19 +225,18 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
 
 
 def transfer_and_repair(start: Point2D,
-                        ugv_pos: Point2D,
                         deferred: list[tuple[int, Point2D]],
                         next_plan: SegmentPlan | None,
                         depot: Point2D,
                         params: VehicleParams,
                         ordinal: int,
                         ) -> tuple[SegmentPlan, list[tuple[int, Point2D]], bool]:
-    """Build the segment flown after refueling at start, the UGV at ugv_pos.
+    """Build the segment the UAV will fly after refueling at start.
 
     Deferred targets are prefixed, in order, to the next planned segment
     (or to a bare run back to the depot when none remains).  If the result
-    does not fit one tank, or its site lies beyond reach of ugv_pos, the
-    terminal site is walked back along the path; targets past
+    does not fit one tank, or its site lies beyond reach of start, where the
+    UGV stands, the terminal site is walked back along the path; targets past
     any feasible site are shed, last first, onto the following segment.
     When even a single target cannot head toward the terminal, the leg
     gives up on the terminal entirely and doubles back toward its start.
@@ -252,7 +250,7 @@ def transfer_and_repair(start: Point2D,
 
     Raises PlanningError only when that last resort fails too: no path
     from this start visits the target and ends in range at a site within
-    reach of ugv_pos.
+    reach of it.
     """
     entries = list(deferred)
     if next_plan is not None:
@@ -282,7 +280,7 @@ def transfer_and_repair(start: Point2D,
             hi = min(length, max_len)
             if hi > lo + EPS_GEOM:
                 path = Polyline.from_arcs(pts, cum[:k] + [length])
-                best = farthest_site_arc(path, lo, hi, ugv_pos, reach)
+                best = farthest_site_arc(path, lo, hi, start, reach)
                 if best is not None:
                     modified = out_and_back or m < len(entries)
                     if best < length - EPS_GEOM:

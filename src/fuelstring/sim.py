@@ -1,11 +1,11 @@
 """Deterministic fixed-step mission simulator.
 
 One tick: the UAV consumes its time slice in exact sub-steps (transit,
-processing, hovering -- split at target arrivals and completions), then the
-UGV takes one pursuit step toward the current site and rendezvous resolution
-runs.  Each processing sub-step starts with the abandonment lookahead, both
-when processing carries over into a tick and when the UAV reaches a target
-mid-tick.  Identical inputs give identical traces, byte for byte.
+processing, hovering -- split at target arrivals, completions and docks),
+then the UGV steps toward the current site.  Each processing sub-step starts
+with the abandonment lookahead, also when the UAV reaches a target mid-tick.
+A hovering UAV docks the instant the UGV reaches the site, to EPS_TIME.
+Identical inputs give identical traces, byte for byte.
 
 Processing costs stay hidden from the planning layer: the simulator reveals
 them strictly one tick of burn at a time through TargetTracker.reveal, and
@@ -42,9 +42,6 @@ METRIC_KEYS = (
 
 # Each mode's JSON string, as tick lines write it.
 _MODE_JSON = {m: json.dumps(m.value) for m in Mode}
-
-# The UAV docks once the ground vehicle is this close to the refuel site (m).
-EPS_DOCK = 0.1
 
 # Bounds a run's work.  The largest tick count in the default sweep grid and
 # the generated mission corpora at dt 0.05 is 45,775, about 1/218 of this.
@@ -284,24 +281,26 @@ def step(world: WorldState):
     dt = cfg.dt
     t0 = world.clock
 
-    _uav_phase(world, t0, dt)
+    t_ugv = _uav_phase(world, t0, dt)
     if world.mission_complete:
         world.clock = world.final_time
         world.record_tick()
         return
 
-    # the UGV's pursuit step: step_toward(ugv, goal, stride) inline, unless
-    # the abandonment lookahead took it from and toward the same points
+    # the UGV's pursuit step over the rest of the tick: step_toward inline,
+    # unless the abandonment lookahead took it from and toward the same points
     st = world.active
-    goal, ugv, stride = st.site_position, world.ugv_pos, world.params.v_ugv * dt
+    goal, ugv, stride = st.site_position, world.ugv_pos, world.params.v_ugv * (dt - t_ugv)
     start, toward, length, ugv_next = st.pursuit
     if not (start is ugv and toward is goal and length == stride):
         d = math.hypot(ugv.x - goal.x, ugv.y - goal.y)
         ugv_next = goal if d <= stride or d <= EPS_GEOM else Point2D(
             ugv.x + stride / d * (goal.x - ugv.x), ugv.y + stride / d * (goal.y - ugv.y))
     world.ugv_pos = ugv_next
-    # a step that lands on the site ends 0 from it
-    if st.mode is Mode.WAIT and (ugv_next is goal or distance(ugv_next, goal) <= EPS_DOCK):
+    # a UAV that reached the site with no sub-step left docks if this step did
+    if st.mode is Mode.WAIT and (ugv_next is goal or distance(ugv_next, goal)
+                                 <= world.params.v_ugv * EPS_TIME):
+        world.ugv_pos = goal
         _refuel(world, t0 + dt)
 
     world.clock = t0 + dt
@@ -310,13 +309,15 @@ def step(world: WorldState):
     world.record_tick()
 
 
-def _uav_phase(world: WorldState, t0: float, dt: float):
+def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
     params = world.params
     t_rem = dt
+    t_ugv = 0.0  # the tick offset world.ugv_pos holds at: 0, or the last dock
     while t_rem > EPS_TIME and not world.mission_complete:
         st = world.active
         if st.mode is Mode.PROCESSING:
-            deferred_now = check_abandonment(st, world.ugv_pos, t_rem, dt, params)
+            deferred_now = check_abandonment(st, world.ugv_pos, t_rem,
+                                             params.v_ugv * (dt - t_ugv), params)
             if deferred_now is not None:
                 site = st.site_position
                 world.emit_event(t0 + (dt - t_rem), "abandon", {
@@ -361,33 +362,31 @@ def _uav_phase(world: WorldState, t0: float, dt: float):
                     })
                     st.current = None
                     st.mode = Mode.TRANSIT
-            elif arrival == "site":
-                _handle_site_arrival(world, t_now)
-            else:
+            elif arrival != "site":
                 break  # budget spent mid-path
+            elif (not world.queue and not st.deferred and not world.carry
+                  and world.all_processed()
+                  and distance(st.site_position, world.scenario.depot) <= EPS_GEOM):
+                world.emit_event(t_now, "case", {
+                    "segment": st.ordinal, "case": int(classify_segment_outcome(st))})
+                world.mission_complete = True
+                world.final_time = t_now
+            else:
+                st.mode = Mode.WAIT  # a parked UGV makes the hover zero-length
         elif st.mode is Mode.WAIT:
-            burn = params.burn_rate * t_rem
-            if st.fuel - burn < -EPS_FUEL:
+            # hover until the UGV, driving straight at the site from where it
+            # stands at offset t_ugv, arrives there, or to the tick end
+            elapsed = dt - t_rem
+            t_dock = t_ugv + distance(world.ugv_pos, st.site_position) / params.v_ugv
+            t_end = dt if t_dock > dt else elapsed if t_dock < elapsed else t_dock
+            st.fuel -= params.burn_rate * (t_end - elapsed)
+            if st.fuel < -EPS_FUEL:
                 world.fault("fuel exhausted hovering at refuel site")
-            st.fuel -= burn
-            t_rem = 0.0
-
-
-def _handle_site_arrival(world: WorldState, t_now: float):
-    st = world.active
-    site = st.site_position
-    at_depot = distance(site, world.scenario.depot) <= EPS_GEOM
-    if (at_depot and not world.queue and not st.deferred and not world.carry
-            and world.all_processed()):
-        case = classify_segment_outcome(st)
-        world.emit_event(t_now, "case", {"segment": st.ordinal, "case": int(case)})
-        world.mission_complete = True
-        world.final_time = t_now
-        return
-    if distance(world.ugv_pos, site) <= EPS_DOCK:
-        _refuel(world, t_now)
-    else:
-        st.mode = Mode.WAIT
+            t_rem = dt - t_end
+            if t_dock <= dt + EPS_TIME:
+                world.ugv_pos, t_ugv = st.site_position, t_end
+                _refuel(world, t0 + t_end)
+    return t_ugv
 
 
 def _refuel(world: WorldState, t_now: float):
@@ -407,7 +406,7 @@ def _refuel(world: WorldState, t_now: float):
     deferred_all = st.deferred + world.carry
     next_plan = world.queue.pop(0) if world.queue else None
     new_plan, shed, modified = transfer_and_repair(
-        site, world.ugv_pos, deferred_all, next_plan, world.scenario.depot, params,
+        site, deferred_all, next_plan, world.scenario.depot, params,
         ordinal=st.ordinal + 1)
     world.carry = shed
     if modified:

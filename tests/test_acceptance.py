@@ -122,7 +122,7 @@ def test_05_overlong_transfer_segment_pulled_back_ten_meters():
     # the terminal must retreat along the path to arc 50, i.e. (20,0)
     nxt = SegmentPlan(index=1, path=Polyline([P(30, 0), P(10, 0)]))
     plan, shed, modified = transfer_and_repair(
-        P(0, 0), P(0, 0), [(9, P(35, 0))], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=1)
+        P(0, 0), [(9, P(35, 0))], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=1)
     assert modified and shed == []
     assert plan.path.length == pytest.approx(50.0, abs=EPS)
     assert plan.site == P(20.0, 0.0)

@@ -13,10 +13,9 @@ from fuelstring.batch import (
     results_to_csv,
     run_cell,
 )
-from fuelstring import sim
-from fuelstring.geometry import Point2D, distance
+from fuelstring.geometry import Point2D
 from fuelstring.model import Scenario, Target, VehicleParams, World
-from fuelstring.online import transfer_and_repair
+from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import METRIC_KEYS, SimConfig, run
 
 
@@ -61,40 +60,22 @@ def test_cell_runs_are_deterministic():
     assert run_cell(6, 50.0, 0.5, 3, cfg) == run_cell(6, 50.0, 0.5, 3, cfg)
 
 
-def test_zero_processing_cost_never_replans(monkeypatch):
-    """With tau identically 0 no site moves and no target is deferred.
-
-    A segment is still repaired (case 5) after a refuel at which the UGV
-    docked short of the site, as sim.EPS_DOCK allows: the next site's reach
-    counts from the UGV, so a planned site at the full reach from the old
-    one is pulled back along the path.  Such a repair sheds no target, and
-    with the UGV on the site none happens.  Of these cells only n=9 at
-    speed ratio 0.2 (reach 10 m) needs such repairs: five.
-    """
-    calls = []
-
-    def spy(start, ugv_pos, *args, **kwargs):
-        plan, shed, modified = transfer_and_repair(start, ugv_pos, *args, **kwargs)
-        calls.append((distance(start, ugv_pos), shed, modified))
-        return plan, shed, modified
-
-    monkeypatch.setattr(sim, "transfer_and_repair", spy)
-    cfg = small_sweep(cost_high=0.0)
-    repaired = {}
+def test_zero_processing_cost_never_replans():
+    """With tau identically 0 no site moves, no target is deferred and no
+    segment is repaired: the UGV stands on the site at every refuel, so
+    each planned site is within reach as the planner placed it."""
     for n in (4, 9):
         for ratio in (0.2, 1.0):
-            calls.clear()
-            r = run_cell(n, 50.0, ratio, 1, cfg)
-            assert r.status == "completed"
-            assert r.metrics["abandonments"] == 0
-            assert r.metrics["targets_deferred"] == 0
-            for case in ("case_2", "case_3", "case_4"):
-                assert r.metrics[case] == 0
-            assert all(shed == [] for _, shed, _ in calls)
-            assert all(short > 0.0 for short, _, modified in calls if modified)
-            assert r.metrics["case_5"] == sum(modified for _, _, modified in calls)
-            repaired[n, ratio] = r.metrics["case_5"]
-    assert repaired == {(4, 0.2): 0, (4, 1.0): 0, (9, 0.2): 5, (9, 1.0): 0}
+            params = VehicleParams(v_uav=2.0, v_ugv=2.0 * ratio, fuel_capacity=50.0,
+                                   fuel_per_meter=1.0)
+            sc = generate_scenario(n, seed=1, params=params, cost_model=CostModel(
+                kind="uniform", low=0.0, high=0.0, seed=2))
+            rep = run(sc, SimConfig(keep_trace=False))
+            assert rep.status == "completed"
+            assert rep.metrics["abandonments"] == 0
+            assert rep.metrics["targets_deferred"] == 0
+            for case in ("case_2", "case_3", "case_4", "case_5"):
+                assert rep.metrics[case] == 0, (n, ratio, case)
 
 
 def test_failed_cell_recorded_without_aborting():

@@ -40,6 +40,10 @@ def test_point_is_a_frozen_slotted_value():
         p.x = 3.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         del p.y
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.z = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.z
     assert Point2D.__slots__ == ("x", "y") and not hasattr(p, "__dict__")
     assert (p.x, p.y) == (1.5, -2.0)
     assert p == Point2D(x=1.5, y=-2.0) == Point2D(1.5, y=-2.0)

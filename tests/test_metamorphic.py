@@ -26,10 +26,6 @@ from fuelstring.rng import SplitMix64
 RELABEL_MISSIONS = 60
 MIRROR_MISSIONS = 60
 SCALE_MISSIONS = 6
-# Mirrored missions that complete one tick later: a tick ends with the UGV
-# within rounding of sim.EPS_DOCK from the site, and the mirror's rounding
-# falls on the other side of the tick-end dock test (ROADMAP item 10).
-MIRROR_ONE_TICK_LATE = {9011, 9046}
 
 
 def mission(i: int) -> Scenario:
@@ -83,17 +79,12 @@ def scale_record(rec: dict, k: float) -> dict:
     return {**rec, "detail": detail}
 
 
-def scale_mismatch(i: int, k: float, scale_dock: bool) -> str | None:
+def scale_mismatch(i: int, k: float) -> str | None:
     """Where mission i's trace and its k-scaled mission's trace first part,
     or None when every record of the scaled trace is exactly the scaled
-    record.  With scale_dock, the scaled mission docks within
-    k * sim.EPS_DOCK: that tolerance is an absolute length."""
+    record."""
     sc = mission(i)
-    base = run(sc)
-    with pytest.MonkeyPatch.context() as mp:
-        if scale_dock:
-            mp.setattr(sim, "EPS_DOCK", sim.EPS_DOCK * k)
-        other = run(scaled(sc, k))
+    base, other = run(sc), run(scaled(sc, k))
     for line, (want, got) in enumerate(zip(base.trace, other.trace)):
         if scale_record(want, k) != got:
             return f"mission {9000 + i}, k={k}, record {line}: {want} -> {got}"
@@ -114,31 +105,18 @@ def test_relabelled_targets_give_the_same_plan():
 
 
 def test_mirrored_mission_gives_the_same_outcomes():
-    """Equal segment-outcome sequences; mission_time equal to rounding,
-    except one tick later on the named missions."""
+    """Equal segment-outcome sequences and mission_time equal to rounding."""
     cfg = sim.SimConfig(keep_trace=False)
-    late = set()
     for i in range(MIRROR_MISSIONS):
         sc = mission(i)
         base, other = run(sc, cfg), run(mirrored(sc), cfg)
         assert other.status == base.status == "completed", 9000 + i
         assert other.segment_cases() == base.segment_cases(), 9000 + i
         shift = other.metrics["mission_time"] - base.metrics["mission_time"]
-        if abs(shift) > 1e-9:
-            assert abs(shift - cfg.dt) <= 1e-9, (9000 + i, shift)
-            late.add(9000 + i)
-    assert late == MIRROR_ONE_TICK_LATE
+        assert abs(shift) <= 1e-9, (9000 + i, shift)
 
 
 @pytest.mark.parametrize("k", [2.0, 0.5])
 def test_scaled_mission_gives_the_scaled_trace(k):
     for i in range(SCALE_MISSIONS):
-        assert scale_mismatch(i, k, scale_dock=True) is None
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: sim.EPS_DOCK, an absolute "
-                                       "docking tolerance, does not scale with the mission")
-@pytest.mark.parametrize("k", [2.0, 0.5])
-def test_scaled_mission_gives_the_scaled_trace_with_a_fixed_dock_tolerance(k):
-    for i in range(SCALE_MISSIONS):
-        assert scale_mismatch(i, k, scale_dock=False) is None
+        assert scale_mismatch(i, k) is None

@@ -210,7 +210,7 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
 def test_repair_walks_terminal_back_along_the_path():
     nxt = SegmentPlan(index=1, path=Polyline([P(35, 0), P(10, 0)]))
     plan, shed, modified = transfer_and_repair(
-        P(0, 0), P(0, 0), [(9, P(35, 0))], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=1)
+        P(0, 0), [(9, P(35, 0))], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=1)
     assert plan.path.vertices == (P(0, 0), P(35, 0), P(20, 0))
     assert math.isclose(plan.length, 50.0, abs_tol=1e-9)
     assert plan.target_arcs == ((9, 35.0),)
@@ -218,26 +218,10 @@ def test_repair_walks_terminal_back_along_the_path():
     assert shed == [] and modified
 
 
-def test_repair_measures_reach_from_the_ground_vehicle():
-    # the UGV docked 0.1 short of the site (0, 0); the planned next site
-    # (25, 0) is the full 25 m reach from the site but 25.1 from the UGV, so
-    # it is pulled back to 25 from the UGV; the path still starts at the site
-    nxt = SegmentPlan(index=1, path=Polyline([P(0, 0), P(25, 0)]))
-    plan, shed, modified = transfer_and_repair(
-        P(0, 0), P(-0.1, 0), [], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=1)
-    assert plan.path.vertices[0] == P(0, 0)
-    assert plan.site.x == pytest.approx(24.9, abs=1e-12) and plan.site.y == 0.0
-    assert shed == [] and modified
-    # with the UGV on the site the same segment passes unchanged
-    plan, shed, modified = transfer_and_repair(
-        P(0, 0), P(0, 0), [], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=1)
-    assert plan.site == P(25, 0) and not modified
-
-
 def test_repair_sheds_unreachable_tail_targets():
     nxt = SegmentPlan(index=5, path=Polyline([P(45, 0), P(30, 0)]))
     plan, shed, modified = transfer_and_repair(
-        P(0, 0), P(0, 0), [(1, P(20, 0)), (2, P(45, 0))], nxt, P(0, 0),
+        P(0, 0), [(1, P(20, 0)), (2, P(45, 0))], nxt, P(0, 0),
         DEFAULT_PARAMS, ordinal=1)
     assert shed == [(2, P(45.0, 0.0))]
     assert plan.path.vertices == (P(0, 0), P(20, 0), P(25, 0))
@@ -253,7 +237,7 @@ def test_repair_doubles_back_when_terminal_is_hopeless():
                           fuel_per_meter=1.0, r_max=10.0)
     nxt = SegmentPlan(index=3, path=Polyline([P(20, 0), P(0, 40)]))
     plan, shed, modified = transfer_and_repair(
-        P(0, 0), P(0, 0), [(5, P(20, 0))], nxt, P(0, 0), tight, ordinal=1)
+        P(0, 0), [(5, P(20, 0))], nxt, P(0, 0), tight, ordinal=1)
     assert plan.path.vertices == (P(0, 0), P(20, 0), P(0, 0))
     assert plan.target_arcs == ((5, 20.0),)
     assert plan.site == P(0.0, 0.0)
@@ -265,14 +249,14 @@ def test_repair_raises_on_permanently_unreachable_target():
     tight = VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=50.0,
                           fuel_per_meter=1.0, r_max=5.0)
     with pytest.raises(PlanningError, match="target 7 permanently infeasible"):
-        transfer_and_repair(P(0, 0), P(0, 0), [(7, P(40, 0))], None, P(0, 0),
+        transfer_and_repair(P(0, 0), [(7, P(40, 0))], None, P(0, 0),
                             tight, ordinal=2)
 
 
 def test_repair_passes_clean_segments_through():
     nxt = line_plan().segments[1]
     plan, shed, modified = transfer_and_repair(
-        P(20, 0), P(20, 0), [], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=1)
+        P(20, 0), [], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=1)
     assert not modified and shed == []
     assert plan.path.vertices == (P(20, 0), P(0, 0))
     assert plan.target_arcs == ()
@@ -281,7 +265,7 @@ def test_repair_passes_clean_segments_through():
 def test_repair_reanchors_after_short_rendezvous():
     # the rendezvous landed at (15, 0), short of the planned start (20, 0)
     plan, shed, modified = transfer_and_repair(
-        P(15, 0), P(15, 0), [], line_plan().segments[1], P(0, 0), DEFAULT_PARAMS, ordinal=1)
+        P(15, 0), [], line_plan().segments[1], P(0, 0), DEFAULT_PARAMS, ordinal=1)
     assert plan.path.vertices == (P(15, 0), P(0, 0))
     assert not modified
 
@@ -297,7 +281,7 @@ def test_repair_rethreads_straight_through_targets():
     nxt = SegmentPlan(index=1, path=Polyline([P(20, 0), P(30, 0), P(40, 0)]),
                       target_arcs=((8, 10.0),))
     plan, shed, modified = transfer_and_repair(
-        P(14, 0), P(14, 0), [(7, P(15, 0))], nxt, P(0, 0), wide, ordinal=1)
+        P(14, 0), [(7, P(15, 0))], nxt, P(0, 0), wide, ordinal=1)
     assert plan.path.vertices == (
         P(14, 0), P(15, 0), P(30, 0), P(40, 0))
     assert plan.path.length == pytest.approx(26.0, abs=1e-12)
@@ -307,7 +291,7 @@ def test_repair_rethreads_straight_through_targets():
 
 def test_repair_keeps_deferred_target_at_the_rendezvous():
     plan, shed, modified = transfer_and_repair(
-        P(5, 0), P(5, 0), [(3, P(5, 0))], None, P(0, 0), DEFAULT_PARAMS, ordinal=1)
+        P(5, 0), [(3, P(5, 0))], None, P(0, 0), DEFAULT_PARAMS, ordinal=1)
     assert plan.target_arcs == ((3, 0.0),)  # may start directly on it
     assert plan.path.vertices == (P(5, 0), P(0, 0))
     assert not modified
@@ -317,13 +301,13 @@ def test_repair_threads_deferred_before_planned_targets():
     nxt = SegmentPlan(index=2, path=Polyline([P(3, 0), P(9, 0), P(12, 0)]),
                       target_arcs=((6, 6.0),))
     plan, shed, modified = transfer_and_repair(
-        P(0, 0), P(0, 0), [(4, P(3, 0))], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=2)
+        P(0, 0), [(4, P(3, 0))], nxt, P(0, 0), DEFAULT_PARAMS, ordinal=2)
     assert plan.target_arcs == ((4, 3.0), (6, 9.0))
     assert plan.site == P(12.0, 0.0)
     assert not modified and shed == []
 
 
-def reference_repair(start, ugv_pos, deferred, next_plan, depot, params, ordinal):
+def reference_repair(start, deferred, next_plan, depot, params, ordinal):
     """transfer_and_repair as it was written before the leg was threaded
     once: every candidate re-threads its whole leg and builds a new path.
     Also returns whether the out-and-back last resort was taken."""
@@ -345,7 +329,7 @@ def reference_repair(start, ugv_pos, deferred, next_plan, depot, params, ordinal
         if len(pts) >= 2:
             path = Polyline(pts)
             lo = target_arcs[-1] if target_arcs else 0.0
-            best = farthest_site_arc(path, lo, min(path.length, max_len), ugv_pos, reach)
+            best = farthest_site_arc(path, lo, min(path.length, max_len), start, reach)
             if best is not None:
                 if best < path.length - EPS_GEOM:
                     path = path.sub_polyline(0.0, best)
@@ -392,8 +376,7 @@ def reference_thread_path(start, waypoints, terminal):
 
 def repair_case(seed: int, family: str):
     """One seeded transfer_and_repair input.  Points lie on a 2.5 m lattice,
-    so coincident stops and exact distance ties are common; the UGV may
-    stand off the lattice, just short of the start."""
+    so coincident stops and exact distance ties are common."""
     rng = SplitMix64(seed)
 
     def pick(options):
@@ -446,9 +429,7 @@ def repair_case(seed: int, family: str):
         arcs = sorted(a for a in arcs if EPS_GEOM < a < path.length - EPS_GEOM)
         next_plan = SegmentPlan(index=9, path=path,
                                 target_arcs=tuple((next(ids), a) for a in arcs))
-    # the UGV docked on the site, or up to 0.1 m short of it
-    ugv_pos = pick((start, start, P(start.x - 0.1, start.y), P(start.x + 0.06, start.y + 0.08)))
-    return start, ugv_pos, deferred, next_plan, depot, params
+    return start, deferred, next_plan, depot, params
 
 
 def test_repair_matches_rethreading_reference():

@@ -72,20 +72,25 @@ def test_uav_hovers_until_ground_vehicle_arrives():
                     target_arcs=((1, 10.0),)),
         SegmentPlan(index=1, path=Polyline([Point2D(14, 0), Point2D(0, 0)])),
     ))
+    # the UAV reaches (14, 0) at 7 s with 36 fuel and hovers, burning 2 per
+    # second; the UGV's 14 m drive at 1 m/s ends at 14 s, and the refuel
+    # happens then, with 36 - 2 * 7 = 22 left
     rep = run(line_scenario(0.0), SimConfig(check_invariants=True), plan=plan)
     assert rep.completed
     refuels = [e for e in rep.events if e["kind"] == "refuel"]
     assert len(refuels) == 1
-    assert math.isclose(refuels[0]["t"], 13.9, abs_tol=1e-9)
+    assert math.isclose(refuels[0]["t"], 14.0, abs_tol=1e-9)
 
     by_t = {round(r["t"], 4): r for r in rep.trace}
     assert by_t[7.0]["mode"] == "wait"
-    assert math.isclose(by_t[13.85]["fuel"], 22.3, abs_tol=1e-9)
-    assert by_t[13.9]["fuel"] == 50.0  # tick records post-refuel state
-    assert math.isclose(rep.metrics["mission_time"], 20.9, abs_tol=1e-6)
+    assert math.isclose(by_t[13.95]["fuel"], 22.1, abs_tol=1e-9)
+    assert by_t[14.0]["fuel"] == 50.0  # tick records post-refuel state
+    # 14 m home at 2 m/s after the 14 s refuel
+    assert math.isclose(rep.metrics["mission_time"], 21.0, abs_tol=1e-6)
     assert math.isclose(rep.metrics["uav_distance"], 28.0, abs_tol=1e-6)
-    # ground travel stops the instant the UAV lands: 13.9 out, 6.95 back
-    assert math.isclose(rep.metrics["ugv_distance"], 20.85, abs_tol=1e-6)
+    # ground travel stops at the tick before the UAV lands at 21 s: 14 out,
+    # then 6.95 s at 1 m/s back
+    assert math.isclose(rep.metrics["ugv_distance"], 20.95, abs_tol=1e-6)
 
 
 def test_timeout_reports_unprocessed_targets():
@@ -268,16 +273,73 @@ def test_checks_leave_generated_traces_byte_identical():
         assert traces[0] == traces[1], f"mission {9000 + i}"
 
 
-def _checked_generated_run(n: int, seed: int):
+def _checked_generated_run(n: int, seed: int, dt: float = 0.05):
     cost = CostModel(kind="uniform", low=0.0, high=25.0, seed=seed - 8983)
     return run(generate_scenario(n, seed=seed, cost_model=cost),
-               SimConfig(check_invariants=True, keep_trace=False))
+               SimConfig(dt=dt, check_invariants=True, keep_trace=False))
 
 
-def test_reach_holds_after_refuel_short_of_site():
-    # the UGV docks short of the site; the repaired next site's reach counts
-    # from the UGV, so segment 2 starts in reach
+def test_reach_holds_on_the_segment_after_a_refuel():
+    # segment 2 once started out of reach here: the UAV could dock with the
+    # UGV short of the site, and the next site's reach counted from the site
     assert _checked_generated_run(10, 9422).completed
+
+
+def test_coarse_tick_hover_docks_in_time():
+    # at dt 0.2 the UAV once hovered whole ticks waiting for a UGV step that
+    # would have reached the site within the tick, and ran dry at t=273.8
+    assert _checked_generated_run(16, 9029, dt=0.2).completed
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantViolation,
+                   reason="ROADMAP item 10, abandonment as an event: at dt 0.5 the "
+                          "lookahead approves processing to tick end, the target "
+                          "completes at 141.74 s with the site less dragged than "
+                          "predicted, and at 142 s it is out of the UGV's reach")
+def test_coarse_tick_abandonment_keeps_the_site_in_reach():
+    assert _checked_generated_run(14, 9149, dt=0.5).completed
+
+
+def test_uav_docks_at_the_ugv_arrival_mid_tick(monkeypatch):
+    # the UAV reaches the site (7.015, 0) at 3.5075 s and hovers; the UGV,
+    # at 0.5 m/s from the depot, arrives at 7.015 / 0.5 = 14.03 s, 0.03 s
+    # into the tick that starts at 14.0
+    from fuelstring import sim
+    from fuelstring.geometry import Polyline
+    from fuelstring.model import Scenario, Target, VehicleParams, World
+    from fuelstring.offline import MissionPlan, SegmentPlan
+
+    P = Point2D
+    sc = Scenario(world=World(50.0, 50.0), depot=P(0.0, 0.0),
+                  params=VehicleParams(v_uav=2.0, v_ugv=0.5, fuel_capacity=50.0,
+                                       fuel_per_meter=1.0),
+                  targets=(Target(id=1, position=P(5.0, 0.0), tau=0.0),))
+    plan = MissionPlan(segments=(
+        SegmentPlan(index=0, path=Polyline([P(0, 0), P(5, 0), P(7.015, 0)]),
+                    target_arcs=((1, 5.0),)),
+        SegmentPlan(index=1, path=Polyline([P(7.015, 0), P(0, 0)])),
+    ))
+    docks = []
+    refuel = sim._refuel
+
+    def spy(world, t_now):
+        docks.append((t_now, world.ugv_pos, world.active.site_position))
+        refuel(world, t_now)
+
+    monkeypatch.setattr(sim, "_refuel", spy)
+    rep = run(sc, SimConfig(check_invariants=True), plan=plan)
+    assert rep.completed
+    (t_dock, ugv, site), = docks
+    assert ugv == site == P(7.015, 0.0)
+    refuels = [e for e in rep.events if e["kind"] == "refuel"]
+    assert refuels[0]["t"] == t_dock
+    assert math.isclose(t_dock, 14.03, abs_tol=1e-9)
+    # the tick-end step toward the next site (0, 0) covers the 0.02 s left
+    # of the tick at 0.5 m/s: 0.01 m
+    tick = min((r for r in rep.trace if r["t"] > t_dock), key=lambda r: r["t"])
+    assert math.isclose(tick["t"], 14.05, abs_tol=1e-9)
+    assert tick["seg"] == 1 and tick["ugv"][1] == 0.0
+    assert math.isclose(7.015 - tick["ugv"][0], 0.5 * (0.05 - 0.03), abs_tol=1e-9)
 
 
 def test_reach_holds_on_the_way_to_rendezvous_after_abandon():
