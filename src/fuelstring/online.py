@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc, step_toward
@@ -42,6 +43,7 @@ class SegmentState:
     arc (a repaired segment can hold equal arcs for coincident targets);
     deferred collects targets pushed out of this segment, kept in original
     visit order as (id, position) pairs ready to prefix the next segment.
+    Both are tuples, so a change to either binds a new object.
     """
 
     plan: SegmentPlan
@@ -49,7 +51,7 @@ class SegmentState:
     uav_arc: float = 0.0
     fuel: float = 0.0
     site_arc: float = 0.0
-    pending: list[tuple[int, float]] = field(default_factory=list)
+    pending: tuple[tuple[int, float], ...] = ()
     current: int | None = None
     current_arc: float = 0.0
     mode: Mode = Mode.TRANSIT
@@ -57,7 +59,7 @@ class SegmentState:
     site_arc_seen: float = 0.0  # low-water mark; backtracking is one-way
     skipped: list[int] = field(default_factory=list)
     abandoned: bool = False
-    deferred: list[tuple[int, Point2D]] = field(default_factory=list)
+    deferred: tuple[tuple[int, Point2D], ...] = ()
     # the last point computed for each arc, keyed on the arc's value so that
     # a direct assignment to site_arc or uav_arc can never leave it stale
     _site_cache: tuple[float, Point2D | None] = field(
@@ -77,7 +79,7 @@ class SegmentState:
             fuel=fuel,
             site_arc=plan.length,
             site_arc_seen=plan.length,
-            pending=list(plan.target_arcs),
+            pending=plan.target_arcs,
             mode=Mode.TRANSIT,
         )
 
@@ -144,7 +146,8 @@ def on_transit_tick(state: SegmentState, fuel_budget: float,
     used = d_next * params.fuel_per_meter
     state.fuel -= used
     if kind == "target":
-        tid, arc = state.pending.pop(0)
+        tid, arc = state.pending[0]
+        state.pending = state.pending[1:]
         state.current = tid
         state.current_arc = arc
         state.mode = Mode.PROCESSING
@@ -177,8 +180,8 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
         while k and pending[k - 1][1] > cut:
             k -= 1
         passed = pending[k:]
-        del pending[k:]
-        group = [(tid, state.plan.path.point_at_arc(arc)) for tid, arc in passed]
+        state.pending = pending[:k]
+        group = tuple((tid, state.plan.path.point_at_arc(arc)) for tid, arc in passed)
         state.deferred = group + state.deferred
         skipped_now = [tid for tid, _ in passed]
         state.skipped.extend(skipped_now)
@@ -214,10 +217,10 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
         if site_next_pos is not site_pos:
             state._site_cache = (site_next, site_next_pos)
         return None
-    head = [(state.current, state.plan.path.point_at_arc(state.current_arc))]
-    body = [(tid, state.plan.path.point_at_arc(arc)) for tid, arc in state.pending]
+    head = ((state.current, state.plan.path.point_at_arc(state.current_arc)),)
+    body = tuple((tid, state.plan.path.point_at_arc(arc)) for tid, arc in state.pending)
     state.deferred = head + body + state.deferred
-    state.pending = []
+    state.pending = ()
     state.current = None
     state.abandoned = True
     state.mode = Mode.TO_RENDEZVOUS
@@ -225,7 +228,7 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
 
 
 def transfer_and_repair(start: Point2D,
-                        deferred: list[tuple[int, Point2D]],
+                        deferred: Sequence[tuple[int, Point2D]],
                         next_plan: SegmentPlan | None,
                         depot: Point2D,
                         params: VehicleParams,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, distance
@@ -202,21 +201,22 @@ class WorldState:
         self.config = config
         self.clock = 0.0
         self.trackers = {t.id: TargetTracker(t.tau) for t in scenario.targets}
-        self.done_ids: set[int] = set()  # grows at each "complete" event
-        self.queue: list[SegmentPlan] = list(plan.segments[1:])
+        self.target_ids = frozenset(self.trackers)
+        # the holders of target ids are immutable: a change binds a new object
+        self.done_ids: frozenset[int] = frozenset()  # grows at each "complete" event
+        self.queue: tuple[SegmentPlan, ...] = tuple(plan.segments[1:])
         self.active = SegmentState.begin(plan.segments[0], 0,
                                          fuel=self.params.fuel_capacity)
         self.ugv_pos = scenario.depot
-        self.carry: list[tuple[int, Point2D]] = []
+        self.carry: tuple[tuple[int, Point2D], ...] = ()
         self.mission_complete = False
         self.final_time: float | None = None
         self.events: list[dict] = []
         self.trace: list[dict] | None = [] if config.keep_trace else None
         self.fold = MetricsFold()
         self._trace_file = trace_file
-        # the conservation check's memo: the queued segments it last read,
-        # and their target ids
-        self._queued: tuple[tuple[SegmentPlan, ...], list[int]] = ((), [])
+        # the holders the conservation check last passed, as one key
+        self._conserved: tuple | None = None
 
     # -- recording ---------------------------------------------------------
 
@@ -342,7 +342,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
                     "site_arc": st.site_arc,
                 })
             if done:
-                world.done_ids.add(target_id)
+                world.done_ids |= {target_id}
                 world.emit_event(t_now, "complete", {
                     "segment": st.ordinal, "target": target_id,
                 })
@@ -356,7 +356,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
             if arrival == "target":
                 used0, done0 = world.trackers[st.current].reveal(0.0)
                 if done0:
-                    world.done_ids.add(st.current)
+                    world.done_ids |= {st.current}
                     world.emit_event(t_now, "complete", {
                         "segment": st.ordinal, "target": st.current,
                     })
@@ -404,11 +404,12 @@ def _refuel(world: WorldState, t_now: float):
     })
 
     deferred_all = st.deferred + world.carry
-    next_plan = world.queue.pop(0) if world.queue else None
+    next_plan = world.queue[0] if world.queue else None
+    world.queue = world.queue[1:]
     new_plan, shed, modified = transfer_and_repair(
         site, deferred_all, next_plan, world.scenario.depot, params,
         ordinal=st.ordinal + 1)
-    world.carry = shed
+    world.carry = tuple(shed)
     if modified:
         world.emit_event(t_now, "case", {
             "segment": st.ordinal + 1, "case": int(Case.SEGMENT_REPAIR),
@@ -436,38 +437,26 @@ def _check_invariants(world: WorldState):
     if not ugv_reachable(world.ugv_pos, st.site_position, st.fuel, params):
         world.fault("refuel site out of ground-vehicle reach")
     # every target is held exactly once (pending, current, deferred, carried
-    # or queued) or done, never both
-    held = [tid for tid, _ in st.pending]
-    if st.current is not None:
-        held.append(st.current)
-    held += [tid for tid, _ in st.deferred]
-    held += [tid for tid, _ in world.carry]
-    held += _queued_ids(world)
-    ids = set(held)
-    done = world.done_ids
-    if (len(ids) != len(held) or not ids.isdisjoint(done)
-            or ids.union(done) != world.trackers.keys()):
-        twice = sorted({tid for tid in held if held.count(tid) > 1})
-        world.fault(f"target conservation broken: held twice={twice} "
-                    f"held and done={sorted(ids & done)} "
-                    f"missing={sorted(world.trackers.keys() - ids - done)} "
-                    f"unknown={sorted(ids - world.trackers.keys())}")
-
-
-def _queued_ids(world: WorldState) -> list[int]:
-    """Target ids of the queued segments, in queue order.
-
-    Read again only when the queue holds other SegmentPlan objects than at
-    the last call.  A SegmentPlan is frozen, so the same objects hold the
-    same ids, and a segment swapped in is seen by its identity.
-    """
-    segs, ids = world._queued
-    queue = world.queue
-    if len(segs) != len(queue) or not all(map(operator.is_, segs, queue)):
-        segs = tuple(queue)
-        ids = [tid for seg in segs for tid, _ in seg.target_arcs]
-        world._queued = (segs, ids)
-    return ids
+    # or queued) or done, never both.  The verdict reads only the key, whose
+    # items are all immutable, so an equal key holds the same ids and is
+    # judged again only when a holder has changed.
+    key = (st.pending, st.current, st.deferred, world.carry, world.queue, world.done_ids)
+    if key != world._conserved:
+        pending, current, deferred, carry, queue, done = key
+        held = [tid for tid, _ in pending]
+        if current is not None:
+            held.append(current)
+        held += [tid for tid, _ in deferred]
+        held += [tid for tid, _ in carry]
+        held += [tid for seg in queue for tid, _ in seg.target_arcs]
+        ids = set(held)
+        if len(ids) != len(held) or not ids.isdisjoint(done) or ids | done != world.target_ids:
+            twice = sorted({tid for tid in held if held.count(tid) > 1})
+            world.fault(f"target conservation broken: held twice={twice} "
+                        f"held and done={sorted(ids & done)} "
+                        f"missing={sorted(world.target_ids - ids - done)} "
+                        f"unknown={sorted(ids - world.target_ids)}")
+        world._conserved = key
 
 
 def run(scenario: Scenario, config: SimConfig | None = None,

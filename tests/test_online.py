@@ -41,7 +41,7 @@ def test_begin_loads_full_segment():
     st = started_line_state()
     assert st.uav_arc == 0.0
     assert st.site_arc == 20.0
-    assert st.pending == [(1, 10.0)]
+    assert st.pending == ((1, 10.0),)
     assert st.mode is Mode.TRANSIT
     assert st.string_gap() == 20.0
     assert st.site_position == P(20.0, 0.0)
@@ -75,7 +75,7 @@ def test_transit_stops_exactly_on_the_target():
     assert st.uav_arc == 10.0 and st.fuel == 40.0
     assert st.mode is Mode.PROCESSING
     assert st.current == 1 and st.current_arc == 10.0
-    assert st.pending == []
+    assert st.pending == ()
 
 
 def test_transit_stops_exactly_on_the_site():
@@ -101,8 +101,8 @@ def test_processing_drags_site_and_defers_passed_targets():
     skipped = on_processing_tick(st, 2.0, False, DEFAULT_PARAMS)
     assert skipped == [2]  # site at 14 passed the pending target at 15
     assert st.site_arc == 14.0
-    assert st.pending == []
-    assert st.deferred == [(2, P(7.0, 4.0))]
+    assert st.pending == ()
+    assert st.deferred == ((2, P(7.0, 4.0)),)
 
     assert on_processing_tick(st, 0.0, True, DEFAULT_PARAMS) == []
     assert st.mode is Mode.TRANSIT and st.current is None
@@ -121,15 +121,15 @@ def test_processing_defers_a_passed_suffix_of_equal_arcs():
     # taut: the site follows the fuel to 0.5 EPS_GEOM past the pair at 8
     assert on_processing_tick(st, 42.0 - 0.5 * EPS_GEOM, False, DEFAULT_PARAMS) == [4]
     assert 8.0 < st.site_arc < 8.0 + EPS_GEOM
-    assert st.pending == [(2, 8.0), (3, 8.0)]
+    assert st.pending == ((2, 8.0), (3, 8.0))
     # 0.5 EPS_GEOM short of them: still within EPS_GEOM, both kept
     assert on_processing_tick(st, EPS_GEOM, False, DEFAULT_PARAMS) == []
     assert 8.0 - EPS_GEOM < st.site_arc < 8.0
-    assert st.pending == [(2, 8.0), (3, 8.0)]
+    assert st.pending == ((2, 8.0), (3, 8.0))
     # 1.5 EPS_GEOM short: both passed in one tick, in visit order
     assert on_processing_tick(st, EPS_GEOM, False, DEFAULT_PARAMS) == [2, 3]
-    assert st.pending == []
-    assert st.deferred == [(2, P(8.0, 0.0)), (3, P(8.0, 0.0)), (4, P(12.0, 0.0))]
+    assert st.pending == ()
+    assert st.deferred == ((2, P(8.0, 0.0)), (3, P(8.0, 0.0)), (4, P(12.0, 0.0)))
     assert st.skipped == [4, 2, 3]
 
 
@@ -181,7 +181,7 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
         st = started_line_state()
         st.uav_arc = 10.0
         st.current, st.current_arc = 1, 10.0
-        st.pending = []
+        st.pending = ()
         st.mode = Mode.PROCESSING
         st.fuel = fuel
         st.site_arc = 15.0
@@ -194,7 +194,7 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
     assert deferred == [1]
     assert st.mode is Mode.TO_RENDEZVOUS
     assert st.abandoned and st.current is None
-    assert st.deferred == [(1, P(10.0, 0.0))]
+    assert st.deferred == ((1, P(10.0, 0.0)),)
 
     # a slightly closer ground vehicle keeps the margin
     st = processing_state(5.0)

@@ -231,7 +231,7 @@ def _collinear_world() -> WorldState:
 def test_conservation_catches_target_dropped_from_queue():
     world = _collinear_world()
     seg = world.queue[0]
-    world.queue[0] = dataclasses.replace(seg, target_arcs=seg.target_arcs[1:])
+    world.queue = (dataclasses.replace(seg, target_arcs=seg.target_arcs[1:]),) + world.queue[1:]
     with pytest.raises(InvariantViolation, match="target conservation"):
         step(world)
 
@@ -241,7 +241,7 @@ def test_conservation_catches_done_target_back_in_pending():
     while not world.done_ids:
         step(world)
     assert world.done_ids == {10}
-    world.active.pending.append((10, 10.0))
+    world.active.pending += ((10, 10.0),)
     with pytest.raises(InvariantViolation, match="target conservation"):
         step(world)
 
@@ -249,9 +249,82 @@ def test_conservation_catches_done_target_back_in_pending():
 def test_conservation_catches_target_held_twice():
     world = _collinear_world()
     assert world.active.pending[0][0] == 10
-    world.carry.append((10, Point2D(10.0, 0.0)))
+    world.carry += ((10, Point2D(10.0, 0.0)),)
     with pytest.raises(InvariantViolation, match="target conservation"):
         step(world)
+
+
+def _mission_9000_world() -> WorldState:
+    # acceptance 7's recipe, its first mission: 8 targets, with one skip,
+    # three abandonments and six repairs
+    n = int(5 + SplitMix64(9000).next_u64() % 26)
+    sc = generate_scenario(n, seed=9000, cost_model=CostModel(
+        kind="uniform", low=0.0, high=25.0, seed=17))
+    return WorldState(sc, plan_mission(sc), SimConfig(check_invariants=True, keep_trace=False))
+
+
+def _swap_first(entries, tid):
+    # the same holder length, its first entry's id replaced
+    return ((tid,) + entries[0][1:],) + entries[1:]
+
+
+def _corrupt_queue(world, done):
+    seg = world.queue[0]
+    world.queue = ((dataclasses.replace(seg, target_arcs=_swap_first(seg.target_arcs, done)),)
+                   + world.queue[1:])
+
+
+def _corrupt_pending(world, done):
+    world.active.pending = _swap_first(world.active.pending, done)
+
+
+def _corrupt_deferred(world, done):
+    world.active.deferred = _swap_first(world.active.deferred, done)
+
+
+def _corrupt_carry(world, done):
+    world.carry = _swap_first(world.carry, done)
+
+
+def _corrupt_done(world, done):
+    world.done_ids = world.done_ids - {done} | {world.carry[0][0]}
+
+
+@pytest.mark.parametrize("ready, corrupt", [
+    (lambda w: w.queue and w.queue[0].target_arcs, _corrupt_queue),
+    (lambda w: w.active.pending, _corrupt_pending),
+    (lambda w: w.active.deferred, _corrupt_deferred),
+    (lambda w: w.carry, _corrupt_carry),
+    (lambda w: w.carry, _corrupt_done),
+], ids=["queue", "pending", "deferred", "carry", "done"])
+def test_conservation_catches_each_holder_with_a_warm_memo(ready, corrupt):
+    # two checked ticks with the holder non-empty and a target done put the
+    # live holders in the memo; one done id then replaces a held one (or the
+    # reverse), keeping every length, and every later tick must see it
+    world = _mission_9000_world()
+    warm = 0
+    while warm < 2:
+        step(world)
+        warm = warm + 1 if ready(world) and world.done_ids else 0
+    corrupt(world, min(world.done_ids))
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="target conservation"):
+            step(world)
+
+
+def test_target_holders_stay_immutable_through_a_repairing_mission():
+    # the conservation memo compares holders by identity and value, which is
+    # exact only while no holder can change in place
+    world = _mission_9000_world()
+    while not world.mission_complete:
+        step(world)
+        st = world.active
+        assert type(st.pending) is tuple and type(st.deferred) is tuple, world.clock
+        assert type(world.carry) is tuple and type(world.queue) is tuple, world.clock
+        assert type(world.done_ids) is frozenset, world.clock
+    assert len(world.done_ids) == 8
+    metrics = world.fold.result()
+    assert (metrics["case_3"], metrics["case_4"], metrics["case_5"]) == (1, 3, 6)
 
 
 def test_checks_leave_generated_traces_byte_identical():
@@ -389,7 +462,7 @@ def test_reach_is_checked_on_the_tick_the_lookahead_fires():
                        SimConfig(check_invariants=True))
     st = world.active
     st.uav_arc, st.fuel = 10.0, 40.0
-    st.current, st.current_arc = st.pending.pop(0)
+    (st.current, st.current_arc), st.pending = st.pending[0], st.pending[1:]
     st.mode = Mode.PROCESSING
     world.ugv_pos = Point2D(-90.0, 0.0)
     with pytest.raises(InvariantViolation, match="out of ground-vehicle reach"):
