@@ -7,6 +7,15 @@ with the abandonment lookahead, also when the UAV reaches a target mid-tick.
 A hovering UAV docks the instant the UGV reaches the site, to EPS_TIME.
 Identical inputs give identical traces, byte for byte.
 
+`step` takes one tick.  `run` first tries `_coast`, which takes every
+consecutive quiet tick in one tight loop: a tick that starts in transit or
+on the way to the rendezvous, below the time cap, and whose whole flight
+stays short of the next stop.  In such a tick the site is fixed, nothing
+is revealed and no event fires, so the loop keeps the state in locals.  It
+stays exact: it does step's float operations in step's order, and its edge
+cursor picks the edge point_at_arc's bisect_right picks, so every record,
+event, metric and fault message is the one step gives.
+
 Processing costs stay hidden from the planning layer: the simulator reveals
 them strictly one tick of burn at a time through TargetTracker.reveal, and
 forwards only the amount burned plus a done flag.
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, distance
@@ -191,6 +201,22 @@ class RunReport:
                 for e in self.events if e["kind"] == "case"]
 
 
+def _tick_record(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> dict:
+    """The record dict of one tick, as `RunReport.trace` keeps it."""
+    return {"t": t, "uav": [ux, uy], "fuel": fuel, "ugv": [gx, gy], "seg": seg,
+            "site": [sx, sy], "mode": mode.value}
+
+
+def _tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> str:
+    """The JSONL line of one tick: the bytes json.dumps(rec, separators=(",",
+    ":")) gives for its _tick_record.  The JSON encoder writes a finite float
+    with float.__repr__ and an int with int.__repr__.  Every value here is
+    finite, because each input is checked where it enters (World,
+    VehicleParams, Polyline, SimConfig)."""
+    return (f'{{"t":{t!r},"uav":[{ux!r},{uy!r}],"fuel":{fuel!r},"ugv":[{gx!r},{gy!r}],'
+            f'"seg":{seg!r},"site":[{sx!r},{sy!r}],"mode":{_MODE_JSON[mode]}}}\n')
+
+
 class WorldState:
     """Everything the simulator tracks while a mission runs."""
 
@@ -228,14 +254,7 @@ class WorldState:
             self._trace_file.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
     def record_tick(self):
-        """Fold the tick and write it as one compact JSON line.
-
-        The line is the bytes json.dumps(rec, separators=(",", ":")) gives
-        for the record dict kept in `trace`: the JSON encoder writes a
-        finite float with float.__repr__ and an int with int.__repr__.  Every
-        value here is finite, because each input is checked where it enters
-        (World, VehicleParams, Polyline, SimConfig).
-        """
+        """Fold the tick and record it in `trace` and the trace file."""
         st = self.active
         uav = st.uav_position
         site = st.site_position
@@ -243,21 +262,11 @@ class WorldState:
         self.fold.add_tick(self.clock, uav.x, uav.y, ugv.x, ugv.y, st.ordinal,
                            site.x, site.y)
         if self.trace is not None:
-            self.trace.append({
-                "t": self.clock,
-                "uav": [uav.x, uav.y],
-                "fuel": st.fuel,
-                "ugv": [ugv.x, ugv.y],
-                "seg": st.ordinal,
-                "site": [site.x, site.y],
-                "mode": st.mode.value,
-            })
+            self.trace.append(_tick_record(self.clock, uav.x, uav.y, st.fuel, ugv.x, ugv.y,
+                                           st.ordinal, site.x, site.y, st.mode))
         if self._trace_file is not None:
-            self._trace_file.write(
-                f'{{"t":{self.clock!r},"uav":[{uav.x!r},{uav.y!r}],'
-                f'"fuel":{st.fuel!r},"ugv":[{ugv.x!r},{ugv.y!r}],'
-                f'"seg":{st.ordinal!r},"site":[{site.x!r},{site.y!r}],'
-                f'"mode":{_MODE_JSON[st.mode]}}}\n')
+            self._trace_file.write(_tick_line(self.clock, uav.x, uav.y, st.fuel, ugv.x, ugv.y,
+                                              st.ordinal, site.x, site.y, st.mode))
 
     # -- helpers -----------------------------------------------------------
 
@@ -459,6 +468,88 @@ def _check_invariants(world: WorldState):
         world._conserved = key
 
 
+def _coast(world: WorldState, limit: float) -> bool:
+    """Take every consecutive quiet tick (see the module docstring) in one
+    loop; return False when the next tick is not quiet.
+
+    Quiet means on_transit_tick's own test passes for the tick's whole
+    budget.  The arc, fuel, clock, UGV coordinates and path edge live in
+    locals.  The edge cursor only moves forward, to the last edge starting
+    at or before the arc, and an arc equal to that edge's start gives its
+    vertex, both as in point_at_arc.  State is written back before a fault,
+    on every tick when check_invariants is set, and when the loop ends.
+    """
+    st = world.active
+    mode = st.mode
+    if mode is not Mode.TRANSIT and mode is not Mode.TO_RENDEZVOUS:
+        return False
+    cfg = world.config
+    params = world.params
+    dt = cfg.dt
+    budget = params.burn_rate * dt
+    d_step = budget / params.fuel_per_meter
+    margin = d_step + EPS_GEOM
+    next_arc = st.pending[0][1] if mode is Mode.TRANSIT and st.pending else st.site_arc
+    arc, clock = st.uav_arc, world.clock
+    # a tick of EPS_TIME or less is no quiet tick: step's UAV phase skips it
+    if not (clock < limit and next_arc - arc > margin and dt > EPS_TIME):
+        return False
+
+    fuel = st.fuel
+    goal = st.site_position
+    qx, qy, seg = goal.x, goal.y, st.ordinal
+    ugv = world.ugv_pos
+    gx, gy, parked = ugv.x, ugv.y, ugv is goal
+    stride = params.v_ugv * dt  # step's v_ugv * (dt - t_ugv), and t_ugv is 0
+    arcs, verts = st.plan.path.cumulative_arc, st.plan.path.vertices
+    i = bisect_right(arcs, arc) - 1
+    a0, a1, v, w = arcs[i], arcs[i + 1], verts[i], verts[i + 1]
+    edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
+    add_tick, trace, out = world.fold.add_tick, world.trace, world._trace_file
+    checked = cfg.check_invariants
+    while True:
+        arc += d_step
+        fuel -= budget
+        if fuel < -EPS_FUEL:  # as step faults: before the clock and the UGV move
+            _put(world, arc, fuel, clock, goal if parked else Point2D(gx, gy))
+            world.fault("fuel exhausted in transit")
+        if not parked:
+            d = math.hypot(gx - qx, gy - qy)
+            if d <= stride or d <= EPS_GEOM:
+                gx, gy, parked = qx, qy, True
+            else:
+                f = stride / d
+                gx, gy = gx + f * (qx - gx), gy + f * (qy - gy)
+        clock = clock + dt
+        while a1 <= arc:
+            i += 1
+            a0, a1, v, w = a1, arcs[i + 1], w, verts[i + 1]
+            edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
+        if arc == a0:
+            ux, uy = v.x, v.y
+        else:
+            t = (arc - a0) / edge
+            ux, uy = v.x + t * dx, v.y + t * dy
+        if checked:
+            _put(world, arc, fuel, clock, goal if parked else Point2D(gx, gy))
+            _check_invariants(world)
+        add_tick(clock, ux, uy, gx, gy, seg, qx, qy)
+        if trace is not None:
+            trace.append(_tick_record(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode))
+        if out is not None:
+            out.write(_tick_line(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode))
+        if not (clock < limit and next_arc - arc > margin):
+            break
+    _put(world, arc, fuel, clock, goal if parked else Point2D(gx, gy))
+    return True
+
+
+def _put(world: WorldState, arc: float, fuel: float, clock: float, ugv: Point2D):
+    """Write a coast's locals back to the world."""
+    st = world.active
+    st.uav_arc, st.fuel, world.clock, world.ugv_pos = arc, fuel, clock, ugv
+
+
 def run(scenario: Scenario, config: SimConfig | None = None,
         plan: MissionPlan | None = None, trace_file=None) -> RunReport:
     """Plan (unless given) and fly the whole mission.
@@ -485,8 +576,10 @@ def run(scenario: Scenario, config: SimConfig | None = None,
 
     world = WorldState(scenario, plan, cfg, trace_file=trace_file)
     world.record_tick()
-    while not world.mission_complete and world.clock < max_t - EPS_TIME:
-        step(world)
+    limit = max_t - EPS_TIME
+    while not world.mission_complete and world.clock < limit:
+        if not _coast(world, limit):
+            step(world)
 
     status = "completed" if world.mission_complete else "timeout"
     return RunReport(
