@@ -5,6 +5,8 @@ site, measured along the segment path: while slack remains the site stays
 put; once taut, every unit burned in place drags the site back toward the
 UAV.  Everything here works from revealed information only -- processing
 costs enter as per-tick burn amounts and a done flag, never as totals.
+A segment's state is that string plus the targets it still holds, and the
+one outcome Case it has risen to so far.
 """
 from __future__ import annotations
 
@@ -28,6 +30,10 @@ class Case(enum.IntEnum):
     SEGMENT_REPAIR = 5       # rebuilt segment exceeded the tank and was trimmed
 
 
+# bound once: the drag test runs on every taut processing tick
+_DRAGGED = Case.BACKTRACK_ALL_VISITED
+
+
 class Mode(enum.Enum):
     TRANSIT = "transit"
     PROCESSING = "processing"
@@ -43,7 +49,10 @@ class SegmentState:
     arc (a repaired segment can hold equal arcs for coincident targets);
     deferred collects targets pushed out of this segment, kept in original
     visit order as (id, position) pairs ready to prefix the next segment.
-    Both are tuples, so a change to either binds a new object.
+    Both are tuples, so a change to either binds a new object.  While
+    processing, the UAV stands on the current target's arc, uav_arc.  case
+    only rises: a drag of the site raises it to 2, a skip to 3, and an
+    abandonment sets 4.
     """
 
     plan: SegmentPlan
@@ -53,12 +62,9 @@ class SegmentState:
     site_arc: float = 0.0
     pending: tuple[tuple[int, float], ...] = ()
     current: int | None = None
-    current_arc: float = 0.0
     mode: Mode = Mode.TRANSIT
-    site_moved: bool = False
+    case: Case = Case.NO_REPLAN
     site_arc_seen: float = 0.0  # low-water mark; backtracking is one-way
-    skipped: list[int] = field(default_factory=list)
-    abandoned: bool = False
     deferred: tuple[tuple[int, Point2D], ...] = ()
     # the last point computed for each arc, keyed on the arc's value so that
     # a direct assignment to site_arc or uav_arc can never leave it stale
@@ -66,9 +72,6 @@ class SegmentState:
         default=(math.nan, None), init=False, repr=False, compare=False)
     _uav_cache: tuple[float, Point2D | None] = field(
         default=(math.nan, None), init=False, repr=False, compare=False)
-    # check_abandonment's last UGV pursuit step: (from, toward, length, result)
-    pursuit: tuple = field(
-        default=(None, None, math.nan, None), init=False, repr=False, compare=False)
 
     @classmethod
     def begin(cls, plan: SegmentPlan, ordinal: int, fuel: float) -> SegmentState:
@@ -146,10 +149,8 @@ def on_transit_tick(state: SegmentState, fuel_budget: float,
     used = d_next * params.fuel_per_meter
     state.fuel -= used
     if kind == "target":
-        tid, arc = state.pending[0]
+        state.current = state.pending[0][0]
         state.pending = state.pending[1:]
-        state.current = tid
-        state.current_arc = arc
         state.mode = Mode.PROCESSING
     return used, kind
 
@@ -166,8 +167,8 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
     state.fuel -= fuel_used
     skipped_now: list[int] = []
     new_site = backtrack_site(state, state.fuel, params)
-    if new_site < state.site_arc - EPS_GEOM:
-        state.site_moved = True
+    if new_site < state.site_arc - EPS_GEOM and state.case < _DRAGGED:
+        state.case = _DRAGGED
     state.site_arc = new_site
     if new_site < state.site_arc_seen:
         state.site_arc_seen = new_site
@@ -184,7 +185,8 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
         group = tuple((tid, state.plan.path.point_at_arc(arc)) for tid, arc in passed)
         state.deferred = group + state.deferred
         skipped_now = [tid for tid, _ in passed]
-        state.skipped.extend(skipped_now)
+        # only an abandonment, which ends processing, rises above a skip
+        state.case = Case.BACKTRACK_SKIP
     if done:
         state.current = None
         state.mode = Mode.TRANSIT
@@ -198,17 +200,16 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
 
     Evaluated where a processing sub-step starts, with the UGV where it is
     during the UAV's sub-steps; the prediction advances the UGV by stride,
-    the pursuit step it takes at tick end, toward the site.  If the answer
+    the step it takes toward the site at tick end.  If the answer
     is yes, abandon now: the current target and all pending ones are
     deferred and the UAV heads for the site.  Returns the newly deferred
-    target ids, or None when processing may continue.  The predicted step
-    is kept in state.pursuit for the simulator to reuse.
+    target ids, or None when processing may continue.  The current target
+    is deferred at the UAV's position, on its arc.
     """
     fuel_next = state.fuel - params.burn_rate * t_left
     site_next = backtrack_site(state, fuel_next, params)
     site_pos = state.site_position
     ugv_next = step_toward(ugv_pos, site_pos, stride)
-    state.pursuit = (ugv_pos, site_pos, stride, ugv_next)
     # a slack string leaves the site where it is; a tank run dry is never in reach
     site_next_pos = (site_pos if site_next == state.site_arc
                      else state.plan.path.point_at_arc(site_next))
@@ -217,12 +218,12 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
         if site_next_pos is not site_pos:
             state._site_cache = (site_next, site_next_pos)
         return None
-    head = ((state.current, state.plan.path.point_at_arc(state.current_arc)),)
+    head = ((state.current, state.uav_position),)
     body = tuple((tid, state.plan.path.point_at_arc(arc)) for tid, arc in state.pending)
     state.deferred = head + body + state.deferred
     state.pending = ()
     state.current = None
-    state.abandoned = True
+    state.case = Case.ABANDON_RENDEZVOUS
     state.mode = Mode.TO_RENDEZVOUS
     return [tid for tid, _ in head + body]
 
@@ -333,13 +334,3 @@ def _thread(start: Point2D, waypoints: list[Point2D],
         at.append(len(verts) - 1)
     return verts, cum, at
 
-
-def classify_segment_outcome(state: SegmentState) -> Case:
-    """Outcome class for a finished segment (rendezvous reached)."""
-    if state.abandoned:
-        return Case.ABANDON_RENDEZVOUS
-    if state.skipped:
-        return Case.BACKTRACK_SKIP
-    if state.site_moved:
-        return Case.BACKTRACK_ALL_VISITED
-    return Case.NO_REPLAN

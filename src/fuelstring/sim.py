@@ -35,7 +35,6 @@ from .online import (
     Mode,
     SegmentState,
     check_abandonment,
-    classify_segment_outcome,
     on_processing_tick,
     on_transit_tick,
     transfer_and_repair,
@@ -119,11 +118,11 @@ class MetricsFold:
         if self._seg is not None:
             self._uav += ((ux - self._ux) ** 2 + (uy - self._uy) ** 2) ** 0.5
             self._ugv += ((gx - self._gx) ** 2 + (gy - self._gy) ** 2) ** 0.5
-            site_moved = (seg == self._seg
+            dragged = (seg == self._seg
                           and ((sx - self._sx) ** 2 + (sy - self._sy) ** 2) ** 0.5 > EPS_GEOM)
-            if site_moved and not self._in_episode:
+            if dragged and not self._in_episode:
                 self._episodes += 1
-            self._in_episode = site_moved
+            self._in_episode = dragged
         self._time = t
         self._ux, self._uy = ux, uy
         self._gx, self._gy = gx, gy
@@ -296,15 +295,12 @@ def step(world: WorldState):
         world.record_tick()
         return
 
-    # the UGV's pursuit step over the rest of the tick: step_toward inline,
-    # unless the abandonment lookahead took it from and toward the same points
+    # the UGV's step toward the site over the rest of the tick: step_toward, inline
     st = world.active
     goal, ugv, stride = st.site_position, world.ugv_pos, world.params.v_ugv * (dt - t_ugv)
-    start, toward, length, ugv_next = st.pursuit
-    if not (start is ugv and toward is goal and length == stride):
-        d = math.hypot(ugv.x - goal.x, ugv.y - goal.y)
-        ugv_next = goal if d <= stride or d <= EPS_GEOM else Point2D(
-            ugv.x + stride / d * (goal.x - ugv.x), ugv.y + stride / d * (goal.y - ugv.y))
+    d = math.hypot(ugv.x - goal.x, ugv.y - goal.y)
+    ugv_next = goal if d <= stride or d <= EPS_GEOM else Point2D(
+        ugv.x + stride / d * (goal.x - ugv.x), ugv.y + stride / d * (goal.y - ugv.y))
     world.ugv_pos = ugv_next
     # a UAV that reached the site with no sub-step left docks if this step did
     if st.mode is Mode.WAIT and (ugv_next is goal or distance(ugv_next, goal)
@@ -351,10 +347,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
                     "site_arc": st.site_arc,
                 })
             if done:
-                world.done_ids |= {target_id}
-                world.emit_event(t_now, "complete", {
-                    "segment": st.ordinal, "target": target_id,
-                })
+                _complete(world, target_id, t_now)
         elif st.mode in (Mode.TRANSIT, Mode.TO_RENDEZVOUS):
             budget = params.burn_rate * t_rem
             used, arrival = on_transit_tick(st, budget, params)
@@ -363,21 +356,16 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
             t_rem -= used / params.burn_rate
             t_now = t0 + (dt - (0.0 if t_rem < 0.0 else t_rem))
             if arrival == "target":
-                used0, done0 = world.trackers[st.current].reveal(0.0)
-                if done0:
-                    world.done_ids |= {st.current}
-                    world.emit_event(t_now, "complete", {
-                        "segment": st.ordinal, "target": st.current,
-                    })
-                    st.current = None
-                    st.mode = Mode.TRANSIT
+                target_id = st.current
+                if world.trackers[target_id].reveal(0.0)[1]:  # a zero-cost target
+                    st.current, st.mode = None, Mode.TRANSIT
+                    _complete(world, target_id, t_now)
             elif arrival != "site":
                 break  # budget spent mid-path
             elif (not world.queue and not st.deferred and not world.carry
                   and world.all_processed()
                   and distance(st.site_position, world.scenario.depot) <= EPS_GEOM):
-                world.emit_event(t_now, "case", {
-                    "segment": st.ordinal, "case": int(classify_segment_outcome(st))})
+                world.emit_event(t_now, "case", {"segment": st.ordinal, "case": int(st.case)})
                 world.mission_complete = True
                 world.final_time = t_now
             else:
@@ -398,14 +386,19 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
     return t_ugv
 
 
+def _complete(world: WorldState, target_id: int, t_now: float):
+    """Record target_id, just finished in the active segment, as done."""
+    world.done_ids |= {target_id}
+    world.emit_event(t_now, "complete", {"segment": world.active.ordinal, "target": target_id})
+
+
 def _refuel(world: WorldState, t_now: float):
-    """Rendezvous reached: classify the finished segment, top the tank up,
+    """Rendezvous reached: emit the finished segment's case, top the tank up,
     and activate the next segment (rebuilt around deferred targets)."""
     st = world.active
     params = world.params
     site = st.site_position
-    case = classify_segment_outcome(st)
-    world.emit_event(t_now, "case", {"segment": st.ordinal, "case": int(case)})
+    world.emit_event(t_now, "case", {"segment": st.ordinal, "case": int(st.case)})
     world.emit_event(t_now, "refuel", {
         "segment": st.ordinal,
         "site": [site.x, site.y],

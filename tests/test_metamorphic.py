@@ -1,5 +1,7 @@
 """Metamorphic relations: the same mission relabelled, mirrored or scaled must
 give the same plan and the same trace, so these tests need no golden number.
+A changed processing cost must change nothing the simulator records before
+the changed target completes, nor anything the planner does.
 
 The missions are the first ones of acceptance 7's recipe: mission i has
 5 + SplitMix64(9000 + i).next_u64() % 26 targets, scenario seed 9000 + i and
@@ -8,24 +10,32 @@ uniform [0, 25] costs with cost seed 17 + i.
 from __future__ import annotations
 
 import dataclasses
+import io
+import json
+import math
 
 import pytest
 
 from fuelstring import (
     CostModel,
+    PlanningError,
     Point2D,
     Scenario,
     World,
+    emit_plan,
     generate_scenario,
     plan_mission,
     run,
     sim,
 )
+from fuelstring.geometry import distance
 from fuelstring.rng import SplitMix64
 
 RELABEL_MISSIONS = 60
 MIRROR_MISSIONS = 60
 SCALE_MISSIONS = 6
+COST_MISSIONS = 6
+PLAN_COST_MISSIONS = 40
 
 
 def mission(i: int) -> Scenario:
@@ -120,3 +130,103 @@ def test_mirrored_mission_gives_the_same_outcomes():
 def test_scaled_mission_gives_the_scaled_trace(k):
     for i in range(SCALE_MISSIONS):
         assert scale_mismatch(i, k) is None
+
+
+def with_tau(sc: Scenario, tid: int, tau: float) -> Scenario:
+    return dataclasses.replace(sc, targets=tuple(
+        dataclasses.replace(t, tau=tau) if t.id == tid else t for t in sc.targets))
+
+
+def trace_lines(sc: Scenario, plan, cap: float | None = None) -> list[str]:
+    """The run's JSONL lines, ticks and events in the order written, up to
+    the time cap or a repair that finds a target infeasible."""
+    buf = io.StringIO()
+    try:
+        run(sc, sim.SimConfig(keep_trace=False, max_mission_time=cap), plan=plan,
+            trace_file=buf)
+    except PlanningError:
+        pass
+    return buf.getvalue().splitlines()
+
+
+def completions(lines: list[str]) -> dict[int, float]:
+    """Target id -> the instant of its "complete" event."""
+    events = (json.loads(line) for line in lines if '"kind":"complete"' in line)
+    return {e["detail"]["target"]: e["t"] for e in events}
+
+
+def first_difference_at(base: list[str], other: list[str]) -> float:
+    """The instant of the first line where the runs part, or inf when one
+    run's lines are a prefix of the other's."""
+    k = 0
+    while k < len(base) and k < len(other) and base[k] == other[k]:
+        k += 1
+    if k == len(base) or k == len(other):
+        return math.inf
+    return min(json.loads(base[k])["t"], json.loads(other[k])["t"])
+
+
+def progress_when_abandoned(sc: Scenario, lines: list[str]) -> dict[int, tuple[float, float]]:
+    """Target id -> (instant, fuel burned on it) of the first abandonment
+    of each target, worked out from the trace alone.  The abandoned target
+    is its first visit's; the UAV flew to it straight from its last stop,
+    the segment's start or the last target it completed there, and fuel
+    burns at burn_rate in flight and in processing alike."""
+    p = sc.params
+    position = {t.id: t.position for t in sc.targets}
+    stop = (0.0, sc.depot)  # the instant the UAV left its last stop, and where
+    out: dict[int, tuple[float, float]] = {}
+    for line in lines:
+        if '"kind"' not in line:
+            continue
+        e = json.loads(line)
+        kind, detail = e["kind"], e["detail"]
+        if kind == "refuel":
+            stop = (e["t"], Point2D(*detail["site"]))
+        elif kind == "complete":
+            stop = (e["t"], position[detail["target"]])
+        elif kind == "abandon" and detail["targets"][0] not in out:
+            tid = detail["targets"][0]
+            t_left, at = stop
+            arrived = t_left + distance(at, position[tid]) / p.v_uav
+            out[tid] = (e["t"], p.burn_rate * (e["t"] - arrived))
+    return out
+
+
+def test_online_decisions_are_blind_to_unrevealed_costs():
+    """Raise one target's cost by 7: both runs write the same lines before
+    the instant the base run completes that target.  Set an abandoned
+    target's cost to half a tick's burn past what it had burned when
+    abandoned, so that it would complete in the tick it was abandoned in:
+    the lookahead must abandon it all the same, and the runs stay equal
+    up to the instant the changed run completes it."""
+    dt = sim.SimConfig().dt
+    cases = 0
+    for i in range(COST_MISSIONS):
+        sc = mission(i)
+        plan = plan_mission(sc)
+        base = trace_lines(sc, plan)
+        done = completions(base)
+        tau = {t.id: t.tau for t in sc.targets}
+        changes = [(tid, tau[tid] + 7.0, t) for tid, t in list(done.items())[::3]]
+        changes += [(tid, burned + 0.5 * sc.params.burn_rate * dt, t)
+                    for tid, (t, burned) in progress_when_abandoned(sc, base).items()]
+        for tid, changed, t in changes:
+            other = trace_lines(with_tau(sc, tid, changed), plan, cap=t + 2 * dt)
+            got = completions(other)
+            cut = min(done.get(tid, math.inf), got.get(tid, math.inf))
+            assert first_difference_at(base, other) >= cut, (9000 + i, tid, changed)
+            cases += 1
+    assert cases >= 60
+
+
+def test_plans_are_blind_to_costs():
+    for i in range(PLAN_COST_MISSIONS):
+        sc = mission(i)
+        want = emit_plan(plan_mission(sc))
+        for costs in (CostModel(kind="uniform", low=0.0, high=100.0, seed=5000 + i),
+                      CostModel(kind="uniform", low=0.0, high=0.0)):
+            other = generate_scenario(len(sc.targets), seed=9000 + i, cost_model=costs)
+            assert [t.position for t in other.targets] == [t.position for t in sc.targets]
+            assert [t.tau for t in other.targets] != [t.tau for t in sc.targets]
+            assert emit_plan(plan_mission(other)) == want, 9000 + i

@@ -12,7 +12,6 @@ from fuelstring.geometry import (
     Polyline,
     distance,
     farthest_site_arc,
-    step_toward,
 )
 from fuelstring.model import VehicleParams
 from fuelstring.offline import PlanningError, SegmentPlan
@@ -22,7 +21,6 @@ from fuelstring.online import (
     SegmentState,
     backtrack_site,
     check_abandonment,
-    classify_segment_outcome,
     on_processing_tick,
     on_transit_tick,
     transfer_and_repair,
@@ -74,7 +72,7 @@ def test_transit_stops_exactly_on_the_target():
     assert (used, arrival) == (0.5, "target")
     assert st.uav_arc == 10.0 and st.fuel == 40.0
     assert st.mode is Mode.PROCESSING
-    assert st.current == 1 and st.current_arc == 10.0
+    assert st.current == 1
     assert st.pending == ()
 
 
@@ -93,10 +91,10 @@ def test_processing_drags_site_and_defers_passed_targets():
     assert st.fuel == 28.0
 
     assert on_processing_tick(st, 10.0, False, DEFAULT_PARAMS) == []
-    assert st.site_arc == 20.0 and not st.site_moved  # still slack
+    assert st.site_arc == 20.0 and st.case is Case.NO_REPLAN  # still slack
 
     assert on_processing_tick(st, 4.0, False, DEFAULT_PARAMS) == []
-    assert st.site_arc == 16.0 and st.site_moved  # taut, dragging
+    assert st.site_arc == 16.0 and st.case is Case.BACKTRACK_ALL_VISITED  # taut, dragging
 
     skipped = on_processing_tick(st, 2.0, False, DEFAULT_PARAMS)
     assert skipped == [2]  # site at 14 passed the pending target at 15
@@ -106,7 +104,7 @@ def test_processing_drags_site_and_defers_passed_targets():
 
     assert on_processing_tick(st, 0.0, True, DEFAULT_PARAMS) == []
     assert st.mode is Mode.TRANSIT and st.current is None
-    assert classify_segment_outcome(st) is Case.BACKTRACK_SKIP
+    assert st.case is Case.BACKTRACK_SKIP
 
 
 def test_processing_defers_a_passed_suffix_of_equal_arcs():
@@ -130,7 +128,7 @@ def test_processing_defers_a_passed_suffix_of_equal_arcs():
     assert on_processing_tick(st, EPS_GEOM, False, DEFAULT_PARAMS) == [2, 3]
     assert st.pending == ()
     assert st.deferred == ((2, P(8.0, 0.0)), (3, P(8.0, 0.0)), (4, P(12.0, 0.0)))
-    assert st.skipped == [4, 2, 3]
+    assert st.case is Case.BACKTRACK_SKIP
 
 
 def test_cached_points_follow_their_arcs():
@@ -156,7 +154,7 @@ def test_cached_points_follow_their_arcs():
 
     ugv = P(4.0, 0.0)
     st = dragging()
-    site = st.site_position
+    assert st.site_position == st.plan.path.point_at_arc(18.0)  # cached before counting
     arcs = []
     with pytest.MonkeyPatch.context() as mp:
         point_at_arc = Polyline.point_at_arc
@@ -169,8 +167,6 @@ def test_cached_points_follow_their_arcs():
     assert st.site_arc == 17.0
     assert dragged == st.plan.path.point_at_arc(17.0)
     assert (dragged.x, dragged.y) == pytest.approx((5.8, 5.6), abs=1e-12)
-    # the UGV step the simulator may reuse is step_toward on the same inputs
-    assert st.pursuit == (ugv, site, 0.5, step_toward(ugv, site, 0.5))
     st = dragging()
     assert check_abandonment(st, ugv, 0.5, 0.5, DEFAULT_PARAMS) is None
     assert st.site_position == st.plan.path.point_at_arc(18.0)  # not dragged yet
@@ -180,7 +176,7 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
     def processing_state(fuel: float) -> SegmentState:
         st = started_line_state()
         st.uav_arc = 10.0
-        st.current, st.current_arc = 1, 10.0
+        st.current = 1
         st.pending = ()
         st.mode = Mode.PROCESSING
         st.fuel = fuel
@@ -193,7 +189,7 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
     deferred = check_abandonment(st, P(17.5, 0), 0.05, 0.05, DEFAULT_PARAMS)
     assert deferred == [1]
     assert st.mode is Mode.TO_RENDEZVOUS
-    assert st.abandoned and st.current is None
+    assert st.case is Case.ABANDON_RENDEZVOUS and st.current is None
     assert st.deferred == ((1, P(10.0, 0.0)),)
 
     # a slightly closer ground vehicle keeps the margin
@@ -460,12 +456,24 @@ def test_repair_matches_rethreading_reference():
     assert all(count >= 5 for count in seen.values()), seen
 
 
-def test_outcome_classification_precedence():
-    st = started_line_state()
-    assert classify_segment_outcome(st) is Case.NO_REPLAN
-    st.site_moved = True
-    assert classify_segment_outcome(st) is Case.BACKTRACK_ALL_VISITED
-    st.skipped = [2]
-    assert classify_segment_outcome(st) is Case.BACKTRACK_SKIP
-    st.abandoned = True
-    assert classify_segment_outcome(st) is Case.ABANDON_RENDEZVOUS
+def test_segment_case_only_rises():
+    # bend segment: target 1 at arc 2, target 2 at arc 15, site at 20
+    st = SegmentState.begin(bend_plan().segments[0], ordinal=0, fuel=30.0)
+    on_transit_tick(st, 2.0, DEFAULT_PARAMS)
+    assert st.case is Case.NO_REPLAN
+    on_processing_tick(st, 10.0, False, DEFAULT_PARAMS)  # slack: the site stays
+    assert st.case is Case.NO_REPLAN
+    on_processing_tick(st, 4.0, False, DEFAULT_PARAMS)  # drags the site to 16
+    assert st.case is Case.BACKTRACK_ALL_VISITED
+    on_processing_tick(st, 1.0, False, DEFAULT_PARAMS)  # a second drag, to 15
+    assert st.site_arc == 15.0 and st.case is Case.BACKTRACK_ALL_VISITED
+    assert on_processing_tick(st, 1.0, False, DEFAULT_PARAMS) == [2]  # to 14, past 15
+    assert st.case is Case.BACKTRACK_SKIP
+    on_processing_tick(st, 1.0, False, DEFAULT_PARAMS)  # a later drag, to 13
+    assert st.site_arc == 13.0 and st.case is Case.BACKTRACK_SKIP
+
+    # the UGV far out of reach: the lookahead abandons the current target,
+    # deferred where the UAV stands on its arc
+    assert check_abandonment(st, P(40.0, 40.0), 0.05, 0.05, DEFAULT_PARAMS) == [1]
+    assert st.case is Case.ABANDON_RENDEZVOUS
+    assert st.deferred == ((1, P(2.0, 0.0)), (2, P(7.0, 4.0)))

@@ -462,7 +462,7 @@ def test_reach_is_checked_on_the_tick_the_lookahead_fires():
                        SimConfig(check_invariants=True))
     st = world.active
     st.uav_arc, st.fuel = 10.0, 40.0
-    (st.current, st.current_arc), st.pending = st.pending[0], st.pending[1:]
+    st.current, st.pending = st.pending[0][0], st.pending[1:]
     st.mode = Mode.PROCESSING
     world.ugv_pos = Point2D(-90.0, 0.0)
     with pytest.raises(InvariantViolation, match="out of ground-vehicle reach"):
@@ -471,9 +471,8 @@ def test_reach_is_checked_on_the_tick_the_lookahead_fires():
 
 
 def test_ugv_steps_toward_the_site_each_tick():
-    # the tick's UGV step, reused from the lookahead or computed in step,
-    # is step_toward the site the tick ends with, through slack and taut
-    # processing, transit and the final run home
+    # the tick's UGV step is step_toward the site the tick ends with,
+    # through slack and taut processing, transit and the final run home
     world = WorldState(bend_scenario(), bend_plan(), SimConfig())
     stride = world.params.v_ugv * world.config.dt
     modes = []
