@@ -51,8 +51,8 @@ class _OpenOnWrite:
         self._fh = None
 
     def write(self, text: str) -> int:
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self.write = self._fh.write  # later writes go straight to the file
+        if self._fh is None:
+            self._fh = open(self.path, "w", encoding="utf-8")
         return self._fh.write(text)
 
     def close(self):

@@ -10,11 +10,11 @@ Identical inputs give identical traces, byte for byte.
 `step` takes one tick.  `run` first tries `_coast`, which takes every
 consecutive quiet tick in one tight loop: a tick that starts in transit or
 on the way to the rendezvous, below the time cap, and whose whole flight
-stays short of the next stop.  In such a tick the site is fixed, nothing
-is revealed and no event fires, so the loop keeps the state in locals.  It
-stays exact: it does step's float operations in step's order, and its edge
-cursor picks the edge point_at_arc's bisect_right picks, so every record,
-event, metric and fault message is the one step gives.
+stays short of the next stop.  Such a tick has a fixed site, reveals
+nothing and fires no event, so the loop keeps the state in locals.  It does
+step's float operations in step's order and picks point_at_arc's edge, so
+every record, event, metric and fault message is the one step gives.  Both
+hand each tick to one call, `WorldState.tick`, the run's only tick writer.
 
 Processing costs stay hidden from the planning layer: the simulator reveals
 them strictly one tick of burn at a time through TargetTracker.reveal, and
@@ -114,7 +114,8 @@ class MetricsFold:
         self._in_episode = False
         self._seg = None  # the last tick's segment, None before the first tick
 
-    def add_tick(self, t, ux, uy, gx, gy, seg, sx, sy):
+    def add_tick(self, t, ux, uy, fuel, gx, gy, seg, sx, sy, mode):
+        """Fold one tick record; fuel and mode are unused."""
         if self._seg is not None:
             self._uav += ((ux - self._ux) ** 2 + (uy - self._uy) ** 2) ** 0.5
             self._ugv += ((gx - self._gx) ** 2 + (gy - self._gy) ** 2) ** 0.5
@@ -152,9 +153,9 @@ def fold_records(records) -> dict:
         if "kind" in rec:
             fold.add_event(rec["kind"], rec["detail"])
         else:
-            fold.add_tick(rec["t"], rec["uav"][0], rec["uav"][1],
+            fold.add_tick(rec["t"], rec["uav"][0], rec["uav"][1], rec["fuel"],
                           rec["ugv"][0], rec["ugv"][1], rec["seg"],
-                          rec["site"][0], rec["site"][1])
+                          rec["site"][0], rec["site"][1], rec["mode"])
     return fold.result()
 
 
@@ -183,7 +184,7 @@ class RunReport:
     status: str
     metrics: dict
     events: list[dict]
-    trace: list[dict] | None
+    trace: list[dict] | None  # the run's tick lines, decoded; None unless kept
     unprocessed: list[int] = field(default_factory=list)
 
     @property
@@ -192,28 +193,42 @@ class RunReport:
 
     @property
     def case_histogram(self) -> dict[int, int]:
+        """`case` events by case, zero counts left out.  A repaired segment has
+        two, 5 and then its final case: the counts sum to segments + case_5."""
         return {k: self.metrics[f"case_{k}"] for k in range(1, 6)
                 if self.metrics[f"case_{k}"]}
 
     def segment_cases(self) -> list[tuple[int, int]]:
+        """(segment, case) of every `case` event; a repaired segment twice."""
         return [(e["detail"]["segment"], e["detail"]["case"])
                 for e in self.events if e["kind"] == "case"]
 
 
-def _tick_record(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> dict:
-    """The record dict of one tick, as `RunReport.trace` keeps it."""
-    return {"t": t, "uav": [ux, uy], "fuel": fuel, "ugv": [gx, gy], "seg": seg,
-            "site": [sx, sy], "mode": mode.value}
-
-
 def _tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> str:
     """The JSONL line of one tick: the bytes json.dumps(rec, separators=(",",
-    ":")) gives for its _tick_record.  The JSON encoder writes a finite float
-    with float.__repr__ and an int with int.__repr__.  Every value here is
-    finite, because each input is checked where it enters (World,
-    VehicleParams, Polyline, SimConfig)."""
+    ":")) gives for {"t", "uav": [x, y], "fuel", "ugv": [x, y], "seg", "site":
+    [x, y], "mode"}.  The JSON encoder writes each finite float and int with
+    its repr, as this does.  Every value here is finite, because each input is
+    checked where it enters (World, VehicleParams, Polyline, SimConfig)."""
     return (f'{{"t":{t!r},"uav":[{ux!r},{uy!r}],"fuel":{fuel!r},"ugv":[{gx!r},{gy!r}],'
             f'"seg":{seg!r},"site":[{sx!r},{sy!r}],"mode":{_MODE_JSON[mode]}}}\n')
+
+
+def _tick_writer(add_tick, lines, write):
+    """The one call that takes each tick's record: add_tick itself if no line
+    is kept or written, else add_tick and one _tick_line to lines and write."""
+    if lines is None and write is None:
+        return add_tick
+    keep = None if lines is None else lines.append
+
+    def tick(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode):
+        add_tick(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode)
+        line = _tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode)
+        if keep is not None:
+            keep(line)
+        if write is not None:
+            write(line)
+    return tick
 
 
 class WorldState:
@@ -237,9 +252,10 @@ class WorldState:
         self.mission_complete = False
         self.final_time: float | None = None
         self.events: list[dict] = []
-        self.trace: list[dict] | None = [] if config.keep_trace else None
         self.fold = MetricsFold()
-        self._trace_file = trace_file
+        self.lines: list[str] | None = [] if config.keep_trace else None  # the tick lines
+        self._write = None if trace_file is None else trace_file.write
+        self.tick = _tick_writer(self.fold.add_tick, self.lines, self._write)
         # the holders the conservation check last passed, as one key
         self._conserved: tuple | None = None
 
@@ -249,28 +265,17 @@ class WorldState:
         rec = {"t": t, "kind": kind, "detail": detail}
         self.events.append(rec)
         self.fold.add_event(kind, detail)
-        if self._trace_file is not None:
-            self._trace_file.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        if self._write is not None:
+            self._write(json.dumps(rec, separators=(",", ":")) + "\n")
 
     def record_tick(self):
-        """Fold the tick and record it in `trace` and the trace file."""
-        st = self.active
-        uav = st.uav_position
-        site = st.site_position
-        ugv = self.ugv_pos
-        self.fold.add_tick(self.clock, uav.x, uav.y, ugv.x, ugv.y, st.ordinal,
-                           site.x, site.y)
-        if self.trace is not None:
-            self.trace.append(_tick_record(self.clock, uav.x, uav.y, st.fuel, ugv.x, ugv.y,
-                                           st.ordinal, site.x, site.y, st.mode))
-        if self._trace_file is not None:
-            self._trace_file.write(_tick_line(self.clock, uav.x, uav.y, st.fuel, ugv.x, ugv.y,
-                                              st.ordinal, site.x, site.y, st.mode))
+        """Take the world's current tick through `tick`."""
+        st, ugv = self.active, self.ugv_pos
+        uav, site = st.uav_position, st.site_position
+        self.tick(self.clock, uav.x, uav.y, st.fuel, ugv.x, ugv.y, st.ordinal,
+                  site.x, site.y, st.mode)
 
     # -- helpers -----------------------------------------------------------
-
-    def all_processed(self) -> bool:
-        return len(self.done_ids) == len(self.trackers)
 
     def unprocessed_ids(self) -> list[int]:
         return sorted(tid for tid in self.trackers if tid not in self.done_ids)
@@ -363,7 +368,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
             elif arrival != "site":
                 break  # budget spent mid-path
             elif (not world.queue and not st.deferred and not world.carry
-                  and world.all_processed()
+                  and len(world.done_ids) == len(world.trackers)
                   and distance(st.site_position, world.scenario.depot) <= EPS_GEOM):
                 world.emit_event(t_now, "case", {"segment": st.ordinal, "case": int(st.case)})
                 world.mission_complete = True
@@ -412,10 +417,9 @@ def _refuel(world: WorldState, t_now: float):
         site, deferred_all, next_plan, world.scenario.depot, params,
         ordinal=st.ordinal + 1)
     world.carry = tuple(shed)
-    if modified:
-        world.emit_event(t_now, "case", {
-            "segment": st.ordinal + 1, "case": int(Case.SEGMENT_REPAIR),
-        })
+    if modified:  # the repaired segment's first case event; its final one follows
+        world.emit_event(t_now, "case", {"segment": st.ordinal + 1,
+                                         "case": int(Case.SEGMENT_REPAIR)})
     world.active = SegmentState.begin(new_plan, st.ordinal + 1,
                                       fuel=params.fuel_capacity)
 
@@ -498,8 +502,7 @@ def _coast(world: WorldState, limit: float) -> bool:
     i = bisect_right(arcs, arc) - 1
     a0, a1, v, w = arcs[i], arcs[i + 1], verts[i], verts[i + 1]
     edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
-    add_tick, trace, out = world.fold.add_tick, world.trace, world._trace_file
-    checked = cfg.check_invariants
+    tick, checked = world.tick, cfg.check_invariants
     while True:
         arc += d_step
         fuel -= budget
@@ -526,11 +529,7 @@ def _coast(world: WorldState, limit: float) -> bool:
         if checked:
             _put(world, arc, fuel, clock, goal if parked else Point2D(gx, gy))
             _check_invariants(world)
-        add_tick(clock, ux, uy, gx, gy, seg, qx, qy)
-        if trace is not None:
-            trace.append(_tick_record(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode))
-        if out is not None:
-            out.write(_tick_line(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode))
+        tick(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode)
         if not (clock < limit and next_arc - arc > margin):
             break
     _put(world, arc, fuel, clock, goal if parked else Point2D(gx, gy))
@@ -579,7 +578,7 @@ def run(scenario: Scenario, config: SimConfig | None = None,
         status=status,
         metrics=world.fold.result(),
         events=world.events,
-        trace=world.trace,
+        trace=None if world.lines is None else [_decode_line(line) for line in world.lines],
         unprocessed=world.unprocessed_ids(),
     )
 

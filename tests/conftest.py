@@ -81,3 +81,13 @@ def collinear_scenario() -> Scenario:
             Target(id=40, position=Point2D(40.0, 0.0), tau=0.0),
         ),
     )
+
+
+def tick_record(world) -> dict:
+    """A world's current tick as a trace record, built here from the world's
+    state apart from the simulator's own writer, with its keys in the trace
+    format's order: t, uav, fuel, ugv, seg, site, mode."""
+    st, ugv = world.active, world.ugv_pos
+    uav, site = st.uav_position, st.site_position
+    return {"t": world.clock, "uav": [uav.x, uav.y], "fuel": st.fuel, "ugv": [ugv.x, ugv.y],
+            "seg": st.ordinal, "site": [site.x, site.y], "mode": st.mode.value}

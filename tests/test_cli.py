@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fuelstring.cli import main
+from fuelstring.cli import _OpenOnWrite, main
 from fuelstring.scenario_io import (
     CostModel,
     emit_scenario,
@@ -13,6 +13,7 @@ from fuelstring.scenario_io import (
     parse_plan,
     parse_scenario,
 )
+from fuelstring.sim import fold_jsonl, metrics_to_text
 
 
 def write_scenario(path, tau=0.0, extra=None):
@@ -105,6 +106,19 @@ def test_simulate_writes_trace_and_metrics(tmp_path):
     assert lines
     for line in lines:
         json.loads(line)
+    # a sink that dropped or repeated a line would refold to other metrics
+    assert text == metrics_to_text(fold_jsonl(lines)) + "status = 'completed'\n"
+
+
+def test_trace_file_keeps_every_line_of_a_cached_write(tmp_path):
+    path = tmp_path / "t.jsonl"
+    trace = _OpenOnWrite(str(path))
+    write = trace.write  # bound once, as a run binds it
+    assert not path.exists()
+    write("a\n")
+    write("b\n")
+    trace.close()
+    assert path.read_text() == "a\nb\n"
 
 
 def test_simulate_stored_plan_matches_inline_planning(tmp_path):

@@ -3,10 +3,11 @@ be the one a step()-only engine gives, byte for byte."""
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
-from conftest import line_plan, line_scenario
+from conftest import line_plan, line_scenario, tick_record
 from fuelstring import sim
 from fuelstring.geometry import Point2D, Polyline
 from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
@@ -18,17 +19,21 @@ from fuelstring.sim import InvariantViolation, SimConfig, WorldState, run, step
 
 def _stepped(scenario, cfg, plan) -> list:
     """The reference: a WorldState driven tick by tick with step under
-    run's cap."""
+    run's cap.  Its tick records are built from the world after each tick,
+    apart from the simulator's writer, which must have kept their lines."""
     buf = io.StringIO()
     world = WorldState(scenario, plan, cfg, trace_file=buf)
     world.record_tick()
+    records = [tick_record(world)]
     cap = cfg.max_mission_time
     if cap is None:
         cap = 10.0 * plan.total_length / scenario.params.v_uav
     while not world.mission_complete and world.clock < cap - EPS_TIME:
         step(world)
+        records.append(tick_record(world))
+    assert world.lines == [json.dumps(r, separators=(",", ":")) + "\n" for r in records]
     status = "completed" if world.mission_complete else "timeout"
-    return _outputs(status, world.fold.result(), world.events, world.trace,
+    return _outputs(status, world.fold.result(), world.events, records,
                     world.unprocessed_ids(), buf)
 
 
@@ -199,6 +204,6 @@ def test_fault_inside_a_coast_reports_what_step_reports(mission, checked):
     assert str(got.value) == str(want.value)
     assert ("string invariant" if checked else "fuel exhausted in transit") in str(got.value)
     assert coasted_buf.getvalue() == stepped_buf.getvalue()
-    assert coasted.trace == stepped.trace
+    assert coasted.lines == stepped.lines
     assert (coasted.clock, coasted.ugv_pos, coasted.active.uav_arc, coasted.active.fuel) == (
         stepped.clock, stepped.ugv_pos, stepped.active.uav_arc, stepped.active.fuel)

@@ -8,7 +8,14 @@ import math
 
 import pytest
 
-from conftest import bend_plan, bend_scenario, collinear_scenario, line_plan, line_scenario
+from conftest import (
+    bend_plan,
+    bend_scenario,
+    collinear_scenario,
+    line_plan,
+    line_scenario,
+    tick_record,
+)
 from fuelstring.geometry import Point2D, step_toward
 from fuelstring.offline import PlanningError, plan_mission
 from fuelstring.online import Mode
@@ -166,7 +173,8 @@ def test_tick_line_matches_json_on_edge_floats(value):
     world.ugv_pos = Point2D(value, -value)
     world.active.fuel = value
     world.record_tick()
-    assert buf.getvalue() == _compact(world.trace[-1]) + "\n"
+    assert buf.getvalue() == _compact(tick_record(world)) + "\n"
+    assert world.lines == [buf.getvalue()]
     assert json.loads(buf.getvalue())["fuel"] == value
 
 
@@ -189,6 +197,25 @@ def test_repeat_runs_are_identical():
     assert a.metrics == b.metrics
     assert a.events == b.events
     assert json.dumps(a.trace) == json.dumps(b.trace)
+
+
+def test_case_events_count_a_repaired_segment_twice():
+    # mission 9000 of acceptance 7's recipe: 8 segments, 6 of them repaired.
+    # A repaired segment's case events are 5 at its activation, then its
+    # final case, so the histogram counts segments + case_5 events.
+    n = int(5 + SplitMix64(9000).next_u64() % 26)
+    sc = generate_scenario(n, seed=9000, cost_model=CostModel(
+        kind="uniform", low=0.0, high=25.0, seed=17))
+    rep = run(sc)
+    segments = rep.trace[-1]["seg"] + 1
+    cases = rep.segment_cases()
+    assert (segments, len(cases), rep.metrics["case_5"]) == (8, 14, 6)
+    assert sum(rep.case_histogram.values()) == segments + rep.metrics["case_5"]
+    assert [seg for seg, _ in cases] == sorted(seg for seg, _ in cases)
+    for seg in range(segments):
+        mine = [case for s, case in cases if s == seg]
+        assert mine[-1] != 5
+        assert mine[:-1] in ([], [5]), (seg, mine)
 
 
 def test_disabled_trace_still_folds_metrics():
@@ -499,8 +526,8 @@ def test_fold_counts_maximal_backtrack_episodes():
         (6, 5, 0, 3.0, 0, 1, 40.0, 0),  # new segment: no episode
         (7, 6, 0, 3.5, 0, 1, 39.5, 0),  # episode 3
     ]
-    for row in rows:
-        fold.add_tick(*row)
+    for t, ux, uy, gx, gy, seg, sx, sy in rows:
+        fold.add_tick(t, ux, uy, 50.0, gx, gy, seg, sx, sy, Mode.TRANSIT)
     m = fold.result()
     assert m["backtrack_episodes"] == 3
     assert math.isclose(m["uav_distance"], 6.0, abs_tol=1e-12)
