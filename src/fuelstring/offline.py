@@ -41,9 +41,7 @@ class Tour:
 class SegmentPlan:
     """One refuel-to-refuel leg.  The path runs from the previous refuel site
     to this segment's site; target_arcs locate this segment's targets on it.
-
-    Offline plans keep every target arc strictly inside (0, length); segments
-    rebuilt online may start directly on a deferred target (arc 0).
+    segment_violations states the rules a segment keeps.
     """
 
     index: int
@@ -270,49 +268,72 @@ def validate_plan(plan: MissionPlan, scenario: Scenario) -> ValidationReport:
                 f"but segment {a.index} ends at ({a.site.x:.6g}, {a.site.y:.6g})"))
 
     for seg in segs:
-        if seg.length > params.flight_range + EPS_GEOM:
-            v.append(Violation(
-                "over-length",
-                f"segment {seg.index} length {seg.length:.6g} exceeds "
-                f"flight range {params.flight_range:.6g}"))
-        gap = distance(seg.start, seg.site)
-        if gap > params.reach_radius + EPS_GEOM:
-            v.append(Violation(
-                "site-gap",
-                f"segment {seg.index} site gap {gap:.6g} exceeds "
-                f"reach radius {params.reach_radius:.6g}"))
-        prev = 0.0
-        for tid, arc in seg.target_arcs:
-            if not (EPS_GEOM < arc < seg.length - EPS_GEOM):
-                v.append(Violation(
-                    "target-arc",
-                    f"target {tid} at arc {arc:.6g} not strictly inside "
-                    f"segment {seg.index} (length {seg.length:.6g})"))
-            if arc <= prev + EPS_GEOM and prev > 0.0:
-                v.append(Violation(
-                    "target-order",
-                    f"target {tid} arc {arc:.6g} not strictly after previous "
-                    f"arc {prev:.6g} in segment {seg.index}"))
-            prev = arc
-            actual = positions.get(tid)
-            if actual is None:
-                continue  # reported once, as unknown-target, below
-            try:
-                at = seg.path.point_at_arc(arc)
-                if distance(at, actual) > 1e-6:
-                    v.append(Violation(
-                        "target-position",
-                        f"target {tid} arc {arc:.6g} maps to ({at.x:.6g}, {at.y:.6g}), "
-                        f"expected ({actual.x:.6g}, {actual.y:.6g})"))
-            except ValueError as exc:
-                v.append(Violation("target-position", f"target {tid}: {exc}"))
+        v += segment_violations(seg, params, positions)
 
     planned = Counter(plan.target_ids())
-    for t in sorted(t for t, count in planned.items() if count > 1):
-        v.append(Violation("duplicate-target", f"target {t} appears in more than one segment"))
+    for t, count in sorted(planned.items()):
+        if count > 1:
+            v.append(Violation("duplicate-target",
+                               f"target {t} appears {count} times in the plan"))
     for t in sorted(positions.keys() - planned.keys()):
         v.append(Violation("missing-target", f"target {t} not covered by any segment"))
     for t in sorted(planned.keys() - positions.keys()):
         v.append(Violation("unknown-target", f"plan references target {t} not in scenario"))
 
     return ValidationReport(violations=tuple(v))
+
+
+def segment_violations(seg: SegmentPlan, params: VehicleParams,
+                       positions: dict[int, Point2D], *,
+                       repaired: bool = False) -> list[Violation]:
+    """The segment contract: every rule one segment keeps on its own.
+
+    Its length is at most the flight range and its site gap (start to site)
+    at most the reach radius.  Each target arc lies strictly inside (0,
+    length), strictly after the previous one, and maps to the target's
+    position in positions (an id positions lacks is skipped).  A segment
+    that transfer_and_repair built (repaired=True) has two relaxations: it
+    may start on a deferred target (arc 0), and coincident targets may
+    share an arc, so its arcs need only be nondecreasing.  Lengths and arcs
+    are compared to EPS_GEOM, positions to 1e-6.
+    """
+    v: list[Violation] = []
+    if seg.length > params.flight_range + EPS_GEOM:
+        v.append(Violation(
+            "over-length",
+            f"segment {seg.index} length {seg.length:.6g} exceeds "
+            f"flight range {params.flight_range:.6g}"))
+    gap = distance(seg.start, seg.site)
+    if gap > params.reach_radius + EPS_GEOM:
+        v.append(Violation(
+            "site-gap",
+            f"segment {seg.index} site gap {gap:.6g} exceeds "
+            f"reach radius {params.reach_radius:.6g}"))
+    inside, order = ("inside", "before") if repaired else ("strictly inside", "not strictly after")
+    prev = -math.inf  # the first target has no previous arc
+    for tid, arc in seg.target_arcs:
+        past_start = arc >= 0.0 if repaired else arc > EPS_GEOM
+        if not (past_start and arc < seg.length - EPS_GEOM):
+            v.append(Violation(
+                "target-arc",
+                f"target {tid} at arc {arc:.6g} not {inside} "
+                f"segment {seg.index} (length {seg.length:.6g})"))
+        if (arc < prev) if repaired else (arc <= prev + EPS_GEOM and prev > 0.0):
+            v.append(Violation(
+                "target-order",
+                f"target {tid} arc {arc:.6g} {order} previous "
+                f"arc {prev:.6g} in segment {seg.index}"))
+        prev = arc
+        actual = positions.get(tid)
+        if actual is None:
+            continue  # validate_plan reports it once, as unknown-target
+        try:
+            at = seg.path.point_at_arc(arc)
+            if distance(at, actual) > 1e-6:
+                v.append(Violation(
+                    "target-position",
+                    f"target {tid} arc {arc:.6g} maps to ({at.x:.6g}, {at.y:.6g}), "
+                    f"expected ({actual.x:.6g}, {actual.y:.6g})"))
+        except ValueError as exc:
+            v.append(Violation("target-position", f"target {tid}: {exc}"))
+    return v

@@ -45,10 +45,10 @@ class Mode(enum.Enum):
 class SegmentState:
     """Live execution state of one segment.
 
-    pending holds (target id, arc) pairs not yet visited, nondecreasing by
-    arc (a repaired segment can hold equal arcs for coincident targets);
-    deferred collects targets pushed out of this segment, kept in original
-    visit order as (id, position) pairs ready to prefix the next segment.
+    pending holds (target id, arc) pairs not yet visited, on arcs that keep
+    offline.segment_violations' repaired rules; deferred collects targets
+    pushed out of this segment, kept in original visit order as (id,
+    position) pairs ready to prefix the next segment.
     Both are tuples, so a change to either binds a new object.  While
     processing, the UAV stands on the current target's arc, uav_arc.  case
     only rises: a drag of the site raises it to 2, a skip to 3, and an

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, distance
 from .model import EPS_FUEL, EPS_TIME, Scenario
-from .offline import MissionPlan, PlanningError, SegmentPlan, plan_mission, validate_plan
+from .offline import (MissionPlan, PlanningError, SegmentPlan, plan_mission,
+                      segment_violations, validate_plan)
 from .online import (
     Case,
     Mode,
@@ -399,7 +400,8 @@ def _complete(world: WorldState, target_id: int, t_now: float):
 
 def _refuel(world: WorldState, t_now: float):
     """Rendezvous reached: emit the finished segment's case, top the tank up,
-    and activate the next segment (rebuilt around deferred targets)."""
+    and activate the next segment (rebuilt around deferred targets), checked
+    against the segment contract when check_invariants is set."""
     st = world.active
     params = world.params
     site = st.site_position
@@ -422,6 +424,11 @@ def _refuel(world: WorldState, t_now: float):
                                          "case": int(Case.SEGMENT_REPAIR)})
     world.active = SegmentState.begin(new_plan, st.ordinal + 1,
                                       fuel=params.fuel_capacity)
+    if world.config.check_invariants:
+        positions = {t.id: t.position for t in world.scenario.targets}
+        broken = segment_violations(new_plan, params, positions, repaired=True)
+        if broken:
+            world.fault(f"{broken[0].kind}: {broken[0].message}")
 
 
 def _check_invariants(world: WorldState):

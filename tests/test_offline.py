@@ -15,9 +15,11 @@ from fuelstring.offline import (
     MissionPlan,
     PlanningError,
     SegmentPlan,
+    Violation,
     _two_opt,
     build_tour,
     plan_mission,
+    segment_violations,
     split_tour,
     validate_plan,
 )
@@ -303,8 +305,15 @@ def test_validator_flags_duplicate_and_unknown_targets():
                       target_arcs=((7, 10.0),))
     seg2 = SegmentPlan(index=1, path=Polyline([Point2D(20, 0), Point2D(0, 0)]),
                        target_arcs=((7, 10.0),))
-    kinds = {v.kind for v in validate_plan(MissionPlan(segments=(seg, seg2)), sc).violations}
-    assert "duplicate-target" in kinds
+    violations = validate_plan(MissionPlan(segments=(seg, seg2)), sc).violations
+    assert Violation("duplicate-target", "target 7 appears 2 times in the plan") in violations
+
+    # listed twice in one segment: the count is over the plan, not segments
+    twice = SegmentPlan(index=0, path=Polyline([Point2D(0, 0), Point2D(40, 0), Point2D(0, 0)]),
+                        target_arcs=((7, 10.0), (7, 70.0)))
+    violations = validate_plan(MissionPlan(segments=(twice,)), sc).violations
+    assert [v for v in violations if v.kind == "duplicate-target"] == [
+        Violation("duplicate-target", "target 7 appears 2 times in the plan")]
 
     seg3 = SegmentPlan(index=1, path=Polyline([Point2D(20, 0), Point2D(0, 0)]),
                        target_arcs=((99, 10.0),))
@@ -312,6 +321,53 @@ def test_validator_flags_duplicate_and_unknown_targets():
     assert "unknown-target" in {v.kind for v in violations}
     # the unknown id is named once, not also as a failed position lookup
     assert [v.kind for v in violations if "99" in v.message] == ["unknown-target"]
+
+
+def test_validator_reports_every_segment_rule_in_order():
+    # segment 0 breaks each per-segment rule once: its length and site gap,
+    # target 1 at arc 0 (also off its position), target 2 off its position,
+    # target 3 before target 2, and target 4 past the end of the path
+    P = Point2D
+    sc = Scenario(world=World(80.0, 50.0), depot=P(0.0, 0.0), params=VehicleParams(),
+                  targets=(Target(id=1, position=P(5.0, 0.0), tau=0.0),
+                           Target(id=2, position=P(20.0, 5.0), tau=0.0),
+                           Target(id=3, position=P(10.0, 0.0), tau=0.0),
+                           Target(id=4, position=P(70.0, 0.0), tau=0.0)))
+    plan = MissionPlan(segments=(
+        SegmentPlan(index=0, path=Polyline([P(0, 0), P(60, 0)]),
+                    target_arcs=((1, 0.0), (2, 20.0), (3, 10.0), (4, 70.0))),
+        SegmentPlan(index=1, path=Polyline([P(60, 0), P(0, 0)])),
+    ))
+    assert validate_plan(plan, sc).describe() == (
+        "over-length: segment 0 length 60 exceeds flight range 50\n"
+        "site-gap: segment 0 site gap 60 exceeds reach radius 25\n"
+        "target-arc: target 1 at arc 0 not strictly inside segment 0 (length 60)\n"
+        "target-position: target 1 arc 0 maps to (0, 0), expected (5, 0)\n"
+        "target-position: target 2 arc 20 maps to (20, 0), expected (20, 5)\n"
+        "target-order: target 3 arc 10 not strictly after previous arc 20 in segment 0\n"
+        "target-arc: target 4 at arc 70 not strictly inside segment 0 (length 60)\n"
+        "target-position: target 4: arc 70.0 outside [0, 60.0]\n"
+        "over-length: segment 1 length 60 exceeds flight range 50\n"
+        "site-gap: segment 1 site gap 60 exceeds reach radius 25")
+
+
+def test_repaired_segment_may_start_on_a_target_and_share_arcs():
+    P = Point2D
+    params = VehicleParams()
+    positions = {1: P(0.0, 0.0), 2: P(10.0, 0.0), 3: P(10.0, 0.0)}
+    seg = SegmentPlan(index=3, path=Polyline([P(0, 0), P(20, 0)]),
+                      target_arcs=((1, 0.0), (2, 10.0), (3, 10.0)))
+    assert segment_violations(seg, params, positions, repaired=True) == []
+    assert [v.kind for v in segment_violations(seg, params, positions)] == [
+        "target-arc", "target-order"]
+
+    # a decreasing arc, or one at the site, breaks the repaired rules too
+    back = SegmentPlan(index=3, path=seg.path, target_arcs=((2, 10.0), (1, 0.0)))
+    assert segment_violations(back, params, positions, repaired=True) == [
+        Violation("target-order", "target 1 arc 0 before previous arc 10 in segment 3")]
+    end = SegmentPlan(index=3, path=Polyline([P(0, 0), P(10, 0)]), target_arcs=((2, 10.0),))
+    assert segment_violations(end, params, positions, repaired=True) == [
+        Violation("target-arc", "target 2 at arc 10 not inside segment 3 (length 10)")]
 
 
 def test_empty_plan_is_rejected():

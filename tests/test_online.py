@@ -14,7 +14,7 @@ from fuelstring.geometry import (
     farthest_site_arc,
 )
 from fuelstring.model import VehicleParams
-from fuelstring.offline import PlanningError, SegmentPlan
+from fuelstring.offline import PlanningError, SegmentPlan, segment_violations
 from fuelstring.online import (
     Case,
     Mode,
@@ -432,6 +432,7 @@ def test_repair_matches_rethreading_reference():
     families = ["mixed"] * 140 + ["start"] * 30 + ["tail"] * 50 + ["lone"] * 40 + ["empty"] * 20
     seen = {"shed": 0, "trimmed": 0, "out_and_back": 0, "start": 0,
             "infeasible": 0, "no site": 0}
+    shared = 0  # plans whose coincident targets share an arc past 0
     for seed, family in enumerate(families):
         args = repair_case(1000 + seed, family)
         try:
@@ -444,6 +445,22 @@ def test_repair_matches_rethreading_reference():
             continue
         plan, shed, modified = transfer_and_repair(*args, ordinal=4)
         ref_plan, ref_shed, ref_modified, out_and_back = want
+        # the repaired plan keeps the segment contract, with the repaired
+        # relaxations, against the positions it was handed
+        _, deferred, next_plan, _, params = args
+        positions = dict(deferred)
+        if next_plan is not None:
+            positions.update((tid, next_plan.path.point_at_arc(arc))
+                             for tid, arc in next_plan.target_arcs)
+        assert segment_violations(plan, params, positions, repaired=True) == [], (seed, family)
+        arcs = [arc for _, arc in plan.target_arcs]
+        offline_kinds = {v.kind for v in segment_violations(plan, params, positions)}
+        if 0.0 in arcs:  # a target at the start, which the offline rules reject
+            assert "target-arc" in offline_kinds, (seed, family)
+            seen["start"] += 1
+        if any(0.0 < a == b for a, b in zip(arcs, arcs[1:])):  # and so is a shared arc
+            assert "target-order" in offline_kinds, (seed, family)
+            shared += 1
         assert plan.index == ref_plan.index
         assert plan.path.vertices == ref_plan.path.vertices, (seed, family)
         assert plan.path.cumulative_arc == ref_plan.path.cumulative_arc, (seed, family)
@@ -452,8 +469,8 @@ def test_repair_matches_rethreading_reference():
         seen["shed"] += bool(shed)
         seen["trimmed"] += modified and not shed and not out_and_back
         seen["out_and_back"] += out_and_back
-        seen["start"] += any(arc == 0.0 for _, arc in plan.target_arcs)
     assert all(count >= 5 for count in seen.values()), seen
+    assert shared == 2, shared  # cases 41 and 114
 
 
 def test_segment_case_only_rises():

@@ -442,6 +442,28 @@ def test_uav_docks_at_the_ugv_arrival_mid_tick(monkeypatch):
     assert math.isclose(7.015 - tick["ugv"][0], 0.5 * (0.05 - 0.03), abs_tol=1e-9)
 
 
+def test_checked_refuel_holds_the_next_segment_to_the_contract(monkeypatch):
+    # a repair that returns a 40 + 44.7 m leg for a 50 m tank faults at the
+    # refuel that activates it, before the UAV flies it
+    from fuelstring import sim
+    from fuelstring.geometry import Polyline
+    from fuelstring.offline import SegmentPlan
+
+    repairs = []
+
+    def too_long(start, deferred, next_plan, depot, params, ordinal):
+        repairs.append(start)
+        path = Polyline([start, Point2D(20.0, 40.0), depot])
+        return SegmentPlan(index=ordinal, path=path), [], False
+
+    monkeypatch.setattr(sim, "transfer_and_repair", too_long)
+    with pytest.raises(InvariantViolation,
+                       match=r"^over-length: segment 1 length 84\.7214 exceeds flight "
+                             r"range 50 \[t=19\.95 seg=1 mode=transit uav_arc=0 fuel=50 "):
+        run(line_scenario(0.0), SimConfig(check_invariants=True), plan=line_plan())
+    assert repairs == [Point2D(20.0, 0.0)]
+
+
 def test_reach_holds_on_the_way_to_rendezvous_after_abandon():
     _checked_generated_run(22, 9414)
 
