@@ -10,7 +10,6 @@ one outcome Case it has risen to so far.
 """
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -20,8 +19,9 @@ from .model import EPS_TIME, VehicleParams
 from .offline import PlanningError, SegmentPlan
 
 
-class Case(enum.IntEnum):
-    """Segment outcome classes, in escalating order of disruption."""
+class Case:
+    """Segment outcome classes, in escalating order of disruption: the ints
+    a `case` event writes."""
 
     NO_REPLAN = 1            # slack covered all processing, site never moved
     BACKTRACK_ALL_VISITED = 2  # site moved but every target still got visited
@@ -30,11 +30,9 @@ class Case(enum.IntEnum):
     SEGMENT_REPAIR = 5       # rebuilt segment exceeded the tank and was trimmed
 
 
-# bound once: the drag test runs on every taut processing tick
-_DRAGGED = Case.BACKTRACK_ALL_VISITED
+class Mode:
+    """What the UAV is doing: the strings a tick line's `mode` writes."""
 
-
-class Mode(enum.Enum):
     TRANSIT = "transit"
     PROCESSING = "processing"
     TO_RENDEZVOUS = "to_rendezvous"
@@ -62,8 +60,8 @@ class SegmentState:
     site_arc: float = 0.0
     pending: tuple[tuple[int, float], ...] = ()
     current: int | None = None
-    mode: Mode = Mode.TRANSIT
-    case: Case = Case.NO_REPLAN
+    mode: str = Mode.TRANSIT
+    case: int = Case.NO_REPLAN
     site_arc_seen: float = 0.0  # low-water mark; backtracking is one-way
     deferred: tuple[tuple[int, Point2D], ...] = ()
     # the last point computed for each arc, keyed on the arc's value so that
@@ -130,9 +128,10 @@ def on_transit_tick(state: SegmentState, fuel_budget: float,
 
     Stops exactly at the next pending target or the site, whichever comes
     first, and reports ("target" | "site") so the caller can split the tick
-    there.  The site never backtracks in transit.
+    there.  An abandonment empties pending, so on the way to the rendezvous
+    the next stop is the site.  The site never backtracks in transit.
     """
-    if state.mode is Mode.TRANSIT and state.pending:
+    if state.pending:
         next_arc = state.pending[0][1]
         kind = "target"
     else:
@@ -167,8 +166,8 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
     state.fuel -= fuel_used
     skipped_now: list[int] = []
     new_site = backtrack_site(state, state.fuel, params)
-    if new_site < state.site_arc - EPS_GEOM and state.case < _DRAGGED:
-        state.case = _DRAGGED
+    if new_site < state.site_arc - EPS_GEOM and state.case < Case.BACKTRACK_ALL_VISITED:
+        state.case = Case.BACKTRACK_ALL_VISITED
     state.site_arc = new_site
     if new_site < state.site_arc_seen:
         state.site_arc_seen = new_site

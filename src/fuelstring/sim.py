@@ -49,9 +49,6 @@ METRIC_KEYS = (
 )
 
 
-# Each mode's JSON string, as tick lines write it.
-_MODE_JSON = {m: json.dumps(m.value) for m in Mode}
-
 # Bounds a run's work.  The largest tick count in the default sweep grid and
 # the generated mission corpora at dt 0.05 is 45,775, about 1/218 of this.
 MAX_TICKS = 10_000_000
@@ -210,9 +207,10 @@ def _tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> str:
     ":")) gives for {"t", "uav": [x, y], "fuel", "ugv": [x, y], "seg", "site":
     [x, y], "mode"}.  The JSON encoder writes each finite float and int with
     its repr, as this does.  Every value here is finite, because each input is
-    checked where it enters (World, VehicleParams, Polyline, SimConfig)."""
+    checked where it enters (World, VehicleParams, Polyline, SimConfig).  Each
+    mode is one of Mode's strings, which need no escape."""
     return (f'{{"t":{t!r},"uav":[{ux!r},{uy!r}],"fuel":{fuel!r},"ugv":[{gx!r},{gy!r}],'
-            f'"seg":{seg!r},"site":[{sx!r},{sy!r}],"mode":{_MODE_JSON[mode]}}}\n')
+            f'"seg":{seg!r},"site":[{sx!r},{sy!r}],"mode":"{mode}"}}\n')
 
 
 def _tick_writer(add_tick, lines, write):
@@ -251,7 +249,6 @@ class WorldState:
         self.ugv_pos = scenario.depot
         self.carry: tuple[tuple[int, Point2D], ...] = ()
         self.mission_complete = False
-        self.final_time: float | None = None
         self.events: list[dict] = []
         self.fold = MetricsFold()
         self.lines: list[str] | None = [] if config.keep_trace else None  # the tick lines
@@ -284,7 +281,7 @@ class WorldState:
     def fault(self, message: str):
         st = self.active
         raise InvariantViolation(
-            f"{message} [t={self.clock:.6g} seg={st.ordinal} mode={st.mode.value} "
+            f"{message} [t={self.clock:.6g} seg={st.ordinal} mode={st.mode} "
             f"uav_arc={st.uav_arc:.6g} fuel={st.fuel:.6g} site_arc={st.site_arc:.6g} "
             f"ugv=({self.ugv_pos.x:.6g}, {self.ugv_pos.y:.6g})]")
 
@@ -296,8 +293,7 @@ def step(world: WorldState):
     t0 = world.clock
 
     t_ugv = _uav_phase(world, t0, dt)
-    if world.mission_complete:
-        world.clock = world.final_time
+    if world.mission_complete:  # the clock already holds the landing instant
         world.record_tick()
         return
 
@@ -354,7 +350,20 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
                 })
             if done:
                 _complete(world, target_id, t_now)
-        elif st.mode in (Mode.TRANSIT, Mode.TO_RENDEZVOUS):
+        elif st.mode is Mode.WAIT:
+            # hover until the UGV, driving straight at the site from where it
+            # stands at offset t_ugv, arrives there, or to the tick end
+            elapsed = dt - t_rem
+            t_dock = t_ugv + distance(world.ugv_pos, st.site_position) / params.v_ugv
+            t_end = dt if t_dock > dt else elapsed if t_dock < elapsed else t_dock
+            st.fuel -= params.burn_rate * (t_end - elapsed)
+            if st.fuel < -EPS_FUEL:
+                world.fault("fuel exhausted hovering at refuel site")
+            t_rem = dt - t_end
+            if t_dock <= dt + EPS_TIME:
+                world.ugv_pos, t_ugv = st.site_position, t_end
+                _refuel(world, t0 + t_end)
+        else:  # transit or to_rendezvous
             budget = params.burn_rate * t_rem
             used, arrival = on_transit_tick(st, budget, params)
             if st.fuel < -EPS_FUEL:
@@ -371,24 +380,11 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
             elif (not world.queue and not st.deferred and not world.carry
                   and len(world.done_ids) == len(world.trackers)
                   and distance(st.site_position, world.scenario.depot) <= EPS_GEOM):
-                world.emit_event(t_now, "case", {"segment": st.ordinal, "case": int(st.case)})
+                world.emit_event(t_now, "case", {"segment": st.ordinal, "case": st.case})
                 world.mission_complete = True
-                world.final_time = t_now
+                world.clock = t_now
             else:
                 st.mode = Mode.WAIT  # a parked UGV makes the hover zero-length
-        elif st.mode is Mode.WAIT:
-            # hover until the UGV, driving straight at the site from where it
-            # stands at offset t_ugv, arrives there, or to the tick end
-            elapsed = dt - t_rem
-            t_dock = t_ugv + distance(world.ugv_pos, st.site_position) / params.v_ugv
-            t_end = dt if t_dock > dt else elapsed if t_dock < elapsed else t_dock
-            st.fuel -= params.burn_rate * (t_end - elapsed)
-            if st.fuel < -EPS_FUEL:
-                world.fault("fuel exhausted hovering at refuel site")
-            t_rem = dt - t_end
-            if t_dock <= dt + EPS_TIME:
-                world.ugv_pos, t_ugv = st.site_position, t_end
-                _refuel(world, t0 + t_end)
     return t_ugv
 
 
@@ -405,7 +401,7 @@ def _refuel(world: WorldState, t_now: float):
     st = world.active
     params = world.params
     site = st.site_position
-    world.emit_event(t_now, "case", {"segment": st.ordinal, "case": int(st.case)})
+    world.emit_event(t_now, "case", {"segment": st.ordinal, "case": st.case})
     world.emit_event(t_now, "refuel", {
         "segment": st.ordinal,
         "site": [site.x, site.y],
@@ -421,7 +417,7 @@ def _refuel(world: WorldState, t_now: float):
     world.carry = tuple(shed)
     if modified:  # the repaired segment's first case event; its final one follows
         world.emit_event(t_now, "case", {"segment": st.ordinal + 1,
-                                         "case": int(Case.SEGMENT_REPAIR)})
+                                         "case": Case.SEGMENT_REPAIR})
     world.active = SegmentState.begin(new_plan, st.ordinal + 1,
                                       fuel=params.fuel_capacity)
     if world.config.check_invariants:
@@ -493,7 +489,7 @@ def _coast(world: WorldState, limit: float) -> bool:
     budget = params.burn_rate * dt
     d_step = budget / params.fuel_per_meter
     margin = d_step + EPS_GEOM
-    next_arc = st.pending[0][1] if mode is Mode.TRANSIT and st.pending else st.site_arc
+    next_arc = st.pending[0][1] if st.pending else st.site_arc
     arc, clock = st.uav_arc, world.clock
     # a tick of EPS_TIME or less is no quiet tick: step's UAV phase skips it
     if not (clock < limit and next_arc - arc > margin and dt > EPS_TIME):

@@ -90,4 +90,4 @@ def tick_record(world) -> dict:
     st, ugv = world.active, world.ugv_pos
     uav, site = st.uav_position, st.site_position
     return {"t": world.clock, "uav": [uav.x, uav.y], "fuel": st.fuel, "ugv": [ugv.x, ugv.y],
-            "seg": st.ordinal, "site": [site.x, site.y], "mode": st.mode.value}
+            "seg": st.ordinal, "site": [site.x, site.y], "mode": st.mode}

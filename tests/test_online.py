@@ -40,7 +40,7 @@ def test_begin_loads_full_segment():
     assert st.uav_arc == 0.0
     assert st.site_arc == 20.0
     assert st.pending == ((1, 10.0),)
-    assert st.mode is Mode.TRANSIT
+    assert st.mode == Mode.TRANSIT
     assert st.string_gap() == 20.0
     assert st.site_position == P(20.0, 0.0)
     assert st.uav_position == P(0.0, 0.0)
@@ -71,7 +71,7 @@ def test_transit_stops_exactly_on_the_target():
     used, arrival = on_transit_tick(st, 1.0, DEFAULT_PARAMS)
     assert (used, arrival) == (0.5, "target")
     assert st.uav_arc == 10.0 and st.fuel == 40.0
-    assert st.mode is Mode.PROCESSING
+    assert st.mode == Mode.PROCESSING
     assert st.current == 1
     assert st.pending == ()
 
@@ -91,10 +91,10 @@ def test_processing_drags_site_and_defers_passed_targets():
     assert st.fuel == 28.0
 
     assert on_processing_tick(st, 10.0, False, DEFAULT_PARAMS) == []
-    assert st.site_arc == 20.0 and st.case is Case.NO_REPLAN  # still slack
+    assert st.site_arc == 20.0 and st.case == Case.NO_REPLAN  # still slack
 
     assert on_processing_tick(st, 4.0, False, DEFAULT_PARAMS) == []
-    assert st.site_arc == 16.0 and st.case is Case.BACKTRACK_ALL_VISITED  # taut, dragging
+    assert st.site_arc == 16.0 and st.case == Case.BACKTRACK_ALL_VISITED  # taut, dragging
 
     skipped = on_processing_tick(st, 2.0, False, DEFAULT_PARAMS)
     assert skipped == [2]  # site at 14 passed the pending target at 15
@@ -103,8 +103,8 @@ def test_processing_drags_site_and_defers_passed_targets():
     assert st.deferred == ((2, P(7.0, 4.0)),)
 
     assert on_processing_tick(st, 0.0, True, DEFAULT_PARAMS) == []
-    assert st.mode is Mode.TRANSIT and st.current is None
-    assert st.case is Case.BACKTRACK_SKIP
+    assert st.mode == Mode.TRANSIT and st.current is None
+    assert st.case == Case.BACKTRACK_SKIP
 
 
 def test_processing_defers_a_passed_suffix_of_equal_arcs():
@@ -128,7 +128,7 @@ def test_processing_defers_a_passed_suffix_of_equal_arcs():
     assert on_processing_tick(st, EPS_GEOM, False, DEFAULT_PARAMS) == [2, 3]
     assert st.pending == ()
     assert st.deferred == ((2, P(8.0, 0.0)), (3, P(8.0, 0.0)), (4, P(12.0, 0.0)))
-    assert st.case is Case.BACKTRACK_SKIP
+    assert st.case == Case.BACKTRACK_SKIP
 
 
 def test_cached_points_follow_their_arcs():
@@ -188,14 +188,14 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
     assert ugv_reachable(P(17.5, 0), st.site_position, st.fuel, DEFAULT_PARAMS)
     deferred = check_abandonment(st, P(17.5, 0), 0.05, 0.05, DEFAULT_PARAMS)
     assert deferred == [1]
-    assert st.mode is Mode.TO_RENDEZVOUS
-    assert st.case is Case.ABANDON_RENDEZVOUS and st.current is None
+    assert st.mode == Mode.TO_RENDEZVOUS
+    assert st.case == Case.ABANDON_RENDEZVOUS and st.current is None
     assert st.deferred == ((1, P(10.0, 0.0)),)
 
     # a slightly closer ground vehicle keeps the margin
     st = processing_state(5.0)
     assert check_abandonment(st, P(17.3, 0), 0.05, 0.05, DEFAULT_PARAMS) is None
-    assert st.mode is Mode.PROCESSING
+    assert st.mode == Mode.PROCESSING
 
     # imminent fuel exhaustion forces the call even with the UGV on site
     st = processing_state(0.04)
@@ -477,20 +477,37 @@ def test_segment_case_only_rises():
     # bend segment: target 1 at arc 2, target 2 at arc 15, site at 20
     st = SegmentState.begin(bend_plan().segments[0], ordinal=0, fuel=30.0)
     on_transit_tick(st, 2.0, DEFAULT_PARAMS)
-    assert st.case is Case.NO_REPLAN
+    assert st.case == Case.NO_REPLAN
     on_processing_tick(st, 10.0, False, DEFAULT_PARAMS)  # slack: the site stays
-    assert st.case is Case.NO_REPLAN
+    assert st.case == Case.NO_REPLAN
     on_processing_tick(st, 4.0, False, DEFAULT_PARAMS)  # drags the site to 16
-    assert st.case is Case.BACKTRACK_ALL_VISITED
+    assert st.case == Case.BACKTRACK_ALL_VISITED
     on_processing_tick(st, 1.0, False, DEFAULT_PARAMS)  # a second drag, to 15
-    assert st.site_arc == 15.0 and st.case is Case.BACKTRACK_ALL_VISITED
+    assert st.site_arc == 15.0 and st.case == Case.BACKTRACK_ALL_VISITED
     assert on_processing_tick(st, 1.0, False, DEFAULT_PARAMS) == [2]  # to 14, past 15
-    assert st.case is Case.BACKTRACK_SKIP
+    assert st.case == Case.BACKTRACK_SKIP
     on_processing_tick(st, 1.0, False, DEFAULT_PARAMS)  # a later drag, to 13
-    assert st.site_arc == 13.0 and st.case is Case.BACKTRACK_SKIP
+    assert st.site_arc == 13.0 and st.case == Case.BACKTRACK_SKIP
 
     # the UGV far out of reach: the lookahead abandons the current target,
     # deferred where the UAV stands on its arc
     assert check_abandonment(st, P(40.0, 40.0), 0.05, 0.05, DEFAULT_PARAMS) == [1]
-    assert st.case is Case.ABANDON_RENDEZVOUS
+    assert st.case == Case.ABANDON_RENDEZVOUS
     assert st.deferred == ((1, P(2.0, 0.0)), (2, P(7.0, 4.0)))
+
+
+def test_abandonment_clears_pending_so_the_next_stop_is_the_site():
+    # bend segment: target 1 at arc 2, target 2 at arc 15, site at 20.  The
+    # UAV abandons at target 1 with target 2 still pending ahead; pending
+    # alone picks the next stop, so the abandonment must empty it
+    st = SegmentState.begin(bend_plan().segments[0], ordinal=0, fuel=30.0)
+    assert on_transit_tick(st, 2.0, DEFAULT_PARAMS) == (2.0, "target")
+    assert st.current == 1 and st.pending == ((2, 15.0),)
+    assert check_abandonment(st, P(40.0, 40.0), 0.05, 0.05, DEFAULT_PARAMS) == [1, 2]
+    assert st.mode == Mode.TO_RENDEZVOUS and st.current is None
+    assert st.pending == ()
+    assert st.deferred == ((1, P(2.0, 0.0)), (2, P(7.0, 4.0)))
+    used, arrival = on_transit_tick(st, 1e6, DEFAULT_PARAMS)
+    assert arrival == "site"
+    assert st.uav_arc == st.site_arc == 20.0
+    assert used == 18.0
