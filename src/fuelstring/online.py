@@ -44,9 +44,9 @@ class SegmentState:
     """Live execution state of one segment.
 
     pending holds (target id, arc) pairs not yet visited, on arcs that keep
-    offline.segment_violations' repaired rules; deferred collects targets
-    pushed out of this segment, kept in original visit order as (id,
-    position) pairs ready to prefix the next segment.
+    offline.segment_violations' repaired rules; deferred holds (id, position)
+    pairs to prefix the next segment: those the repair shed when this segment
+    began, with each skip or abandonment prefixing the targets it pushes out.
     Both are tuples, so a change to either binds a new object.  While
     processing, the UAV stands on the current target's arc, uav_arc.  case
     only rises: a drag of the site raises it to 2, a skip to 3, and an
@@ -72,16 +72,16 @@ class SegmentState:
         default=(math.nan, None), init=False, repr=False, compare=False)
 
     @classmethod
-    def begin(cls, plan: SegmentPlan, ordinal: int, fuel: float) -> SegmentState:
+    def begin(cls, plan: SegmentPlan, ordinal: int, fuel: float,
+              deferred: tuple[tuple[int, Point2D], ...] = ()) -> SegmentState:
         return cls(
             plan=plan,
             ordinal=ordinal,
-            uav_arc=0.0,
             fuel=fuel,
             site_arc=plan.length,
             site_arc_seen=plan.length,
             pending=plan.target_arcs,
-            mode=Mode.TRANSIT,
+            deferred=deferred,
         )
 
     @property
@@ -102,6 +102,13 @@ class SegmentState:
 
     def string_gap(self) -> float:
         return self.site_arc - self.uav_arc
+
+
+def _defer(state: SegmentState, pairs: tuple[tuple[int, float], ...]) -> list[int]:
+    """Prefix (id, arc) pairs to state.deferred as (id, position); return the ids."""
+    path = state.plan.path
+    state.deferred = tuple((tid, path.point_at_arc(arc)) for tid, arc in pairs) + state.deferred
+    return [tid for tid, _ in pairs]
 
 
 def backtrack_site(state: SegmentState, fuel: float, params: VehicleParams) -> float:
@@ -179,11 +186,8 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
         k = len(pending) - 1
         while k and pending[k - 1][1] > cut:
             k -= 1
-        passed = pending[k:]
         state.pending = pending[:k]
-        group = tuple((tid, state.plan.path.point_at_arc(arc)) for tid, arc in passed)
-        state.deferred = group + state.deferred
-        skipped_now = [tid for tid, _ in passed]
+        skipped_now = _defer(state, pending[k:])
         # only an abandonment, which ends processing, rises above a skip
         state.case = Case.BACKTRACK_SKIP
     if done:
@@ -217,14 +221,12 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
         if site_next_pos is not site_pos:
             state._site_cache = (site_next, site_next_pos)
         return None
-    head = ((state.current, state.uav_position),)
-    body = tuple((tid, state.plan.path.point_at_arc(arc)) for tid, arc in state.pending)
-    state.deferred = head + body + state.deferred
+    deferred_now = _defer(state, ((state.current, state.uav_arc),) + state.pending)
     state.pending = ()
     state.current = None
     state.case = Case.ABANDON_RENDEZVOUS
     state.mode = Mode.TO_RENDEZVOUS
-    return [tid for tid, _ in head + body]
+    return deferred_now
 
 
 def transfer_and_repair(start: Point2D,
@@ -240,7 +242,8 @@ def transfer_and_repair(start: Point2D,
     (or to a bare run back to the depot when none remains).  If the result
     does not fit one tank, or its site lies beyond reach of start, where the
     UGV stands, the terminal site is walked back along the path; targets past
-    any feasible site are shed, last first, onto the following segment.
+    any feasible site are shed, last first.  The shed targets start the next
+    segment's deferred, so they prefix the segment after it.
     When even a single target cannot head toward the terminal, the leg
     gives up on the terminal entirely and doubles back toward its start.
     Returns (plan, shed targets, whether anything had to change).

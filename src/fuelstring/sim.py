@@ -62,7 +62,7 @@ class TickLimitError(ValueError):
     """The mission time cap divided by dt exceeds MAX_TICKS."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     dt: float = 0.05
     max_mission_time: float | None = None  # None: 10x offline flight time
@@ -240,14 +240,12 @@ class WorldState:
         self.config = config
         self.clock = 0.0
         self.trackers = {t.id: TargetTracker(t.tau) for t in scenario.targets}
-        self.target_ids = frozenset(self.trackers)
         # the holders of target ids are immutable: a change binds a new object
         self.done_ids: frozenset[int] = frozenset()  # grows at each "complete" event
         self.queue: tuple[SegmentPlan, ...] = tuple(plan.segments[1:])
         self.active = SegmentState.begin(plan.segments[0], 0,
                                          fuel=self.params.fuel_capacity)
         self.ugv_pos = scenario.depot
-        self.carry: tuple[tuple[int, Point2D], ...] = ()
         self.mission_complete = False
         self.events: list[dict] = []
         self.fold = MetricsFold()
@@ -377,7 +375,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
                     _complete(world, target_id, t_now)
             elif arrival != "site":
                 break  # budget spent mid-path
-            elif (not world.queue and not st.deferred and not world.carry
+            elif (not world.queue and not st.deferred
                   and len(world.done_ids) == len(world.trackers)
                   and distance(st.site_position, world.scenario.depot) <= EPS_GEOM):
                 world.emit_event(t_now, "case", {"segment": st.ordinal, "case": st.case})
@@ -408,18 +406,16 @@ def _refuel(world: WorldState, t_now: float):
         "fuel": params.fuel_capacity,
     })
 
-    deferred_all = st.deferred + world.carry
     next_plan = world.queue[0] if world.queue else None
     world.queue = world.queue[1:]
     new_plan, shed, modified = transfer_and_repair(
-        site, deferred_all, next_plan, world.scenario.depot, params,
+        site, st.deferred, next_plan, world.scenario.depot, params,
         ordinal=st.ordinal + 1)
-    world.carry = tuple(shed)
     if modified:  # the repaired segment's first case event; its final one follows
         world.emit_event(t_now, "case", {"segment": st.ordinal + 1,
                                          "case": Case.SEGMENT_REPAIR})
     world.active = SegmentState.begin(new_plan, st.ordinal + 1,
-                                      fuel=params.fuel_capacity)
+                                      fuel=params.fuel_capacity, deferred=tuple(shed))
     if world.config.check_invariants:
         positions = {t.id: t.position for t in world.scenario.targets}
         broken = segment_violations(new_plan, params, positions, repaired=True)
@@ -445,26 +441,26 @@ def _check_invariants(world: WorldState):
         world.fault("pending targets while heading to rendezvous")
     if not ugv_reachable(world.ugv_pos, st.site_position, st.fuel, params):
         world.fault("refuel site out of ground-vehicle reach")
-    # every target is held exactly once (pending, current, deferred, carried
-    # or queued) or done, never both.  The verdict reads only the key, whose
-    # items are all immutable, so an equal key holds the same ids and is
-    # judged again only when a holder has changed.
-    key = (st.pending, st.current, st.deferred, world.carry, world.queue, world.done_ids)
+    # every target is held exactly once (pending, current, deferred, which
+    # starts with the repair's sheds, or queued) or done, never both.  The
+    # verdict reads only the key, whose items are all immutable, so an equal
+    # key holds the same ids and is judged again only when a holder changed.
+    key = (st.pending, st.current, st.deferred, world.queue, world.done_ids)
     if key != world._conserved:
-        pending, current, deferred, carry, queue, done = key
+        pending, current, deferred, queue, done = key
         held = [tid for tid, _ in pending]
         if current is not None:
             held.append(current)
         held += [tid for tid, _ in deferred]
-        held += [tid for tid, _ in carry]
         held += [tid for seg in queue for tid, _ in seg.target_arcs]
         ids = set(held)
-        if len(ids) != len(held) or not ids.isdisjoint(done) or ids | done != world.target_ids:
+        known = world.trackers.keys()
+        if len(ids) != len(held) or not ids.isdisjoint(done) or ids | done != known:
             twice = sorted({tid for tid in held if held.count(tid) > 1})
             world.fault(f"target conservation broken: held twice={twice} "
                         f"held and done={sorted(ids & done)} "
-                        f"missing={sorted(world.target_ids - ids - done)} "
-                        f"unknown={sorted(ids - world.target_ids)}")
+                        f"missing={sorted(known - ids - done)} "
+                        f"unknown={sorted(ids - known)}")
         world._conserved = key
 
 

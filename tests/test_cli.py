@@ -6,6 +6,7 @@ import time
 import pytest
 
 from fuelstring.cli import _OpenOnWrite, main
+from fuelstring.offline import PlanningError
 from fuelstring.scenario_io import (
     CostModel,
     emit_scenario,
@@ -13,7 +14,7 @@ from fuelstring.scenario_io import (
     parse_plan,
     parse_scenario,
 )
-from fuelstring.sim import fold_jsonl, metrics_to_text
+from fuelstring.sim import fold_jsonl, metrics_to_text, run
 
 
 def write_scenario(path, tau=0.0, extra=None):
@@ -159,6 +160,24 @@ def test_validate_flags_corrupt_plan(tmp_path, capsys):
     pp.write_text(json.dumps(doc))
     assert main(["validate", "--scenario", str(sp), "--plan", str(pp)]) == 2
     assert "depot" in capsys.readouterr().out
+
+
+def test_simulate_refuses_a_plan_that_does_not_end_at_the_depot(tmp_path, capsys):
+    sp = write_scenario(tmp_path / "s.json")
+    pp = tmp_path / "p.json"
+    assert main(["plan", "--scenario", str(sp), "--plan-out", str(pp)]) == 0
+    doc = json.loads(pp.read_text())
+    doc["segments"] = doc["segments"][:-1]
+    pp.write_text(json.dumps(doc))
+    refusal = "invalid mission plan:\nend: last segment does not end at the depot"
+    with pytest.raises(PlanningError) as exc:
+        run(parse_scenario(sp.read_text()), plan=parse_plan(pp.read_text()))
+    assert str(exc.value).startswith(refusal)
+    trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.txt"
+    assert main(["simulate", "--scenario", str(sp), "--plan", str(pp),
+                 "--trace-out", str(trace), "--metrics-out", str(metrics)]) == 1
+    assert capsys.readouterr().err.startswith("error: " + refusal)
+    assert not trace.exists() and not metrics.exists()
 
 
 def test_bad_scenario_file_exits_1(tmp_path, capsys):

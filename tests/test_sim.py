@@ -118,6 +118,14 @@ def test_config_rejects_bad_numbers(field, bad):
         SimConfig(**{field: bad})
 
 
+def test_config_is_frozen():
+    # a dt assigned after construction would skip the check above, and a
+    # negative one would run the clock backward below the time cap forever
+    cfg = SimConfig(keep_trace=False)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.dt = -0.05
+
+
 def test_kept_progress_lets_oversized_jobs_finish():
     # progress carries across visits: 60 fuel of processing cannot finish in
     # one tank, so the target is abandoned once and finished on the next visit
@@ -229,13 +237,27 @@ def test_invariant_checks_catch_corrupted_state():
     world = WorldState(line_scenario(25.0), line_plan(),
                        SimConfig(check_invariants=True))
     world.active.fuel = -1.0
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="fuel exhausted in transit"):
         step(world)
 
     world = WorldState(line_scenario(25.0), line_plan(),
                        SimConfig(check_invariants=True))
     world.active.fuel = 3.0  # cannot span the 20 arc to the site
     with pytest.raises(InvariantViolation, match="string invariant"):
+        step(world)
+
+    world = WorldState(line_scenario(25.0), line_plan(),
+                       SimConfig(check_invariants=True))
+    st = world.active
+    st.pending, st.mode, st.uav_arc = (), Mode.WAIT, st.site_arc + 1.0
+    world.ugv_pos = Point2D(0.0, 40.0)
+    with pytest.raises(InvariantViolation, match="^uav ahead of its refuel site"):
+        step(world)
+
+    world = WorldState(line_scenario(25.0), line_plan(),
+                       SimConfig(check_invariants=True))
+    world.active.mode = Mode.TO_RENDEZVOUS
+    with pytest.raises(InvariantViolation, match="^pending targets while heading to rendezvous"):
         step(world)
 
 
@@ -247,6 +269,17 @@ def test_invariant_checks_catch_forward_site_motion():
     world.active.site_arc_seen = world.active.site_arc - 1.0
     with pytest.raises(InvariantViolation, match="site moved forward"):
         step(world)
+
+
+def test_processing_past_an_empty_tank_faults(monkeypatch):
+    # with the abandonment lookahead off, 100 fuel of processing at arc 10
+    # drains the 50 tank: 5 s out, then 20 s of burn at 2 per second
+    from fuelstring import sim
+
+    monkeypatch.setattr(sim, "check_abandonment", lambda *args: None)
+    with pytest.raises(InvariantViolation,
+                       match=r"^processing target 1 would exhaust fuel \[t=25 "):
+        run(line_scenario(100.0), plan=line_plan())
 
 
 def _collinear_world() -> WorldState:
@@ -276,7 +309,7 @@ def test_conservation_catches_done_target_back_in_pending():
 def test_conservation_catches_target_held_twice():
     world = _collinear_world()
     assert world.active.pending[0][0] == 10
-    world.carry += ((10, Point2D(10.0, 0.0)),)
+    world.active.deferred += ((10, Point2D(10.0, 0.0)),)
     with pytest.raises(InvariantViolation, match="target conservation"):
         step(world)
 
@@ -309,21 +342,16 @@ def _corrupt_deferred(world, done):
     world.active.deferred = _swap_first(world.active.deferred, done)
 
 
-def _corrupt_carry(world, done):
-    world.carry = _swap_first(world.carry, done)
-
-
 def _corrupt_done(world, done):
-    world.done_ids = world.done_ids - {done} | {world.carry[0][0]}
+    world.done_ids = world.done_ids - {done} | {world.active.deferred[0][0]}
 
 
 @pytest.mark.parametrize("ready, corrupt", [
     (lambda w: w.queue and w.queue[0].target_arcs, _corrupt_queue),
     (lambda w: w.active.pending, _corrupt_pending),
     (lambda w: w.active.deferred, _corrupt_deferred),
-    (lambda w: w.carry, _corrupt_carry),
-    (lambda w: w.carry, _corrupt_done),
-], ids=["queue", "pending", "deferred", "carry", "done"])
+    (lambda w: w.active.deferred, _corrupt_done),
+], ids=["queue", "pending", "deferred", "done"])
 def test_conservation_catches_each_holder_with_a_warm_memo(ready, corrupt):
     # two checked ticks with the holder non-empty and a target done put the
     # live holders in the memo; one done id then replaces a held one (or the
@@ -347,11 +375,38 @@ def test_target_holders_stay_immutable_through_a_repairing_mission():
         step(world)
         st = world.active
         assert type(st.pending) is tuple and type(st.deferred) is tuple, world.clock
-        assert type(world.carry) is tuple and type(world.queue) is tuple, world.clock
-        assert type(world.done_ids) is frozenset, world.clock
+        assert type(world.queue) is tuple and type(world.done_ids) is frozenset, world.clock
     assert len(world.done_ids) == 8
     metrics = world.fold.result()
     assert (metrics["case_3"], metrics["case_4"], metrics["case_5"]) == (1, 3, 6)
+
+
+def test_shed_targets_start_the_next_segments_deferred(monkeypatch):
+    # each refuel's shed targets are the new segment's whole deferred, and the
+    # segment's own skips and abandonments go before them: the next repair's
+    # deferred ends with them
+    from fuelstring import sim
+
+    sheds = []  # each repair's shed targets
+    repair, refuel = sim.transfer_and_repair, sim._refuel
+
+    def repair_spy(start, deferred, *args, **kwargs):
+        last = sheds[-1] if sheds else ()
+        assert deferred[len(deferred) - len(last):] == last
+        plan, shed, modified = repair(start, deferred, *args, **kwargs)
+        sheds.append(tuple(shed))
+        return plan, shed, modified
+
+    def refuel_spy(world, t_now):
+        refuel(world, t_now)
+        assert world.active.deferred == sheds[-1]
+
+    monkeypatch.setattr(sim, "transfer_and_repair", repair_spy)
+    monkeypatch.setattr(sim, "_refuel", refuel_spy)
+    world = _mission_9000_world()
+    while not world.mission_complete:
+        step(world)
+    assert sum(1 for shed in sheds if shed) == 5
 
 
 def test_checks_leave_generated_traces_byte_identical():
