@@ -59,7 +59,7 @@ def run_cell(n_targets: int, fuel_capacity: float, speed_ratio: float,
             n_targets, seed=seed, params=params,
             cost_model=CostModel(kind="uniform", low=0.0, high=20.0,
                                  seed=seed + 1))
-        report = run(scenario, SimConfig(dt=sweep.dt, keep_trace=False))
+        report = run(scenario, SimConfig(dt=sweep.dt))
         return CellResult(n_targets, fuel_capacity, speed_ratio, seed,
                           report.status, report.metrics)
     except (PlanningError, InvariantViolation, ValueError) as exc:

@@ -101,7 +101,7 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = parse_scenario(_read(args.scenario), seed_override=args.seed)
     plan = parse_plan(_read(args.plan)) if args.plan else None
-    cfg = SimConfig(dt=args.dt, keep_trace=False)
+    cfg = SimConfig(dt=args.dt)
     trace = _OpenOnWrite(args.trace_out) if args.trace_out else None
     try:
         report = run(scenario, cfg, plan=plan, trace_file=trace)

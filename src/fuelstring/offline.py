@@ -10,7 +10,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc
+from .geometry import (EPS_GEOM, SITE_STEP_BACK, Point2D, Polyline, distance,
+                       farthest_site_arc)
 from .model import Scenario, VehicleParams
 
 
@@ -218,9 +219,10 @@ def split_tour(tour: Tour, params: VehicleParams) -> MissionPlan:
                                  tour.path.point_at_arc(a_prev), reach, target_arcs)
         if best is None:
             raise PlanningError(
-                f"cannot place a refuel site after arc {a_prev:.6g}: no arc "
-                f"within range {max_len:.6g} is inside reach radius {reach:.6g}"
-            )
+                f"cannot place a refuel site after arc {a_prev:.6g}: no arc more than "
+                f"EPS_GEOM {EPS_GEOM:g} past it and within range {max_len:.6g} lies "
+                f"inside reach radius {reach:.6g} once a site on a target steps back "
+                f"SITE_STEP_BACK {SITE_STEP_BACK:g}")
         cuts.append(best)
 
     segments = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .geometry import EPS_GEOM, Point2D, distance
 from .model import EPS_FUEL, EPS_TIME, Scenario
@@ -67,9 +67,11 @@ class SimConfig:
     dt: float = 0.05
     max_mission_time: float | None = None  # None: 10x offline flight time
     check_invariants: bool = False
-    keep_trace: bool = True
+    keep_trace: InitVar[bool] = False  # only so perfbench's keep_trace argument still builds
 
-    def __post_init__(self):
+    def __post_init__(self, keep_trace):
+        if keep_trace:
+            raise ValueError("keep_trace is gone: pass run a trace_file sink to keep the trace")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.max_mission_time is not None and not 0 < self.max_mission_time < math.inf:
@@ -182,7 +184,6 @@ class RunReport:
     status: str
     metrics: dict
     events: list[dict]
-    trace: list[dict] | None  # the run's tick lines, decoded; None unless kept
     unprocessed: list[int] = field(default_factory=list)
 
     @property
@@ -213,20 +214,15 @@ def _tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> str:
             f'"seg":{seg!r},"site":[{sx!r},{sy!r}],"mode":"{mode}"}}\n')
 
 
-def _tick_writer(add_tick, lines, write):
-    """The one call that takes each tick's record: add_tick itself if no line
-    is kept or written, else add_tick and one _tick_line to lines and write."""
-    if lines is None and write is None:
+def _tick_writer(add_tick, write):
+    """The one call that takes each tick's record: add_tick itself without a
+    sink, else add_tick and one _tick_line to write."""
+    if write is None:
         return add_tick
-    keep = None if lines is None else lines.append
 
     def tick(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode):
         add_tick(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode)
-        line = _tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode)
-        if keep is not None:
-            keep(line)
-        if write is not None:
-            write(line)
+        write(_tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode))
     return tick
 
 
@@ -249,9 +245,8 @@ class WorldState:
         self.mission_complete = False
         self.events: list[dict] = []
         self.fold = MetricsFold()
-        self.lines: list[str] | None = [] if config.keep_trace else None  # the tick lines
         self._write = None if trace_file is None else trace_file.write
-        self.tick = _tick_writer(self.fold.add_tick, self.lines, self._write)
+        self.tick = _tick_writer(self.fold.add_tick, self._write)
         # the holders the conservation check last passed, as one key
         self._conserved: tuple | None = None
 
@@ -577,7 +572,6 @@ def run(scenario: Scenario, config: SimConfig | None = None,
         status=status,
         metrics=world.fold.result(),
         events=world.events,
-        trace=None if world.lines is None else [_decode_line(line) for line in world.lines],
         unprocessed=world.unprocessed_ids(),
     )
 

@@ -12,6 +12,9 @@ Three fixed geometries cover most tests:
 """
 from __future__ import annotations
 
+import io
+
+from fuelstring import sim
 from fuelstring.geometry import Point2D, Polyline
 from fuelstring.model import Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, SegmentPlan
@@ -91,3 +94,18 @@ def tick_record(world) -> dict:
     uav, site = st.uav_position, st.site_position
     return {"t": world.clock, "uav": [uav.x, uav.y], "fuel": st.fuel, "ugv": [ugv.x, ugv.y],
             "seg": st.ordinal, "site": [site.x, site.y], "mode": st.mode}
+
+
+def traced_run(scenario, config=None, plan=None, sink=None):
+    """run() with a trace sink, a fresh StringIO unless one is given.
+    Returns the report and the sink's tick records.  Every line is decoded
+    with the simulator's own decoder; the event lines must decode to the
+    report's events."""
+    sink = io.StringIO() if sink is None else sink
+    rep = sim.run(scenario, config, plan=plan, trace_file=sink)
+    ticks, events = [], []
+    for line in sink.getvalue().splitlines():
+        rec = sim._decode_line(line)
+        (events if "kind" in rec else ticks).append(rec)
+    assert events == rep.events
+    return rep, ticks

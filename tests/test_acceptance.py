@@ -33,6 +33,7 @@ from conftest import (
     collinear_scenario,
     line_plan,
     line_scenario,
+    traced_run,
 )
 from test_offline import brute_force_tour_length
 
@@ -72,7 +73,7 @@ def test_01_baseline_segment_matches_closed_form():
 
 def test_02_taut_string_drags_site_exactly_once():
     """5 units of overrun pull the rendezvous from (20,0) to (15,0)."""
-    rep = run(line_scenario(35.0), SimConfig(), plan=line_plan())
+    rep, trace = traced_run(line_scenario(35.0), SimConfig(), line_plan())
     assert rep.status == "completed"
     assert rep.metrics["backtrack_episodes"] == 1
     ref = events(rep, "refuel")[0]
@@ -80,9 +81,9 @@ def test_02_taut_string_drags_site_exactly_once():
     assert math.dist((sx, sy), (15.0, 0.0)) <= 2.0 * DT + EPS  # v_uav * dt
     # tank runs dry exactly at the dragged site: the last tick before the
     # top-up may hold at most one tick of burn
-    pre = [r for r in rep.trace if r["t"] < ref["t"] - EPS]
+    pre = [r for r in trace if r["t"] < ref["t"] - EPS]
     assert 0.0 - EPS <= pre[-1]["fuel"] <= BURN * DT + EPS
-    assert exact_arrival(rep.trace, "uav", [sx, sy]) == pytest.approx(25.0, abs=DT)
+    assert exact_arrival(trace, "uav", [sx, sy]) == pytest.approx(25.0, abs=DT)
 
 
 def test_03_costly_target_skipped_and_finished_next_segment():
@@ -103,14 +104,14 @@ def test_03_costly_target_skipped_and_finished_next_segment():
 
 def test_04_doomed_chase_abandoned_at_the_break_even_tick():
     """String goes taut at t=20; 2.5 s later the catch-up race is lost."""
-    rep = run(line_scenario(60.0), SimConfig(), plan=line_plan())
+    rep, trace = traced_run(line_scenario(60.0), SimConfig(), line_plan())
     ab = events(rep, "abandon")[0]
     assert ab["t"] == pytest.approx(22.5, abs=DT + EPS)
     site = ab["detail"]["site"]
     assert math.dist(site, (15.0, 0.0)) <= 2.0 * DT + EPS
     # both vehicles reach the frozen rendezvous within one tick of each other
-    t_uav = exact_arrival(rep.trace, "uav", site)
-    t_ugv = exact_arrival((r for r in rep.trace if r["t"] >= ab["t"] - EPS),
+    t_uav = exact_arrival(trace, "uav", site)
+    t_ugv = exact_arrival((r for r in trace if r["t"] >= ab["t"] - EPS),
                           "ugv", site)
     assert t_uav is not None and t_ugv is not None
     assert abs(t_uav - t_ugv) <= DT + EPS
@@ -175,7 +176,7 @@ def test_07_invariants_hold_across_random_missions():
             cost_model=CostModel(kind="uniform", low=0.0, high=25.0,
                                  seed=17 + i))
         try:
-            rep = run(sc, SimConfig(keep_trace=False, check_invariants=True))
+            rep = run(sc, SimConfig(check_invariants=True))
         except PlanningError as exc:
             # a diagnosed dead end must name the stuck target
             assert "infeasible" in str(exc)
@@ -196,8 +197,7 @@ def test_07_invariants_hold_across_random_missions():
 def test_08_reruns_byte_identical_and_dt_refinement_stable():
     def trace_bytes(scenario, plan, dt):
         buf = io.StringIO()
-        run(scenario, SimConfig(dt=dt, keep_trace=False), plan=plan,
-            trace_file=buf)
+        run(scenario, SimConfig(dt=dt), plan=plan, trace_file=buf)
         return buf.getvalue().encode()
 
     goldens = [
@@ -208,8 +208,8 @@ def test_08_reruns_byte_identical_and_dt_refinement_stable():
     ]
     for sc, plan in goldens:
         assert trace_bytes(sc, plan, DT) == trace_bytes(sc, plan, DT)
-        coarse = run(sc, SimConfig(dt=DT, keep_trace=False), plan=plan)
-        fine = run(sc, SimConfig(dt=DT / 2, keep_trace=False), plan=plan)
+        coarse = run(sc, SimConfig(dt=DT), plan=plan)
+        fine = run(sc, SimConfig(dt=DT / 2), plan=plan)
         assert coarse.segment_cases() == fine.segment_cases()
 
 

@@ -16,7 +16,7 @@ from fuelstring.batch import (
 from fuelstring.geometry import Point2D
 from fuelstring.model import Scenario, Target, VehicleParams, World
 from fuelstring.scenario_io import CostModel, generate_scenario
-from fuelstring.sim import METRIC_KEYS, SimConfig, run
+from fuelstring.sim import METRIC_KEYS, run
 
 
 def small_sweep(**kw) -> SweepConfig:
@@ -70,7 +70,7 @@ def test_zero_processing_cost_never_replans():
                                    fuel_per_meter=1.0)
             sc = generate_scenario(n, seed=1, params=params, cost_model=CostModel(
                 kind="uniform", low=0.0, high=0.0, seed=2))
-            rep = run(sc, SimConfig(keep_trace=False))
+            rep = run(sc)
             assert rep.status == "completed"
             assert rep.metrics["abandonments"] == 0
             assert rep.metrics["targets_deferred"] == 0
@@ -143,7 +143,7 @@ def test_collinear_abandonments_monotone_in_speed_ratio():
     for tau, expect in ((0.0, (0, 0, 0)), (20.0, (3, 3, 1))):
         counts = []
         for ratio in (0.2, 0.5, 1.0):
-            rep = run(collinear_family(tau, ratio), SimConfig(keep_trace=False))
+            rep = run(collinear_family(tau, ratio))
             assert rep.completed
             counts.append(rep.metrics["abandonments"])
         assert tuple(counts) == expect
@@ -153,7 +153,7 @@ def test_collinear_abandonments_monotone_in_speed_ratio():
 def test_collinear_mission_time_shrinks_with_faster_support():
     times = []
     for ratio in (0.2, 0.5, 1.0):
-        rep = run(collinear_family(0.0, ratio), SimConfig(keep_trace=False))
+        rep = run(collinear_family(0.0, ratio))
         assert rep.status == "completed"
         times.append(rep.metrics["mission_time"])
     assert times == sorted(times, reverse=True)

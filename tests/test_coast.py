@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from conftest import line_plan, line_scenario, tick_record
+from conftest import line_plan, line_scenario, tick_record, traced_run
 from fuelstring import sim
 from fuelstring.geometry import Point2D, Polyline
 from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
@@ -20,7 +20,7 @@ from fuelstring.sim import InvariantViolation, SimConfig, WorldState, run, step
 def _stepped(scenario, cfg, plan) -> list:
     """The reference: a WorldState driven tick by tick with step under
     run's cap.  Its tick records are built from the world after each tick,
-    apart from the simulator's writer, which must have kept their lines."""
+    apart from the simulator's writer, which must have written their lines."""
     buf = io.StringIO()
     world = WorldState(scenario, plan, cfg, trace_file=buf)
     world.record_tick()
@@ -31,7 +31,10 @@ def _stepped(scenario, cfg, plan) -> list:
     while not world.mission_complete and world.clock < cap - EPS_TIME:
         step(world)
         records.append(tick_record(world))
-    assert world.lines == [json.dumps(r, separators=(",", ":")) + "\n" for r in records]
+    # only an event line has a "kind" key
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert [line for line in lines if '"kind":' not in line] == [
+        json.dumps(r, separators=(",", ":")) + "\n" for r in records]
     status = "completed" if world.mission_complete else "timeout"
     return _outputs(status, world.fold.result(), world.events, records,
                     world.unprocessed_ids(), buf)
@@ -54,10 +57,10 @@ def _assert_run_matches_steps(scenario, cfg, plan) -> int:
     buf = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "step", counted)
-        rep = run(scenario, cfg, plan=plan, trace_file=buf)
-    got = _outputs(rep.status, rep.metrics, rep.events, rep.trace, rep.unprocessed, buf)
+        rep, trace = traced_run(scenario, cfg, plan, sink=buf)
+    got = _outputs(rep.status, rep.metrics, rep.events, trace, rep.unprocessed, buf)
     assert got == _stepped(scenario, cfg, plan)
-    return len(rep.trace) - 1 - len(calls)  # ticks after the first record, less step's
+    return len(trace) - 1 - len(calls)  # ticks after the first record, less step's
 
 
 def _acceptance7(i: int) -> Scenario:
@@ -105,7 +108,7 @@ def test_sweep_cells_match_the_stepped_engine(ratio, ugv):
         sc = _sweep_cell(10, ratio, seed)
         plan = _planned(sc)
         assert _assert_run_matches_steps(sc, SimConfig(), plan) > 0
-        kinds |= _quiet_ugv_kinds(run(sc, plan=plan).trace)
+        kinds |= _quiet_ugv_kinds(traced_run(sc, plan=plan)[1])
     assert ugv in kinds
 
 
@@ -125,16 +128,15 @@ def test_time_cap_inside_a_coast_matches_the_stepped_engine():
     # a generated mission: the cap lands on a quiet tick in mid-mission
     sc = _acceptance7(0)
     plan = plan_mission(sc)
-    full = run(sc, plan=plan)
+    full, trace = traced_run(sc, plan=plan)
     events = {e["t"] for e in full.events}
-    trace = full.trace
     j = next(j for j in range(len(trace) // 2, len(trace) - 1)
              if trace[j - 1]["mode"] == trace[j]["mode"] == trace[j + 1]["mode"] == "transit"
              and trace[j - 1]["seg"] == trace[j + 1]["seg"]
              and not any(trace[j - 1]["t"] < t <= trace[j + 1]["t"] for t in events))
     cfg = SimConfig(max_mission_time=trace[j]["t"])
     assert _assert_run_matches_steps(sc, cfg, plan) > 0
-    assert run(sc, cfg, plan=plan).trace == trace[:j + 1]
+    assert traced_run(sc, cfg, plan)[1] == trace[:j + 1]
 
 
 def _dyadic_scenario() -> Scenario:
@@ -164,7 +166,7 @@ def test_ticks_landing_exactly_on_vertices_and_stops_match(checked):
     assert plan.segments[0].path.cumulative_arc == (0.0, 7.0, 15.0, 23.0)
     sc = _dyadic_scenario()
     assert _assert_run_matches_steps(sc, SimConfig(dt=0.25, check_invariants=checked), plan) > 0
-    trace = run(sc, SimConfig(dt=0.25), plan=plan).trace
+    trace = traced_run(sc, SimConfig(dt=0.25), plan)[1]
     assert {"t": 3.5, "uav": [0.3, 0.0]}.items() <= trace[14].items()
     assert (trace[29]["mode"], trace[30]["mode"]) == ("transit", "processing")
 
@@ -204,6 +206,5 @@ def test_fault_inside_a_coast_reports_what_step_reports(mission, checked):
     assert str(got.value) == str(want.value)
     assert ("string invariant" if checked else "fuel exhausted in transit") in str(got.value)
     assert coasted_buf.getvalue() == stepped_buf.getvalue()
-    assert coasted.lines == stepped.lines
     assert (coasted.clock, coasted.ugv_pos, coasted.active.uav_arc, coasted.active.fuel) == (
         stepped.clock, stepped.ugv_pos, stepped.active.uav_arc, stepped.active.fuel)

@@ -31,6 +31,8 @@ from fuelstring import (
 from fuelstring.geometry import distance
 from fuelstring.rng import SplitMix64
 
+from conftest import traced_run
+
 RELABEL_MISSIONS = 60
 MIRROR_MISSIONS = 60
 SCALE_MISSIONS = 6
@@ -94,12 +96,12 @@ def scale_mismatch(i: int, k: float) -> str | None:
     or None when every record of the scaled trace is exactly the scaled
     record."""
     sc = mission(i)
-    base, other = run(sc), run(scaled(sc, k))
-    for line, (want, got) in enumerate(zip(base.trace, other.trace)):
+    (_, base), (_, other) = traced_run(sc), traced_run(scaled(sc, k))
+    for line, (want, got) in enumerate(zip(base, other)):
         if scale_record(want, k) != got:
             return f"mission {9000 + i}, k={k}, record {line}: {want} -> {got}"
-    if len(base.trace) != len(other.trace):
-        return f"mission {9000 + i}, k={k}: {len(base.trace)} -> {len(other.trace)} records"
+    if len(base) != len(other):
+        return f"mission {9000 + i}, k={k}: {len(base)} -> {len(other)} records"
     return None
 
 
@@ -116,7 +118,7 @@ def test_relabelled_targets_give_the_same_plan():
 
 def test_mirrored_mission_gives_the_same_outcomes():
     """Equal segment-outcome sequences and mission_time equal to rounding."""
-    cfg = sim.SimConfig(keep_trace=False)
+    cfg = sim.SimConfig()
     for i in range(MIRROR_MISSIONS):
         sc = mission(i)
         base, other = run(sc, cfg), run(mirrored(sc), cfg)
@@ -142,8 +144,7 @@ def trace_lines(sc: Scenario, plan, cap: float | None = None) -> list[str]:
     the time cap or a repair that finds a target infeasible."""
     buf = io.StringIO()
     try:
-        run(sc, sim.SimConfig(keep_trace=False, max_mission_time=cap), plan=plan,
-            trace_file=buf)
+        run(sc, sim.SimConfig(max_mission_time=cap), plan=plan, trace_file=buf)
     except PlanningError:
         pass
     return buf.getvalue().splitlines()

@@ -212,6 +212,26 @@ def test_split_refuses_a_plan_of_too_many_segments():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("x, fuel_per_meter, arc", [
+    # range 5e-7 against reach 2.5e-5: the window after the last cut holds
+    # only the target's own arc, and its step back falls behind the cut
+    (1e-3, 1e8, "0.0009995"),
+    # range 5e-11 against reach 2.5e-9: no window is wider than EPS_GEOM
+    (5e-9, 1e12, "0"),
+])
+def test_split_names_the_limits_that_leave_no_site(x, fuel_per_meter, arc):
+    sc = Scenario(world=World(1.0, 1.0), depot=Point2D(0.0, 0.0),
+                  params=VehicleParams(v_ugv=100.0, fuel_per_meter=fuel_per_meter),
+                  targets=(Target(id=1, position=Point2D(x, 0.0), tau=0.0),))
+    assert sc.params.reach_radius > sc.params.flight_range
+    with pytest.raises(PlanningError, match=(
+            rf"^cannot place a refuel site after arc {arc}: no arc more than EPS_GEOM "
+            rf"1e-09 past it and within range {sc.params.flight_range:g} lies inside "
+            rf"reach radius {sc.params.reach_radius:g} once a site on a target steps "
+            rf"back SITE_STEP_BACK 1e-06$")):
+        plan_mission(sc)
+
+
 def test_sites_never_land_on_targets():
     for seed in (3, 11, 27):
         sc = generate_scenario(9, seed=seed)

@@ -15,6 +15,7 @@ from conftest import (
     line_plan,
     line_scenario,
     tick_record,
+    traced_run,
 )
 from fuelstring.geometry import Point2D, step_toward
 from fuelstring.offline import PlanningError, plan_mission
@@ -24,6 +25,7 @@ from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import (
     InvariantViolation,
     MetricsFold,
+    RunReport,
     SimConfig,
     TargetTracker,
     WorldState,
@@ -82,13 +84,13 @@ def test_uav_hovers_until_ground_vehicle_arrives():
     # the UAV reaches (14, 0) at 7 s with 36 fuel and hovers, burning 2 per
     # second; the UGV's 14 m drive at 1 m/s ends at 14 s, and the refuel
     # happens then, with 36 - 2 * 7 = 22 left
-    rep = run(line_scenario(0.0), SimConfig(check_invariants=True), plan=plan)
+    rep, trace = traced_run(line_scenario(0.0), SimConfig(check_invariants=True), plan)
     assert rep.completed
     refuels = [e for e in rep.events if e["kind"] == "refuel"]
     assert len(refuels) == 1
     assert math.isclose(refuels[0]["t"], 14.0, abs_tol=1e-9)
 
-    by_t = {round(r["t"], 4): r for r in rep.trace}
+    by_t = {round(r["t"], 4): r for r in trace}
     assert by_t[7.0]["mode"] == "wait"
     assert math.isclose(by_t[13.95]["fuel"], 22.1, abs_tol=1e-9)
     assert by_t[14.0]["fuel"] == 50.0  # tick records post-refuel state
@@ -121,9 +123,19 @@ def test_config_rejects_bad_numbers(field, bad):
 def test_config_is_frozen():
     # a dt assigned after construction would skip the check above, and a
     # negative one would run the clock backward below the time cap forever
-    cfg = SimConfig(keep_trace=False)
+    cfg = SimConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.dt = -0.05
+
+
+def test_config_has_three_fields_and_refuses_a_kept_trace():
+    # a run's trace leaves it through run(trace_file=...) alone
+    assert [f.name for f in dataclasses.fields(SimConfig)] == [
+        "dt", "max_mission_time", "check_invariants"]
+    assert SimConfig(keep_trace=False) == SimConfig()
+    with pytest.raises(ValueError, match="trace_file"):
+        SimConfig(keep_trace=True)
+    assert "trace" not in {f.name for f in dataclasses.fields(RunReport)}
 
 
 def test_kept_progress_lets_oversized_jobs_finish():
@@ -137,12 +149,12 @@ def test_kept_progress_lets_oversized_jobs_finish():
 
 def test_trace_stream_matches_memory_and_refolds():
     buf = io.StringIO()
-    rep = run(bend_scenario(), plan=bend_plan(), trace_file=buf)
+    rep, trace = traced_run(bend_scenario(), plan=bend_plan(), sink=buf)
     lines = buf.getvalue().splitlines()
     records = [json.loads(line) for line in lines]
     ticks = [r for r in records if "kind" not in r]
     events = [r for r in records if "kind" in r]
-    assert ticks == rep.trace
+    assert ticks == trace
     assert events == rep.events
     # metrics are a pure fold over the stream: refolding reproduces them
     assert fold_jsonl(lines) == rep.metrics
@@ -164,14 +176,14 @@ def test_trace_lines_are_compact_json_of_their_records():
         except PlanningError:
             continue
         buf = io.StringIO()
-        rep = run(sc, SimConfig(keep_trace=True), plan=plan, trace_file=buf)
-        ticks, events = iter(rep.trace), iter(rep.events)
+        rep, trace = traced_run(sc, plan=plan, sink=buf)
+        ticks, events = iter(trace), iter(rep.events)
         lines = buf.getvalue().splitlines()
         for k, line in enumerate(lines):
             rec = next(events) if "kind" in json.loads(line) else next(ticks)
             assert line == _compact(rec), f"mission {9000 + i}, line {k}"
         assert next(ticks, None) is None and next(events, None) is None
-        assert len(lines) == len(rep.trace) + len(rep.events)
+        assert len(lines) == len(trace) + len(rep.events)
 
 
 @pytest.mark.parametrize("value", [-0.0, 25.0, 1e-17, 1e16, 0.1 + 0.2, 7])
@@ -182,7 +194,6 @@ def test_tick_line_matches_json_on_edge_floats(value):
     world.active.fuel = value
     world.record_tick()
     assert buf.getvalue() == _compact(tick_record(world)) + "\n"
-    assert world.lines == [buf.getvalue()]
     assert json.loads(buf.getvalue())["fuel"] == value
 
 
@@ -200,11 +211,11 @@ def test_fold_jsonl_reads_json_lines_like_json_loads():
 
 
 def test_repeat_runs_are_identical():
-    a = run(bend_scenario(), SimConfig(check_invariants=True), plan=bend_plan())
-    b = run(bend_scenario(), SimConfig(check_invariants=True), plan=bend_plan())
+    a, a_trace = traced_run(bend_scenario(), SimConfig(check_invariants=True), bend_plan())
+    b, b_trace = traced_run(bend_scenario(), SimConfig(check_invariants=True), bend_plan())
     assert a.metrics == b.metrics
     assert a.events == b.events
-    assert json.dumps(a.trace) == json.dumps(b.trace)
+    assert json.dumps(a_trace) == json.dumps(b_trace)
 
 
 def test_case_events_count_a_repaired_segment_twice():
@@ -215,7 +226,7 @@ def test_case_events_count_a_repaired_segment_twice():
     sc = generate_scenario(n, seed=9000, cost_model=CostModel(
         kind="uniform", low=0.0, high=25.0, seed=17))
     rep = run(sc)
-    segments = rep.trace[-1]["seg"] + 1
+    segments = 1 + sum(e["kind"] == "refuel" for e in rep.events)
     cases = rep.segment_cases()
     assert (segments, len(cases), rep.metrics["case_5"]) == (8, 14, 6)
     assert sum(rep.case_histogram.values()) == segments + rep.metrics["case_5"]
@@ -227,10 +238,10 @@ def test_case_events_count_a_repaired_segment_twice():
 
 
 def test_disabled_trace_still_folds_metrics():
-    with_trace = run(bend_scenario(), plan=bend_plan())
-    without = run(bend_scenario(), SimConfig(keep_trace=False), plan=bend_plan())
-    assert without.trace is None
-    assert without.metrics == with_trace.metrics
+    # a run with no sink folds the metrics a run with one does
+    with_sink, _ = traced_run(bend_scenario(), plan=bend_plan())
+    without = run(bend_scenario(), plan=bend_plan())
+    assert without.metrics == with_sink.metrics
 
 
 def test_invariant_checks_catch_corrupted_state():
@@ -320,7 +331,7 @@ def _mission_9000_world() -> WorldState:
     n = int(5 + SplitMix64(9000).next_u64() % 26)
     sc = generate_scenario(n, seed=9000, cost_model=CostModel(
         kind="uniform", low=0.0, high=25.0, seed=17))
-    return WorldState(sc, plan_mission(sc), SimConfig(check_invariants=True, keep_trace=False))
+    return WorldState(sc, plan_mission(sc), SimConfig(check_invariants=True))
 
 
 def _swap_first(entries, tid):
@@ -422,8 +433,7 @@ def test_checks_leave_generated_traces_byte_identical():
         traces = []
         for checked in (False, True):
             buf = io.StringIO()
-            run(sc, SimConfig(check_invariants=checked, keep_trace=False),
-                plan=plan, trace_file=buf)
+            run(sc, SimConfig(check_invariants=checked), plan=plan, trace_file=buf)
             traces.append(buf.getvalue())
         assert traces[0] == traces[1], f"mission {9000 + i}"
 
@@ -431,7 +441,7 @@ def test_checks_leave_generated_traces_byte_identical():
 def _checked_generated_run(n: int, seed: int, dt: float = 0.05):
     cost = CostModel(kind="uniform", low=0.0, high=25.0, seed=seed - 8983)
     return run(generate_scenario(n, seed=seed, cost_model=cost),
-               SimConfig(dt=dt, check_invariants=True, keep_trace=False))
+               SimConfig(dt=dt, check_invariants=True))
 
 
 def test_reach_holds_on_the_segment_after_a_refuel():
@@ -482,7 +492,7 @@ def test_uav_docks_at_the_ugv_arrival_mid_tick(monkeypatch):
         refuel(world, t_now)
 
     monkeypatch.setattr(sim, "_refuel", spy)
-    rep = run(sc, SimConfig(check_invariants=True), plan=plan)
+    rep, trace = traced_run(sc, SimConfig(check_invariants=True), plan)
     assert rep.completed
     (t_dock, ugv, site), = docks
     assert ugv == site == P(7.015, 0.0)
@@ -491,7 +501,7 @@ def test_uav_docks_at_the_ugv_arrival_mid_tick(monkeypatch):
     assert math.isclose(t_dock, 14.03, abs_tol=1e-9)
     # the tick-end step toward the next site (0, 0) covers the 0.02 s left
     # of the tick at 0.5 m/s: 0.01 m
-    tick = min((r for r in rep.trace if r["t"] > t_dock), key=lambda r: r["t"])
+    tick = min((r for r in trace if r["t"] > t_dock), key=lambda r: r["t"])
     assert math.isclose(tick["t"], 14.05, abs_tol=1e-9)
     assert tick["seg"] == 1 and tick["ugv"][1] == 0.0
     assert math.isclose(7.015 - tick["ugv"][0], 0.5 * (0.05 - 0.03), abs_tol=1e-9)
@@ -549,14 +559,14 @@ def test_abandon_decided_at_a_mid_tick_target_arrival():
                     target_arcs=((1, 20.03),)),
         SegmentPlan(index=1, path=Polyline([P(13.33, 0), P(0, 0)])),
     ))
-    rep = run(sc, SimConfig(check_invariants=True), plan=plan)
+    rep, trace = traced_run(sc, SimConfig(check_invariants=True), plan)
     assert rep.completed
     abandon = [e for e in rep.events if e["kind"] == "abandon"]
     assert len(abandon) == 1
     assert math.isclose(abandon[0]["t"], 20.03 / 2.0, abs_tol=1e-9)
-    tick_end = min(r["t"] for r in rep.trace if r["t"] > abandon[0]["t"])
+    tick_end = min(r["t"] for r in trace if r["t"] > abandon[0]["t"])
     assert tick_end - abandon[0]["t"] > 0.03
-    assert next(r for r in rep.trace if r["t"] == tick_end)["mode"] == "to_rendezvous"
+    assert next(r for r in trace if r["t"] == tick_end)["mode"] == "to_rendezvous"
 
 
 def test_reach_is_checked_on_the_tick_the_lookahead_fires():
