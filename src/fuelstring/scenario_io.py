@@ -123,6 +123,8 @@ def parse_cost_model(obj: dict) -> CostModel:
         high = _num(obj, "high", "cost_model")
         if high < low:
             raise ScenarioFormatError("cost_model: uniform high < low")
+        if low < 0:  # else whether a sampled tau comes out negative depends on the seed
+            raise ScenarioFormatError("cost_model: uniform low < 0")
         return CostModel(kind="uniform", low=low, high=high, seed=seed)
     if kind == "lognormal":
         return CostModel(kind="lognormal", mu=_num(obj, "mu", "cost_model"),

@@ -183,24 +183,11 @@ def fold_jsonl(lines) -> dict:
 class RunReport:
     status: str
     metrics: dict
-    events: list[dict]
     unprocessed: list[int] = field(default_factory=list)
 
     @property
     def completed(self) -> bool:
         return self.status == "completed"
-
-    @property
-    def case_histogram(self) -> dict[int, int]:
-        """`case` events by case, zero counts left out.  A repaired segment has
-        two, 5 and then its final case: the counts sum to segments + case_5."""
-        return {k: self.metrics[f"case_{k}"] for k in range(1, 6)
-                if self.metrics[f"case_{k}"]}
-
-    def segment_cases(self) -> list[tuple[int, int]]:
-        """(segment, case) of every `case` event; a repaired segment twice."""
-        return [(e["detail"]["segment"], e["detail"]["case"])
-                for e in self.events if e["kind"] == "case"]
 
 
 def _tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> str:
@@ -243,7 +230,6 @@ class WorldState:
                                          fuel=self.params.fuel_capacity)
         self.ugv_pos = scenario.depot
         self.mission_complete = False
-        self.events: list[dict] = []
         self.fold = MetricsFold()
         self._write = None if trace_file is None else trace_file.write
         self.tick = _tick_writer(self.fold.add_tick, self._write)
@@ -253,10 +239,9 @@ class WorldState:
     # -- recording ---------------------------------------------------------
 
     def emit_event(self, t: float, kind: str, detail: dict):
-        rec = {"t": t, "kind": kind, "detail": detail}
-        self.events.append(rec)
         self.fold.add_event(kind, detail)
         if self._write is not None:
+            rec = {"t": t, "kind": kind, "detail": detail}
             self._write(json.dumps(rec, separators=(",", ":")) + "\n")
 
     def record_tick(self):
@@ -571,7 +556,6 @@ def run(scenario: Scenario, config: SimConfig | None = None,
     return RunReport(
         status=status,
         metrics=world.fold.result(),
-        events=world.events,
         unprocessed=world.unprocessed_ids(),
     )
 

@@ -18,6 +18,8 @@ from fuelstring import sim
 from fuelstring.geometry import Point2D, Polyline
 from fuelstring.model import Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, SegmentPlan
+from fuelstring.rng import SplitMix64
+from fuelstring.scenario_io import CostModel, generate_scenario
 
 DEFAULT_PARAMS = VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=50.0,
                                fuel_per_meter=1.0)
@@ -98,14 +100,31 @@ def tick_record(world) -> dict:
 
 def traced_run(scenario, config=None, plan=None, sink=None):
     """run() with a trace sink, a fresh StringIO unless one is given.
-    Returns the report and the sink's tick records.  Every line is decoded
-    with the simulator's own decoder; the event lines must decode to the
-    report's events."""
+    Returns the report, the sink's tick records and its event records, each
+    decoded with the simulator's own decoder."""
     sink = io.StringIO() if sink is None else sink
     rep = sim.run(scenario, config, plan=plan, trace_file=sink)
     ticks, events = [], []
     for line in sink.getvalue().splitlines():
         rec = sim._decode_line(line)
         (events if "kind" in rec else ticks).append(rec)
-    assert events == rep.events
-    return rep, ticks
+    return rep, ticks, events
+
+
+def segment_cases(events) -> list[tuple[int, int]]:
+    """(segment, case) of every `case` event; a repaired segment twice."""
+    return [(e["detail"]["segment"], e["detail"]["case"])
+            for e in events if e["kind"] == "case"]
+
+
+def case_counts(metrics) -> list[int]:
+    """metrics["case_1"] ... metrics["case_5"]: a run's case events by case."""
+    return [metrics[f"case_{k}"] for k in range(1, 6)]
+
+
+def acceptance7(i: int) -> Scenario:
+    """Mission i of acceptance 7's recipe: 5 + SplitMix64(9000 + i) % 26
+    targets, scenario seed 9000 + i, uniform [0, 25] costs with seed 17 + i."""
+    n = int(5 + SplitMix64(9000 + i).next_u64() % 26)
+    return generate_scenario(n, seed=9000 + i, cost_model=CostModel(
+        kind="uniform", low=0.0, high=25.0, seed=17 + i))

@@ -22,17 +22,18 @@ from fuelstring.offline import (
     plan_mission,
 )
 from fuelstring.online import transfer_and_repair
-from fuelstring.rng import SplitMix64
-from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import InvariantViolation, SimConfig, run
 
 from conftest import (
     DEFAULT_PARAMS,
+    acceptance7,
     bend_plan,
     bend_scenario,
+    case_counts,
     collinear_scenario,
     line_plan,
     line_scenario,
+    segment_cases,
     traced_run,
 )
 from test_offline import brute_force_tour_length
@@ -43,8 +44,8 @@ BURN = 2.0  # fuel per second at v_uav=2, one unit per meter
 EPS = 1e-9
 
 
-def events(report, kind):
-    return [e for e in report.events if e["kind"] == kind]
+def of_kind(events, kind):
+    return [e for e in events if e["kind"] == kind]
 
 
 def exact_arrival(trace, key, site):
@@ -57,26 +58,26 @@ def exact_arrival(trace, key, site):
 def test_01_baseline_segment_matches_closed_form():
     """Processing fits the slack: no replanning, metrics are pure geometry."""
     t0 = time.perf_counter()
-    rep = run(line_scenario(25.0), SimConfig(), plan=line_plan())
+    rep, _, events = traced_run(line_scenario(25.0), SimConfig(), line_plan())
     wall = time.perf_counter() - t0
     assert wall < 1.0
     assert rep.status == "completed"
     assert rep.metrics["backtrack_episodes"] == 0
-    assert rep.case_histogram == {1: 2}
+    assert case_counts(rep.metrics) == [2, 0, 0, 0, 0]
     # depot -> target -> site -> depot at 2 m/s, 12.5 s of processing
     assert rep.metrics["mission_time"] == pytest.approx(32.5, rel=1e-6)
     assert rep.metrics["uav_distance"] == pytest.approx(40.0, rel=1e-6)
-    ref = events(rep, "refuel")[0]
+    ref = of_kind(events, "refuel")[0]
     assert ref["t"] == pytest.approx(22.5, rel=1e-6)
     assert ref["detail"]["site"] == pytest.approx([20.0, 0.0], abs=EPS)
 
 
 def test_02_taut_string_drags_site_exactly_once():
     """5 units of overrun pull the rendezvous from (20,0) to (15,0)."""
-    rep, trace = traced_run(line_scenario(35.0), SimConfig(), line_plan())
+    rep, trace, events = traced_run(line_scenario(35.0), SimConfig(), line_plan())
     assert rep.status == "completed"
     assert rep.metrics["backtrack_episodes"] == 1
-    ref = events(rep, "refuel")[0]
+    ref = of_kind(events, "refuel")[0]
     sx, sy = ref["detail"]["site"]
     assert math.dist((sx, sy), (15.0, 0.0)) <= 2.0 * DT + EPS  # v_uav * dt
     # tank runs dry exactly at the dragged site: the last tick before the
@@ -88,24 +89,24 @@ def test_02_taut_string_drags_site_exactly_once():
 
 def test_03_costly_target_skipped_and_finished_next_segment():
     """The dragging site crosses the far target's arc; that target defers."""
-    rep = run(bend_scenario(), SimConfig(), plan=bend_plan())
+    rep, _, events = traced_run(bend_scenario(), SimConfig(), bend_plan())
     assert rep.status == "completed"
-    skip = events(rep, "skip")[0]
+    skip = of_kind(events, "skip")[0]
     assert skip["detail"]["segment"] == 0
     assert skip["detail"]["targets"] == [2]
     # the crossing is caught within one tick of drag below arc 15
     assert 15.0 - BURN * DT - EPS <= skip["detail"]["site_arc"] < 15.0
     done = [(e["detail"]["segment"], e["detail"]["target"])
-            for e in events(rep, "complete")]
+            for e in of_kind(events, "complete")]
     assert (0, 1) in done and (1, 2) in done
-    first_seg = [c for s, c in rep.segment_cases() if s == 0]
+    first_seg = [c for s, c in segment_cases(events) if s == 0]
     assert first_seg == [3]
 
 
 def test_04_doomed_chase_abandoned_at_the_break_even_tick():
     """String goes taut at t=20; 2.5 s later the catch-up race is lost."""
-    rep, trace = traced_run(line_scenario(60.0), SimConfig(), line_plan())
-    ab = events(rep, "abandon")[0]
+    rep, trace, events = traced_run(line_scenario(60.0), SimConfig(), line_plan())
+    ab = of_kind(events, "abandon")[0]
     assert ab["t"] == pytest.approx(22.5, abs=DT + EPS)
     site = ab["detail"]["site"]
     assert math.dist(site, (15.0, 0.0)) <= 2.0 * DT + EPS
@@ -144,10 +145,10 @@ def test_05_overlong_transfer_segment_pulled_back_ten_meters():
         SegmentPlan(index=2, path=Polyline([P(44, 0), P(14, 0)])),
         SegmentPlan(index=3, path=Polyline([P(14, 0), P(0, 0)])),
     ))
-    rep = run(sc, SimConfig(), plan=hand)
+    rep, _, events = traced_run(sc, SimConfig(), hand)
     assert rep.status == "completed"
-    assert rep.segment_cases() == [(0, 4), (1, 5), (1, 3), (2, 1), (3, 1)]
-    assert rep.case_histogram == {1: 2, 3: 1, 4: 1, 5: 1}
+    assert segment_cases(events) == [(0, 4), (1, 5), (1, 3), (2, 1), (3, 1)]
+    assert case_counts(rep.metrics) == [2, 0, 1, 1, 1]
 
 
 def test_06_offline_plan_matches_hand_trace_and_brute_force():
@@ -169,12 +170,7 @@ def test_07_invariants_hold_across_random_missions():
     t0 = time.perf_counter()
     outcomes = {"completed": 0, "timeout": 0, "infeasible": 0}
     for i in range(200):
-        pick = SplitMix64(9000 + i)
-        n = int(5 + pick.next_u64() % 26)
-        sc = generate_scenario(
-            n, seed=9000 + i,
-            cost_model=CostModel(kind="uniform", low=0.0, high=25.0,
-                                 seed=17 + i))
+        sc = acceptance7(i)
         try:
             rep = run(sc, SimConfig(check_invariants=True))
         except PlanningError as exc:
@@ -208,9 +204,9 @@ def test_08_reruns_byte_identical_and_dt_refinement_stable():
     ]
     for sc, plan in goldens:
         assert trace_bytes(sc, plan, DT) == trace_bytes(sc, plan, DT)
-        coarse = run(sc, SimConfig(dt=DT), plan=plan)
-        fine = run(sc, SimConfig(dt=DT / 2), plan=plan)
-        assert coarse.segment_cases() == fine.segment_cases()
+        coarse = traced_run(sc, SimConfig(dt=DT), plan)[2]
+        fine = traced_run(sc, SimConfig(dt=DT / 2), plan)[2]
+        assert segment_cases(coarse) == segment_cases(fine)
 
 
 def test_09_default_sweep_grid_produces_wellformed_csv():

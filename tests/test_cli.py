@@ -58,9 +58,10 @@ def test_generate_rejects_bad_cost_spec(tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["explicit", "uniform:5,1", "uniform:nan,1",
-                                  "lognormal:0,inf"])
+                                  "lognormal:0,inf", "uniform:-5,20"])
 def test_generate_checks_cost_spec_like_a_cost_model_document(spec):
-    # e.g. the scenario parser refuses a uniform model with high < low
+    # e.g. the scenario parser refuses a uniform model with high < low, and
+    # one with low < 0 whatever the seed's draws
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--n", "3", "--seed", "1", "--cost", spec])
     assert exc.value.code == 2

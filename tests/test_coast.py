@@ -7,12 +7,11 @@ import json
 
 import pytest
 
-from conftest import line_plan, line_scenario, tick_record, traced_run
+from conftest import acceptance7, line_plan, line_scenario, tick_record, traced_run
 from fuelstring import sim
 from fuelstring.geometry import Point2D, Polyline
 from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mission
-from fuelstring.rng import SplitMix64
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import InvariantViolation, SimConfig, WorldState, run, step
 
@@ -36,14 +35,13 @@ def _stepped(scenario, cfg, plan) -> list:
     assert [line for line in lines if '"kind":' not in line] == [
         json.dumps(r, separators=(",", ":")) + "\n" for r in records]
     status = "completed" if world.mission_complete else "timeout"
-    return _outputs(status, world.fold.result(), world.events, records,
-                    world.unprocessed_ids(), buf)
+    return _outputs(status, world.fold.result(), records, world.unprocessed_ids(), buf)
 
 
-def _outputs(status, metrics, events, trace, unprocessed, buf) -> list:
+def _outputs(status, metrics, trace, unprocessed, buf) -> list:
     # the JSONL text and the metrics text write every float with repr, so
     # equal texts mean equal bits, -0.0 included
-    return [status, sim.metrics_to_text(metrics), events, trace, unprocessed, buf.getvalue()]
+    return [status, sim.metrics_to_text(metrics), trace, unprocessed, buf.getvalue()]
 
 
 def _assert_run_matches_steps(scenario, cfg, plan) -> int:
@@ -57,16 +55,10 @@ def _assert_run_matches_steps(scenario, cfg, plan) -> int:
     buf = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "step", counted)
-        rep, trace = traced_run(scenario, cfg, plan, sink=buf)
-    got = _outputs(rep.status, rep.metrics, rep.events, trace, rep.unprocessed, buf)
+        rep, trace, _ = traced_run(scenario, cfg, plan, sink=buf)
+    got = _outputs(rep.status, rep.metrics, trace, rep.unprocessed, buf)
     assert got == _stepped(scenario, cfg, plan)
     return len(trace) - 1 - len(calls)  # ticks after the first record, less step's
-
-
-def _acceptance7(i: int) -> Scenario:
-    n = int(5 + SplitMix64(9000 + i).next_u64() % 26)
-    return generate_scenario(n, seed=9000 + i, cost_model=CostModel(
-        kind="uniform", low=0.0, high=25.0, seed=17 + i))
 
 
 def _planned(scenario):
@@ -80,7 +72,7 @@ def _planned(scenario):
 def test_acceptance7_missions_match_the_stepped_engine(checked):
     coasted = 0
     for i in range(20):
-        sc = _acceptance7(i)
+        sc = acceptance7(i)
         plan = _planned(sc)
         if plan is not None:
             coasted += _assert_run_matches_steps(sc, SimConfig(check_invariants=checked), plan)
@@ -115,7 +107,7 @@ def test_sweep_cells_match_the_stepped_engine(ratio, ugv):
 @pytest.mark.parametrize("dt", [0.2, 0.0125])
 def test_tick_sizes_match_the_stepped_engine(dt):
     for i in range(3):
-        sc = _acceptance7(i)
+        sc = acceptance7(i)
         plan = _planned(sc)
         if plan is not None:
             assert _assert_run_matches_steps(sc, SimConfig(dt=dt), plan) > 0
@@ -126,14 +118,14 @@ def test_time_cap_inside_a_coast_matches_the_stepped_engine():
     assert _assert_run_matches_steps(line_scenario(3.0), SimConfig(max_mission_time=2.0),
                                      line_plan()) == 40
     # a generated mission: the cap lands on a quiet tick in mid-mission
-    sc = _acceptance7(0)
+    sc = acceptance7(0)
     plan = plan_mission(sc)
-    full, trace = traced_run(sc, plan=plan)
-    events = {e["t"] for e in full.events}
+    _, trace, events = traced_run(sc, plan=plan)
+    instants = {e["t"] for e in events}
     j = next(j for j in range(len(trace) // 2, len(trace) - 1)
              if trace[j - 1]["mode"] == trace[j]["mode"] == trace[j + 1]["mode"] == "transit"
              and trace[j - 1]["seg"] == trace[j + 1]["seg"]
-             and not any(trace[j - 1]["t"] < t <= trace[j + 1]["t"] for t in events))
+             and not any(trace[j - 1]["t"] < t <= trace[j + 1]["t"] for t in instants))
     cfg = SimConfig(max_mission_time=trace[j]["t"])
     assert _assert_run_matches_steps(sc, cfg, plan) > 0
     assert traced_run(sc, cfg, plan)[1] == trace[:j + 1]
@@ -186,7 +178,7 @@ def test_fault_inside_a_coast_reports_what_step_reports(mission, checked):
     if mission == "line":
         sc, plan = line_scenario(3.0), line_plan()
     else:
-        sc = _acceptance7(0)
+        sc = acceptance7(0)
         plan = plan_mission(sc)
     cfg = SimConfig(check_invariants=checked)
     stepped_buf = io.StringIO()

@@ -3,9 +3,8 @@ give the same plan and the same trace, so these tests need no golden number.
 A changed processing cost must change nothing the simulator records before
 the changed target completes, nor anything the planner does.
 
-The missions are the first ones of acceptance 7's recipe: mission i has
-5 + SplitMix64(9000 + i).next_u64() % 26 targets, scenario seed 9000 + i and
-uniform [0, 25] costs with cost seed 17 + i.
+The missions are the first ones of acceptance 7's recipe, built by
+conftest.acceptance7.
 """
 from __future__ import annotations
 
@@ -29,21 +28,14 @@ from fuelstring import (
     sim,
 )
 from fuelstring.geometry import distance
-from fuelstring.rng import SplitMix64
 
-from conftest import traced_run
+from conftest import acceptance7, segment_cases, traced_run
 
 RELABEL_MISSIONS = 60
 MIRROR_MISSIONS = 60
 SCALE_MISSIONS = 6
 COST_MISSIONS = 6
 PLAN_COST_MISSIONS = 40
-
-
-def mission(i: int) -> Scenario:
-    n = int(5 + SplitMix64(9000 + i).next_u64() % 26)
-    return generate_scenario(n, seed=9000 + i, cost_model=CostModel(
-        kind="uniform", low=0.0, high=25.0, seed=17 + i))
 
 
 def relabelled(sc: Scenario) -> tuple[Scenario, dict[int, int]]:
@@ -91,12 +83,18 @@ def scale_record(rec: dict, k: float) -> dict:
     return {**rec, "detail": detail}
 
 
+def records(sc: Scenario) -> list[dict]:
+    """The run's tick records, then its event records."""
+    _, ticks, events = traced_run(sc)
+    return ticks + events
+
+
 def scale_mismatch(i: int, k: float) -> str | None:
     """Where mission i's trace and its k-scaled mission's trace first part,
     or None when every record of the scaled trace is exactly the scaled
     record."""
-    sc = mission(i)
-    (_, base), (_, other) = traced_run(sc), traced_run(scaled(sc, k))
+    sc = acceptance7(i)
+    base, other = records(sc), records(scaled(sc, k))
     for line, (want, got) in enumerate(zip(base, other)):
         if scale_record(want, k) != got:
             return f"mission {9000 + i}, k={k}, record {line}: {want} -> {got}"
@@ -107,7 +105,7 @@ def scale_mismatch(i: int, k: float) -> str | None:
 
 def test_relabelled_targets_give_the_same_plan():
     for i in range(RELABEL_MISSIONS):
-        sc = mission(i)
+        sc = acceptance7(i)
         other, new_id = relabelled(sc)
         plan, got = plan_mission(sc), plan_mission(other)
         assert len(got.segments) == len(plan.segments), 9000 + i
@@ -116,14 +114,23 @@ def test_relabelled_targets_give_the_same_plan():
             assert seg.target_arcs == tuple((new_id[tid], arc) for tid, arc in want.target_arcs)
 
 
+def outcomes(sc: Scenario, cfg) -> tuple:
+    """The run's report and the (segment, case) of its case events, read
+    from the trace sink; the tick lines are left undecoded."""
+    buf = io.StringIO()
+    rep = run(sc, cfg, trace_file=buf)
+    lines = buf.getvalue().splitlines()
+    return rep, segment_cases(json.loads(line) for line in lines if '"kind":"case"' in line)
+
+
 def test_mirrored_mission_gives_the_same_outcomes():
     """Equal segment-outcome sequences and mission_time equal to rounding."""
     cfg = sim.SimConfig()
     for i in range(MIRROR_MISSIONS):
-        sc = mission(i)
-        base, other = run(sc, cfg), run(mirrored(sc), cfg)
+        sc = acceptance7(i)
+        (base, base_cases), (other, other_cases) = outcomes(sc, cfg), outcomes(mirrored(sc), cfg)
         assert other.status == base.status == "completed", 9000 + i
-        assert other.segment_cases() == base.segment_cases(), 9000 + i
+        assert other_cases == base_cases, 9000 + i
         shift = other.metrics["mission_time"] - base.metrics["mission_time"]
         assert abs(shift) <= 1e-9, (9000 + i, shift)
 
@@ -204,7 +211,7 @@ def test_online_decisions_are_blind_to_unrevealed_costs():
     dt = sim.SimConfig().dt
     cases = 0
     for i in range(COST_MISSIONS):
-        sc = mission(i)
+        sc = acceptance7(i)
         plan = plan_mission(sc)
         base = trace_lines(sc, plan)
         done = completions(base)
@@ -223,7 +230,7 @@ def test_online_decisions_are_blind_to_unrevealed_costs():
 
 def test_plans_are_blind_to_costs():
     for i in range(PLAN_COST_MISSIONS):
-        sc = mission(i)
+        sc = acceptance7(i)
         want = emit_plan(plan_mission(sc))
         for costs in (CostModel(kind="uniform", low=0.0, high=100.0, seed=5000 + i),
                       CostModel(kind="uniform", low=0.0, high=0.0)):

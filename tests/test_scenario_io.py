@@ -126,7 +126,10 @@ def test_plan_round_trip():
     (lambda d: (d.__setitem__("cost_model", {"kind": "uniform", "low": -5.0,
                                              "high": -1.0}),
                 d["targets"][1].pop("tau")),
-     "cost_model: target 2: tau must be finite and >= 0"),
+     "cost_model: uniform low < 0"),
+    (lambda d: d.__setitem__("cost_model", {"kind": "uniform", "low": -5,
+                                            "high": 20}),
+     "cost_model: uniform low < 0"),
 ])
 def test_malformed_document_names_the_fault(mutate, message):
     doc = valid_doc()

@@ -9,18 +9,20 @@ import math
 import pytest
 
 from conftest import (
+    acceptance7,
     bend_plan,
     bend_scenario,
+    case_counts,
     collinear_scenario,
     line_plan,
     line_scenario,
+    segment_cases,
     tick_record,
     traced_run,
 )
 from fuelstring.geometry import Point2D, step_toward
 from fuelstring.offline import PlanningError, plan_mission
 from fuelstring.online import Mode
-from fuelstring.rng import SplitMix64
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import (
     InvariantViolation,
@@ -49,25 +51,27 @@ def test_tracker_splits_the_completing_tick():
 def test_tracker_zero_cost_completes_on_contact():
     # a free job still requires its visit: target 1 sits at arc 10 of the
     # line plan and is done only from the tick that carries the UAV there
-    world = WorldState(line_scenario(0.0), line_plan(), SimConfig())
+    buf = io.StringIO()
+    world = WorldState(line_scenario(0.0), line_plan(), SimConfig(), trace_file=buf)
     while world.active.uav_arc < 10.0:
         assert not world.done_ids
         step(world)
     assert world.done_ids == {1}
-    complete = [e for e in world.events if e["kind"] == "complete"]
+    complete = [e for e in map(json.loads, buf.getvalue().splitlines())
+                if e.get("kind") == "complete"]
     assert len(complete) == 1
     assert world.clock - 0.05 <= complete[0]["t"] <= world.clock
 
 
 def test_single_tank_out_and_back():
-    rep = run(line_scenario(0.0))
+    rep, _, events = traced_run(line_scenario(0.0))
     assert rep.completed
     assert math.isclose(rep.metrics["mission_time"], 10.0, abs_tol=1e-6)
     assert math.isclose(rep.metrics["uav_distance"], 20.0, abs_tol=1e-6)
     assert rep.metrics["ugv_distance"] == 0.0
     assert rep.metrics["rendezvous_count"] == 0
-    assert rep.case_histogram == {1: 1}
-    kinds = [(e["kind"], round(e["t"], 6)) for e in rep.events]
+    assert case_counts(rep.metrics) == [1, 0, 0, 0, 0]
+    kinds = [(e["kind"], round(e["t"], 6)) for e in events]
     assert kinds == [("complete", 5.0), ("case", 10.0)]
 
 
@@ -84,9 +88,9 @@ def test_uav_hovers_until_ground_vehicle_arrives():
     # the UAV reaches (14, 0) at 7 s with 36 fuel and hovers, burning 2 per
     # second; the UGV's 14 m drive at 1 m/s ends at 14 s, and the refuel
     # happens then, with 36 - 2 * 7 = 22 left
-    rep, trace = traced_run(line_scenario(0.0), SimConfig(check_invariants=True), plan)
+    rep, trace, events = traced_run(line_scenario(0.0), SimConfig(check_invariants=True), plan)
     assert rep.completed
-    refuels = [e for e in rep.events if e["kind"] == "refuel"]
+    refuels = [e for e in events if e["kind"] == "refuel"]
     assert len(refuels) == 1
     assert math.isclose(refuels[0]["t"], 14.0, abs_tol=1e-9)
 
@@ -135,7 +139,8 @@ def test_config_has_three_fields_and_refuses_a_kept_trace():
     assert SimConfig(keep_trace=False) == SimConfig()
     with pytest.raises(ValueError, match="trace_file"):
         SimConfig(keep_trace=True)
-    assert "trace" not in {f.name for f in dataclasses.fields(RunReport)}
+    assert [f.name for f in dataclasses.fields(RunReport)] == [
+        "status", "metrics", "unprocessed"]
 
 
 def test_kept_progress_lets_oversized_jobs_finish():
@@ -147,15 +152,13 @@ def test_kept_progress_lets_oversized_jobs_finish():
     assert math.isclose(rep.metrics["mission_time"], 45.0, abs_tol=1e-6)
 
 
-def test_trace_stream_matches_memory_and_refolds():
+def test_trace_stream_decodes_like_json_and_refolds():
     buf = io.StringIO()
-    rep, trace = traced_run(bend_scenario(), plan=bend_plan(), sink=buf)
+    rep, trace, events = traced_run(bend_scenario(), plan=bend_plan(), sink=buf)
     lines = buf.getvalue().splitlines()
     records = [json.loads(line) for line in lines]
-    ticks = [r for r in records if "kind" not in r]
-    events = [r for r in records if "kind" in r]
-    assert ticks == trace
-    assert events == rep.events
+    assert [r for r in records if "kind" not in r] == trace
+    assert [r for r in records if "kind" in r] == events
     # metrics are a pure fold over the stream: refolding reproduces them
     assert fold_jsonl(lines) == rep.metrics
     assert fold_records(records) == rep.metrics
@@ -168,22 +171,20 @@ def _compact(rec) -> str:
 def test_trace_lines_are_compact_json_of_their_records():
     # acceptance 7's recipe, first twenty missions
     for i in range(20):
-        n = int(5 + SplitMix64(9000 + i).next_u64() % 26)
-        sc = generate_scenario(n, seed=9000 + i, cost_model=CostModel(
-            kind="uniform", low=0.0, high=25.0, seed=17 + i))
+        sc = acceptance7(i)
         try:
             plan = plan_mission(sc)
         except PlanningError:
             continue
         buf = io.StringIO()
-        rep, trace = traced_run(sc, plan=plan, sink=buf)
-        ticks, events = iter(trace), iter(rep.events)
+        _, trace, event_list = traced_run(sc, plan=plan, sink=buf)
+        ticks, events = iter(trace), iter(event_list)
         lines = buf.getvalue().splitlines()
         for k, line in enumerate(lines):
             rec = next(events) if "kind" in json.loads(line) else next(ticks)
             assert line == _compact(rec), f"mission {9000 + i}, line {k}"
         assert next(ticks, None) is None and next(events, None) is None
-        assert len(lines) == len(trace) + len(rep.events)
+        assert len(lines) == len(trace) + len(event_list)
 
 
 @pytest.mark.parametrize("value", [-0.0, 25.0, 1e-17, 1e16, 0.1 + 0.2, 7])
@@ -211,10 +212,12 @@ def test_fold_jsonl_reads_json_lines_like_json_loads():
 
 
 def test_repeat_runs_are_identical():
-    a, a_trace = traced_run(bend_scenario(), SimConfig(check_invariants=True), bend_plan())
-    b, b_trace = traced_run(bend_scenario(), SimConfig(check_invariants=True), bend_plan())
+    a, a_trace, a_events = traced_run(bend_scenario(), SimConfig(check_invariants=True),
+                                      bend_plan())
+    b, b_trace, b_events = traced_run(bend_scenario(), SimConfig(check_invariants=True),
+                                      bend_plan())
     assert a.metrics == b.metrics
-    assert a.events == b.events
+    assert a_events == b_events
     assert json.dumps(a_trace) == json.dumps(b_trace)
 
 
@@ -222,14 +225,11 @@ def test_case_events_count_a_repaired_segment_twice():
     # mission 9000 of acceptance 7's recipe: 8 segments, 6 of them repaired.
     # A repaired segment's case events are 5 at its activation, then its
     # final case, so the histogram counts segments + case_5 events.
-    n = int(5 + SplitMix64(9000).next_u64() % 26)
-    sc = generate_scenario(n, seed=9000, cost_model=CostModel(
-        kind="uniform", low=0.0, high=25.0, seed=17))
-    rep = run(sc)
-    segments = 1 + sum(e["kind"] == "refuel" for e in rep.events)
-    cases = rep.segment_cases()
+    rep, _, events = traced_run(acceptance7(0))
+    segments = 1 + sum(e["kind"] == "refuel" for e in events)
+    cases = segment_cases(events)
     assert (segments, len(cases), rep.metrics["case_5"]) == (8, 14, 6)
-    assert sum(rep.case_histogram.values()) == segments + rep.metrics["case_5"]
+    assert sum(case_counts(rep.metrics)) == segments + rep.metrics["case_5"]
     assert [seg for seg, _ in cases] == sorted(seg for seg, _ in cases)
     for seg in range(segments):
         mine = [case for s, case in cases if s == seg]
@@ -239,7 +239,7 @@ def test_case_events_count_a_repaired_segment_twice():
 
 def test_disabled_trace_still_folds_metrics():
     # a run with no sink folds the metrics a run with one does
-    with_sink, _ = traced_run(bend_scenario(), plan=bend_plan())
+    with_sink = traced_run(bend_scenario(), plan=bend_plan())[0]
     without = run(bend_scenario(), plan=bend_plan())
     assert without.metrics == with_sink.metrics
 
@@ -328,9 +328,7 @@ def test_conservation_catches_target_held_twice():
 def _mission_9000_world() -> WorldState:
     # acceptance 7's recipe, its first mission: 8 targets, with one skip,
     # three abandonments and six repairs
-    n = int(5 + SplitMix64(9000).next_u64() % 26)
-    sc = generate_scenario(n, seed=9000, cost_model=CostModel(
-        kind="uniform", low=0.0, high=25.0, seed=17))
+    sc = acceptance7(0)
     return WorldState(sc, plan_mission(sc), SimConfig(check_invariants=True))
 
 
@@ -423,9 +421,7 @@ def test_shed_targets_start_the_next_segments_deferred(monkeypatch):
 def test_checks_leave_generated_traces_byte_identical():
     # acceptance 7's recipe, first ten missions: checking reads, never writes
     for i in range(10):
-        n = int(5 + SplitMix64(9000 + i).next_u64() % 26)
-        sc = generate_scenario(n, seed=9000 + i, cost_model=CostModel(
-            kind="uniform", low=0.0, high=25.0, seed=17 + i))
+        sc = acceptance7(i)
         try:
             plan = plan_mission(sc)
         except PlanningError:
@@ -492,11 +488,11 @@ def test_uav_docks_at_the_ugv_arrival_mid_tick(monkeypatch):
         refuel(world, t_now)
 
     monkeypatch.setattr(sim, "_refuel", spy)
-    rep, trace = traced_run(sc, SimConfig(check_invariants=True), plan)
+    rep, trace, events = traced_run(sc, SimConfig(check_invariants=True), plan)
     assert rep.completed
     (t_dock, ugv, site), = docks
     assert ugv == site == P(7.015, 0.0)
-    refuels = [e for e in rep.events if e["kind"] == "refuel"]
+    refuels = [e for e in events if e["kind"] == "refuel"]
     assert refuels[0]["t"] == t_dock
     assert math.isclose(t_dock, 14.03, abs_tol=1e-9)
     # the tick-end step toward the next site (0, 0) covers the 0.02 s left
@@ -559,9 +555,9 @@ def test_abandon_decided_at_a_mid_tick_target_arrival():
                     target_arcs=((1, 20.03),)),
         SegmentPlan(index=1, path=Polyline([P(13.33, 0), P(0, 0)])),
     ))
-    rep, trace = traced_run(sc, SimConfig(check_invariants=True), plan)
+    rep, trace, events = traced_run(sc, SimConfig(check_invariants=True), plan)
     assert rep.completed
-    abandon = [e for e in rep.events if e["kind"] == "abandon"]
+    abandon = [e for e in events if e["kind"] == "abandon"]
     assert len(abandon) == 1
     assert math.isclose(abandon[0]["t"], 20.03 / 2.0, abs_tol=1e-9)
     tick_end = min(r["t"] for r in trace if r["t"] > abandon[0]["t"])
@@ -572,8 +568,9 @@ def test_abandon_decided_at_a_mid_tick_target_arrival():
 def test_reach_is_checked_on_the_tick_the_lookahead_fires():
     # mid-processing at the line target with the UGV 110 m from the site:
     # the first step abandons, and the site is already out of reach
+    buf = io.StringIO()
     world = WorldState(line_scenario(25.0), line_plan(),
-                       SimConfig(check_invariants=True))
+                       SimConfig(check_invariants=True), trace_file=buf)
     st = world.active
     st.uav_arc, st.fuel = 10.0, 40.0
     st.current, st.pending = st.pending[0][0], st.pending[1:]
@@ -581,7 +578,7 @@ def test_reach_is_checked_on_the_tick_the_lookahead_fires():
     world.ugv_pos = Point2D(-90.0, 0.0)
     with pytest.raises(InvariantViolation, match="out of ground-vehicle reach"):
         step(world)
-    assert [e["kind"] for e in world.events] == ["abandon"]
+    assert [json.loads(line)["kind"] for line in buf.getvalue().splitlines()] == ["abandon"]
 
 
 def test_ugv_steps_toward_the_site_each_tick():
