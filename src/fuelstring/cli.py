@@ -18,11 +18,11 @@ from .batch import SweepConfig, batch_run, results_to_csv
 from .model import World
 from .offline import PlanningError, plan_mission, validate_plan
 from .scenario_io import (
+    COST_FIELDS,
     CostModel,
     emit_plan,
     emit_scenario,
     generate_scenario,
-    parse_cost_model,
     parse_plan,
     parse_scenario,
 )
@@ -61,15 +61,15 @@ class _OpenOnWrite:
 
 
 def _parse_cost_spec(spec: str) -> CostModel:
-    """uniform:LO,HI or lognormal:MU,SIGMA, checked as the scenario parser
-    checks a cost_model object."""
+    """uniform:LO,HI or lognormal:MU,SIGMA, a kind that samples and its
+    COST_FIELDS in order, checked as CostModel checks itself."""
     kind, _, rest = spec.partition(":")
-    names = {"uniform": ("low", "high"), "lognormal": ("mu", "sigma")}.get(kind)
+    names = COST_FIELDS.get(kind)
     try:
         values = _floats(rest) if names else ()
-        if len(values) != 2:
+        if not names or len(values) != len(names):
             raise ValueError("expected uniform:LO,HI | lognormal:MU,SIGMA")
-        return parse_cost_model({"kind": kind, **dict(zip(names, values))})
+        return CostModel(kind, **dict(zip(names, values)))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad cost spec {spec!r}: {exc}") from None
 

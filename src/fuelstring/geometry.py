@@ -62,16 +62,6 @@ class Polyline:
         self.vertices = tuple(vertices)
         self.cumulative_arc = tuple(cum)
 
-    @classmethod
-    def from_arcs(cls, vertices, cumulative_arc) -> Polyline:
-        """The polyline __init__ would build, from arcs the caller already
-        summed the same way: each edge longer than EPS_GEOM, each arc the
-        previous one plus distance(a, b), and every arc finite."""
-        path = object.__new__(cls)
-        path.vertices = tuple(vertices)
-        path.cumulative_arc = tuple(cumulative_arc)
-        return path
-
     @property
     def length(self) -> float:
         return self.cumulative_arc[-1]

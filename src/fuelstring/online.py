@@ -249,10 +249,10 @@ def transfer_and_repair(start: Point2D,
     Returns (plan, shed targets, whether anything had to change).
 
     The leg start -> targets is threaded once (see _thread).  Each candidate
-    leg is a prefix of that thread plus one edge to its terminal, so its
-    vertices, arcs and target arcs are the prefix's own and a shed costs one
-    new edge.  A candidate whose last target arc already uses the whole tank
-    is shed without building a path: no site can lie past it.
+    leg is a prefix of that thread plus one edge to its terminal; Polyline
+    sums its arcs in _thread's order, so its target arcs are the thread's
+    own.  A candidate whose last target arc already uses the whole tank is
+    shed without building a path: no site can lie past it.
 
     Raises PlanningError only when that last resort fails too: no path
     from this start visits the target and ends in range at a site within
@@ -285,7 +285,7 @@ def transfer_and_repair(start: Point2D,
                 Polyline(pts)  # raises, naming the terminal edge
             hi = min(length, max_len)
             if hi > lo + EPS_GEOM:
-                path = Polyline.from_arcs(pts, cum[:k] + [length])
+                path = Polyline(pts)
                 best = farthest_site_arc(path, lo, hi, start, reach)
                 if best is not None:
                     modified = out_and_back or m < len(entries)

@@ -28,8 +28,10 @@ from .model import Buckets, Scenario, Target, VehicleParams, World
 from .offline import MissionPlan, SegmentPlan
 from .rng import SplitMix64
 
-DEFAULT_MIN_SEPARATION = 1.0
+MIN_SEPARATION = 1.0  # between any two of the depot and the generated targets
 _PLACEMENT_ATTEMPTS = 10000
+# each cost model kind and the fields it reads; a kind with none has nothing to sample
+COST_FIELDS = {"explicit": (), "uniform": ("low", "high"), "lognormal": ("mu", "sigma")}
 
 
 class ScenarioFormatError(ValueError):
@@ -49,6 +51,19 @@ class CostModel:
     mu: float = 0.0
     sigma: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in COST_FIELDS):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        for name in COST_FIELDS[self.kind]:
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+        if self.kind == "uniform":
+            if self.high < self.low:
+                raise ValueError("uniform high < low")
+            if self.low < 0:  # else whether a sampled tau comes out negative depends on the seed
+                raise ValueError("uniform low < 0")
 
 
 def _need(obj: dict, key: str, where: str):
@@ -115,21 +130,11 @@ def _load(text: str) -> dict:
 
 def parse_cost_model(obj: dict) -> CostModel:
     kind = _need(obj, "kind", "cost_model")
-    if kind == "explicit":
-        return CostModel(kind="explicit")
-    seed = _int(obj, "seed", "cost_model") if "seed" in obj else 0
-    if kind == "uniform":
-        low = _num(obj, "low", "cost_model")
-        high = _num(obj, "high", "cost_model")
-        if high < low:
-            raise ScenarioFormatError("cost_model: uniform high < low")
-        if low < 0:  # else whether a sampled tau comes out negative depends on the seed
-            raise ScenarioFormatError("cost_model: uniform low < 0")
-        return CostModel(kind="uniform", low=low, high=high, seed=seed)
-    if kind == "lognormal":
-        return CostModel(kind="lognormal", mu=_num(obj, "mu", "cost_model"),
-                         sigma=_num(obj, "sigma", "cost_model"), seed=seed)
-    raise ScenarioFormatError(f"cost_model: unknown kind {kind!r}")
+    names = COST_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+    fields = {name: _num(obj, name, "cost_model") for name in names}
+    if names and "seed" in obj:
+        fields["seed"] = _int(obj, "seed", "cost_model")
+    return _make("cost_model", CostModel, kind, **fields)
 
 
 def sample_costs(model: CostModel, target_ids: list[int]) -> dict[int, float]:
@@ -137,19 +142,20 @@ def sample_costs(model: CostModel, target_ids: list[int]) -> dict[int, float]:
 
     Raises ValueError for a model with no distribution ("explicit").
     """
-    if model.kind not in ("uniform", "lognormal"):
+    if not COST_FIELDS[model.kind]:
         raise ValueError(f"cost model {model.kind!r} has no distribution to sample")
     rng = SplitMix64(model.seed)
     out = {}
     for tid in sorted(target_ids):
-        if model.kind == "uniform":
-            out[tid] = rng.uniform(model.low, model.high)
-        else:
-            try:
-                out[tid] = rng.lognormal(model.mu, model.sigma)
-            except OverflowError:
-                raise ScenarioFormatError(
-                    f"cost_model: lognormal cost of target {tid} overflows a float") from None
+        try:
+            tau = (rng.uniform(model.low, model.high) if model.kind == "uniform"
+                   else rng.lognormal(model.mu, model.sigma))
+        except OverflowError:  # exp of a large finite exponent; exp(inf) returns inf
+            tau = math.inf
+        if not math.isfinite(tau):
+            raise ScenarioFormatError(
+                f"cost_model: {model.kind} cost of target {tid} overflows a float")
+        out[tid] = tau
     return out
 
 
@@ -196,9 +202,8 @@ def parse_scenario(text: str, seed_override: int | None = None) -> Scenario:
             f"cost_model is explicit but target {missing[0]} has no tau")
     sampled = sample_costs(model, missing) if missing else {}
 
-    # only a sampled tau can still fail Target's check
-    targets = tuple(_make("cost_model", Target, id=tid, position=Point2D(x, y),
-                          tau=tau if tau is not None else sampled[tid])
+    targets = tuple(Target(id=tid, position=Point2D(x, y),
+                           tau=tau if tau is not None else sampled[tid])
                     for tid, x, y, tau in entries)
     return _make("scenario", Scenario, world=world, depot=depot, params=params,
                  targets=targets)
@@ -229,9 +234,8 @@ def emit_scenario(scenario: Scenario) -> str:
 def generate_scenario(n_targets: int, seed: int,
                       world: World | None = None,
                       params: VehicleParams | None = None,
-                      cost_model: CostModel | None = None,
-                      min_separation: float = DEFAULT_MIN_SEPARATION) -> Scenario:
-    """Uniformly scatter targets with a minimum pairwise separation.
+                      cost_model: CostModel | None = None) -> Scenario:
+    """Uniformly scatter targets at least MIN_SEPARATION apart.
 
     Fully determined by the seed (positions) and the cost model's own seed
     (taus).  The depot sits at the world center.  Raises ValueError when
@@ -240,30 +244,25 @@ def generate_scenario(n_targets: int, seed: int,
     any, when the bounds cannot hold that many separated points.
 
     A candidate is checked only against the points in the 3 x 3 buckets
-    around its own; see model.Buckets.  A separation of 0 or less constrains
-    nothing.
+    around its own; see model.Buckets.
     """
     if n_targets < 1:
         raise ValueError(f"n_targets must be >= 1, got {n_targets}")
-    if math.isnan(min_separation):
-        raise ValueError("min_separation must be a number, got nan")
     world = world if world is not None else World()
     params = params if params is not None else VehicleParams()
     cost_model = cost_model if cost_model is not None else CostModel(
         kind="uniform", low=0.0, high=20.0, seed=seed)
 
-    sep = min_separation
+    sep = MIN_SEPARATION
     # Discs of radius sep/2 around the depot and the targets are disjoint and
     # lie in the bounds grown by sep/2 on every side.
-    disc = math.pi * sep * sep / 4.0
-    if sep > 0.0 and disc > 0.0:
-        fit = (world.width + sep) * (world.height + sep) / disc
-        if n_targets + 1 > fit:
-            raise TooManyTargetsError(
-                f"cannot place {n_targets} targets with separation {sep} in "
-                f"{world.width}x{world.height} bounds: the depot and the "
-                f"targets need {n_targets + 1} disjoint discs of diameter {sep}, "
-                f"and the bounds hold at most {math.floor(fit)}")
+    fit = (world.width + sep) * (world.height + sep) / (math.pi * sep * sep / 4.0)
+    if n_targets + 1 > fit:
+        raise TooManyTargetsError(
+            f"cannot place {n_targets} targets with separation {sep} in "
+            f"{world.width}x{world.height} bounds: the depot and the "
+            f"targets need {n_targets + 1} disjoint discs of diameter {sep}, "
+            f"and the bounds hold at most {math.floor(fit)}")
 
     rng = SplitMix64(seed)
     depot = Point2D(world.width / 2.0, world.height / 2.0)
@@ -278,7 +277,7 @@ def generate_scenario(n_targets: int, seed: int,
         else:
             raise ValueError(
                 f"cannot place {n_targets} targets with separation "
-                f"{min_separation} in {world.width}x{world.height} bounds "
+                f"{sep} in {world.width}x{world.height} bounds "
                 f"(stuck at target {i + 1})")
 
     ids = list(range(1, n_targets + 1))

@@ -13,6 +13,7 @@ Three fixed geometries cover most tests:
 from __future__ import annotations
 
 import io
+import math
 
 from fuelstring import sim
 from fuelstring.geometry import Point2D, Polyline
@@ -128,3 +129,21 @@ def acceptance7(i: int) -> Scenario:
     n = int(5 + SplitMix64(9000 + i).next_u64() % 26)
     return generate_scenario(n, seed=9000 + i, cost_model=CostModel(
         kind="uniform", low=0.0, high=25.0, seed=17 + i))
+
+
+def vehicle_space(s: int) -> Scenario:
+    """Mission s of the vehicle-space recipe: the vehicle and the costs vary
+    too.  Each u is a fresh draw of SplitMix64(s), in the order written."""
+    r = SplitMix64(s)
+    ratio = 0.05 + 1.5 * r.next_float()
+    fuel_per_meter = 0.25 + 3.75 * r.next_float()
+    fuel_capacity = 20 + 280 * r.next_float()
+    r_max = None if r.next_float() < 0.5 else 3 + 30 * r.next_float()
+    n = 3 + math.floor(25 * r.next_float())
+    if r.next_float() < 0.5:
+        cost = CostModel(kind="uniform", low=0.0, high=fuel_capacity * r.next_float(), seed=s)
+    else:
+        cost = CostModel(kind="lognormal", mu=1.0, sigma=1.2, seed=s)
+    params = VehicleParams(v_uav=2.0, v_ugv=2.0 * ratio, fuel_capacity=fuel_capacity,
+                           fuel_per_meter=fuel_per_meter, r_max=r_max)
+    return generate_scenario(n, seed=s, params=params, cost_model=cost)

@@ -249,6 +249,20 @@ def test_repair_raises_on_permanently_unreachable_target():
                             tight, ordinal=2)
 
 
+def test_repair_names_a_thread_too_long_for_a_float():
+    with pytest.raises(ValueError, match=r"^non-finite edge at \(1e\+308, 0\)$"):
+        transfer_and_repair(P(0, 0), [(1, P(1e308, 0)), (2, P(-1e308, 0))], None,
+                            P(0, 0), DEFAULT_PARAMS, ordinal=1)
+
+
+def test_repair_names_a_terminal_edge_too_long_for_a_float():
+    # the target's arc already exceeds the range, so the candidate is shed
+    # without building its path: only the guard sees the overflow
+    with pytest.raises(ValueError, match=r"^non-finite edge at \(1e\+308, 0\)$"):
+        transfer_and_repair(P(0, 0), [(1, P(1e308, 0))], None,
+                            P(-1e308, 0), DEFAULT_PARAMS, ordinal=1)
+
+
 def test_repair_passes_clean_segments_through():
     nxt = line_plan().segments[1]
     plan, shed, modified = transfer_and_repair(

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from fuelstring.geometry import EPS_GEOM, Point2D, distance
-from fuelstring.model import Scenario, Target, VehicleParams, World
+from fuelstring.model import Buckets, Scenario, Target, VehicleParams, World
 from fuelstring.rng import SplitMix64
 from fuelstring.scenario_io import (
     _PLACEMENT_ATTEMPTS,
+    MIN_SEPARATION,
     CostModel,
     ScenarioFormatError,
     TooManyTargetsError,
@@ -130,6 +131,12 @@ def test_plan_round_trip():
     (lambda d: d.__setitem__("cost_model", {"kind": "uniform", "low": -5,
                                             "high": 20}),
      "cost_model: uniform low < 0"),
+    (lambda d: d["cost_model"].__setitem__("kind", ["uniform"]),
+     r"cost_model: unknown kind \['uniform'\]"),
+    (lambda d: (d.__setitem__("cost_model", {"kind": "lognormal", "mu": 0.0,
+                                             "sigma": 1e308, "seed": 21}),
+                d["targets"][0].pop("tau")),
+     "cost_model: lognormal cost of target 1 overflows a float"),
 ])
 def test_malformed_document_names_the_fault(mutate, message):
     doc = valid_doc()
@@ -189,6 +196,53 @@ def test_explicit_cost_model_has_nothing_to_sample():
         generate_scenario(3, seed=1, cost_model=CostModel(kind="explicit"))
     with pytest.raises(ValueError, match="explicit"):
         sample_costs(CostModel(kind="explicit"), [1, 2])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "pareto"}, "^unknown kind 'pareto'$"),
+    ({"kind": ["uniform"]}, r"^unknown kind \['uniform'\]$"),
+    ({"kind": None}, "^unknown kind None$"),
+    ({"kind": "uniform", "low": float("nan"), "high": 1.0}, "^low must be finite, got nan$"),
+    ({"kind": "uniform", "low": 0.0, "high": float("inf")}, "^high must be finite, got inf$"),
+    ({"kind": "lognormal", "mu": float("-inf")}, "^mu must be finite, got -inf$"),
+    ({"kind": "lognormal", "sigma": float("nan")}, "^sigma must be finite, got nan$"),
+    ({"kind": "uniform", "low": 5.0, "high": 1.0}, "^uniform high < low$"),
+    ({"kind": "uniform", "low": -5.0, "high": 20.0}, "^uniform low < 0$"),
+    ({"kind": "uniform", "low": -5.0, "high": -1.0}, "^uniform low < 0$"),
+])
+def test_cost_model_built_in_code_checks_itself(fields, message):
+    with pytest.raises(ValueError, match=message):
+        CostModel(**fields)
+
+
+def test_cost_model_checks_only_its_kinds_fields():
+    nan = float("nan")
+    assert CostModel(kind="explicit", low=nan, high=-1.0, mu=nan).kind == "explicit"
+    assert CostModel(kind="lognormal", low=5.0, high=-1.0).kind == "lognormal"
+    assert CostModel(kind="uniform", mu=nan, sigma=nan).kind == "uniform"
+
+
+def test_generate_refuses_a_negative_uniform_low_on_every_seed():
+    for seed in range(1, 6):
+        with pytest.raises(ValueError, match="^uniform low < 0$"):
+            generate_scenario(3, seed=seed, cost_model=CostModel(
+                kind="uniform", low=-5.0, high=20.0, seed=seed))
+
+
+def test_lognormal_overflow_is_named_on_every_seed():
+    # sigma 1e308 gives some draws an exponent past exp's domain (OverflowError)
+    # and seed 21 an infinite one (exp returns inf): both are the overflow
+    overflowed = []
+    for seed in range(40):
+        model = CostModel(kind="lognormal", mu=0.0, sigma=1e308, seed=seed)
+        try:
+            sc = generate_scenario(1, seed=seed, cost_model=model)
+        except ScenarioFormatError as exc:
+            assert str(exc) == "cost_model: lognormal cost of target 1 overflows a float", seed
+            overflowed.append(seed)
+        else:
+            assert sc.targets[0].tau == 0.0, seed
+    assert len(overflowed) == 17 and 21 in overflowed, overflowed
 
 
 def test_lognormal_costs_positive_and_deterministic():
@@ -296,24 +350,46 @@ def reference_placement(n, seed, world, sep):
     return placed[1:]
 
 
-def test_bucketed_placement_matches_brute_force():
+def placement_cases():
+    """60 (case, world, separation, n) draws for the placement tests."""
     rng = SplitMix64(41)
-    outcomes = {"placed": 0, "stuck": 0}
     for case in range(60):
         world = World(width=(2.0, 5.0, 13.7, 50.0)[rng.next_u64() % 4],
                       height=(0.5, 5.0, 9.25, 50.0)[rng.next_u64() % 4])
-        sep = (0.0, 1e-3, 0.5, 1.0, 1.3, 2.5)[rng.next_u64() % 6]
-        n = 1 + rng.next_u64() % 40
+        sep = (0.0, 1e-3, 0.5, 1.3, 2.5)[rng.next_u64() % 5]
+        yield case, world, sep, 1 + rng.next_u64() % 40
+
+
+def test_bucketed_placement_matches_brute_force():
+    outcomes = {"placed": 0, "stuck": 0}
+    for case, world, _, n in placement_cases():
         try:
-            got = [t.position for t in generate_scenario(n, case, world=world,
-                                                         min_separation=sep).targets]
+            got = [t.position for t in generate_scenario(n, case, world=world).targets]
         except TooManyTargetsError:
             continue
         except ValueError as exc:
             got = str(exc).rsplit("(", 1)[-1].rstrip(")")
-        assert got == reference_placement(n, case, world, sep), (case, n, world, sep)
+        assert got == reference_placement(n, case, world, MIN_SEPARATION), (case, n, world)
         outcomes["stuck" if isinstance(got, str) else "placed"] += 1
     assert outcomes["placed"] >= 30 and outcomes["stuck"] >= 3, outcomes
+
+
+def test_buckets_match_the_pairwise_separation_rule():
+    """add_if_clear(c) is all(distance(c, p) >= sep for every added p), at
+    separations other than generate_scenario's own."""
+    outcomes = {True: 0, False: 0}
+    for case, world, sep, _ in placement_cases():
+        rng = SplitMix64(case)
+        placed = Buckets(sep, world)
+        added = []
+        for _ in range(300):
+            cand = Point2D(rng.next_float() * world.width, rng.next_float() * world.height)
+            clear = all(distance(cand, p) >= sep for p in added)
+            assert placed.add_if_clear(cand) == clear, (case, world, sep, cand)
+            if clear:
+                added.append(cand)
+            outcomes[clear] += 1
+    assert outcomes[True] >= 1000 and outcomes[False] >= 1000, outcomes
 
 
 # --- coincident points -----------------------------------------------------

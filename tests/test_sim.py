@@ -19,6 +19,7 @@ from conftest import (
     segment_cases,
     tick_record,
     traced_run,
+    vehicle_space,
 )
 from fuelstring.geometry import Point2D, step_toward
 from fuelstring.offline import PlanningError, plan_mission
@@ -438,6 +439,20 @@ def _checked_generated_run(n: int, seed: int, dt: float = 0.05):
     cost = CostModel(kind="uniform", low=0.0, high=25.0, seed=seed - 8983)
     return run(generate_scenario(n, seed=seed, cost_model=cost),
                SimConfig(dt=dt, check_invariants=True))
+
+
+def test_vehicle_space_missions_pass_every_check():
+    """Seeds 1000-1099 of the vehicle-space recipe, every tick checked: no
+    fault, and each mission completes, times out or names a target
+    permanently infeasible."""
+    seen = {"completed": 0, "timeout": 0, "infeasible": 0}
+    for seed in range(1000, 1100):
+        try:
+            seen[run(vehicle_space(seed), SimConfig(check_invariants=True)).status] += 1
+        except PlanningError as exc:
+            assert "permanently infeasible" in str(exc), (seed, exc)
+            seen["infeasible"] += 1
+    assert seen == {"completed": 90, "timeout": 5, "infeasible": 5}
 
 
 def test_reach_holds_on_the_segment_after_a_refuel():
