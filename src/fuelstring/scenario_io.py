@@ -57,8 +57,12 @@ class CostModel:
             raise ValueError(f"unknown kind {self.kind!r}")
         for name in COST_FIELDS[self.kind]:
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not _is_real(v):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            if not _is_finite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
+        if not _is_int(self.seed):  # SplitMix64 takes any int, a negative one too
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.kind == "uniform":
             if self.high < self.low:
                 raise ValueError("uniform high < low")
@@ -72,9 +76,22 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """For a real v: NaN and the infinities fail the comparison, and so do
+    ints too big for a float."""
+    return abs(v) <= sys.float_info.max
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _finite(v, what: str) -> float:
-    # NaN and the infinities fail the comparison, and so do ints too big for a float
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+    if not (_is_real(v) and _is_finite(v)):
         raise ScenarioFormatError(f"{what} must be a finite number, got {v!r}")
     return float(v)
 
@@ -85,7 +102,7 @@ def _num(obj: dict, key: str, where: str) -> float:
 
 def _int(obj: dict, key: str, where: str) -> int:
     v = _need(obj, key, where)
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         raise ScenarioFormatError(f"{where}: field '{key}' must be an integer, got {v!r}")
     return v
 

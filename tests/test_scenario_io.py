@@ -16,6 +16,7 @@ from fuelstring.scenario_io import (
     emit_plan,
     emit_scenario,
     generate_scenario,
+    parse_cost_model,
     parse_plan,
     parse_scenario,
     sample_costs,
@@ -213,6 +214,30 @@ def test_explicit_cost_model_has_nothing_to_sample():
 def test_cost_model_built_in_code_checks_itself(fields, message):
     with pytest.raises(ValueError, match=message):
         CostModel(**fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "uniform", "low": "0", "high": 1.0}, "^low must be a real number, got '0'$"),
+    ({"kind": "uniform", "low": 0.0, "high": True}, "^high must be a real number, got True$"),
+    ({"kind": "lognormal", "mu": None}, "^mu must be a real number, got None$"),
+    ({"kind": "lognormal", "sigma": 10 ** 400}, "^sigma must be finite, got 1000"),
+    ({"kind": "uniform", "low": 0.0, "high": 1.0, "seed": 1.5}, "^seed must be an integer, got 1.5$"),
+    ({"kind": "uniform", "low": 0.0, "high": 1.0, "seed": True}, "^seed must be an integer, got True$"),
+    ({"kind": "explicit", "seed": "7"}, "^seed must be an integer, got '7'$"),
+])
+def test_cost_model_built_in_code_names_a_field_of_the_wrong_type(fields, message):
+    # parse_cost_model's rules: a distribution field is a finite real and
+    # not a bool, and the seed an int and not a bool
+    with pytest.raises(ValueError, match=message):
+        CostModel(**fields)
+
+
+def test_cost_model_takes_ints_and_a_negative_seed_as_documents_do():
+    model = CostModel(kind="uniform", low=0, high=20, seed=-3)
+    doc = {"kind": "uniform", "low": 0, "high": 20, "seed": -3}
+    assert parse_cost_model(doc) == model
+    assert generate_scenario(3, seed=1, cost_model=model) == generate_scenario(
+        3, seed=1, cost_model=CostModel(kind="uniform", low=0.0, high=20.0, seed=-3))
 
 
 def test_cost_model_checks_only_its_kinds_fields():
