@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -9,6 +10,21 @@ from .geometry import EPS_GEOM, Point2D, distance
 
 EPS_FUEL = 1e-9
 EPS_TIME = 1e-9
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_real(v) -> bool:
+    """An int or a float, and not a bool: the one type a model number takes.
+    NaN, the infinities and ints too big for a float pass; each field then
+    tests its own range."""
+    # a float first: models build thousands of coordinates and costs
+    return type(v) is float or isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def check_real(name: str, v):
+    """Refuse a model value that is not a real number, naming its field."""
+    if not is_real(v):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -26,12 +42,13 @@ class VehicleParams:
     r_max: float | None = None
 
     def __post_init__(self):
-        for name in ("v_uav", "v_ugv", "fuel_capacity", "fuel_per_meter"):
+        for name in ("v_uav", "v_ugv", "fuel_capacity", "fuel_per_meter", "r_max"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
+            if v is None and name == "r_max":
+                continue
+            if not (is_real(v) and 0 < v <= _FLOAT_MAX):
+                check_real(name, v)
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if self.r_max is not None and not (math.isfinite(self.r_max) and self.r_max > 0):
-            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
 
     @cached_property
     def burn_rate(self) -> float:
@@ -63,8 +80,11 @@ class Target:
     tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau >= 0):
-            raise ValueError(f"target {self.id}: tau must be finite and >= 0, got {self.tau}")
+        # the name is formatted only for a refusal: generators build many targets
+        tau = self.tau
+        if not (is_real(tau) and 0 <= tau <= _FLOAT_MAX):
+            check_real(f"target {self.id}: tau", tau)
+            raise ValueError(f"target {self.id}: tau must be finite and >= 0, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +93,8 @@ class World:
     height: float = 50.0
 
     def __post_init__(self):
+        check_real("width", self.width)
+        check_real("height", self.height)
         # finite bounds let contains() reject a NaN or infinite position
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ValueError(f"world bounds must be positive and finite, got "
@@ -92,8 +114,10 @@ class Scenario:
     def __post_init__(self):
         if not self.targets:
             raise ValueError("a scenario needs at least one target, got none")
-        if not self.world.contains(self.depot):
-            raise ValueError(f"depot ({self.depot.x}, {self.depot.y}) outside world bounds")
+        depot = self.depot
+        if not (is_real(depot.x) and is_real(depot.y) and self.world.contains(depot)):
+            _check_point("depot", depot)
+            raise ValueError(f"depot ({depot.x}, {depot.y}) outside world bounds")
         seen_ids: set[int] = set()
         # distances are floats: d <= EPS_GEOM exactly when d < nextafter(EPS_GEOM)
         placed = Buckets(math.nextafter(EPS_GEOM, math.inf), self.world)
@@ -102,13 +126,21 @@ class Scenario:
             if t.id in seen_ids:
                 raise ValueError(f"duplicate target id {t.id}")
             seen_ids.add(t.id)
-            if not self.world.contains(t.position):
+            pos = t.position
+            if not (is_real(pos.x) and is_real(pos.y) and self.world.contains(pos)):
+                _check_point(f"target {t.id}", pos)
                 raise ValueError(f"target {t.id} outside world bounds")
-            if not placed.add_if_clear(t.position):
+            if not placed.add_if_clear(pos):
                 k = next(i for i, p in enumerate(placed.points)
                          if distance(t.position, p) <= EPS_GEOM)
                 where = "depot" if k == 0 else f"target {self.targets[k - 1].id}"
                 raise ValueError(f"target {t.id} coincides with {where}")
+
+
+def _check_point(where: str, p: Point2D):
+    """Refuse a coordinate that is not a real number, naming its point."""
+    check_real(f"{where}: x", p.x)
+    check_real(f"{where}: y", p.y)
 
 
 class Buckets:

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .geometry import Point2D, Polyline
-from .model import Buckets, Scenario, Target, VehicleParams, World
+from .model import Buckets, Scenario, Target, VehicleParams, World, check_real, is_real
 from .offline import MissionPlan, SegmentPlan
 from .rng import SplitMix64
 
@@ -57,8 +57,7 @@ class CostModel:
             raise ValueError(f"unknown kind {self.kind!r}")
         for name in COST_FIELDS[self.kind]:
             v = getattr(self, name)
-            if not _is_real(v):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
+            check_real(name, v)
             if not _is_finite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
         if not _is_int(self.seed):  # SplitMix64 takes any int, a negative one too
@@ -76,10 +75,6 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_finite(v) -> bool:
     """For a real v: NaN and the infinities fail the comparison, and so do
     ints too big for a float."""
@@ -91,7 +86,7 @@ def _is_int(v) -> bool:
 
 
 def _finite(v, what: str) -> float:
-    if not (_is_real(v) and _is_finite(v)):
+    if not (is_real(v) and _is_finite(v)):
         raise ScenarioFormatError(f"{what} must be a finite number, got {v!r}")
     return float(v)
 

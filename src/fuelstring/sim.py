@@ -7,26 +7,26 @@ with the abandonment lookahead, also when the UAV reaches a target mid-tick.
 A hovering UAV docks the instant the UGV reaches the site, to EPS_TIME.
 Identical inputs give identical traces, byte for byte.
 
-`step` takes one tick.  `run` first tries two coasts, each of which takes
-every consecutive quiet tick of one kind in one tight loop over locals:
-  * `_coast_transit`: a tick that starts in transit or on the way to the
-    rendezvous, below the time cap, and whose whole flight stays short of
-    the next stop.  Its site is fixed, it reveals nothing and fires no event.
-  * `_coast_processing`: a tick that starts in processing, below the time
-    cap, whose lookahead approves the whole tick, whose burn does not
-    complete the target (reveal's own test), whose dragged site passes no
-    pending target, and that leaves step no second sub-step.  It fires no
-    event either; its burn may drag the site back along the path.
-Every other tick, hovering included, goes to step.  A coast does step's
+`step` takes one tick.  `run` first tries `_coast`, which takes every
+consecutive quiet tick of the active mode in one tight loop over locals:
+  * transit: a tick that starts in transit or on the way to the rendezvous,
+    below the time cap, and whose whole flight stays short of the next
+    stop.  Its site is fixed, it reveals nothing and fires no event.
+  * processing: a tick that starts in processing, below the time cap, whose
+    lookahead approves the whole tick, whose burn does not complete the
+    target (reveal's own test), whose dragged site passes no pending
+    target, and that leaves step no second sub-step.  It fires no event
+    either; its burn may drag the site back along the path.
+Every other tick, hovering included, goes to step.  The coast does step's
 float operations in step's order and picks point_at_arc's edge, so every
-record, event, metric and fault message is the one step gives.  Both
-coasts write their locals back through `_put`, and every tick leaves
-through one call, `WorldState.tick`, the run's only tick writer.
+record, event, metric and fault message is the one step gives.  It writes
+its locals back through `_put`, and every tick leaves through one call,
+`WorldState.tick`, the run's only tick writer.
 
 Processing costs stay hidden from the planning layer: the simulator reveals
 them strictly one tick of burn at a time, through TargetTracker.reveal or
-the processing coast's copy of its test, and the online layer sees only the
-amount burned plus a done flag.
+`_coast`'s copy of its test, and the online layer sees only the amount
+burned plus a done flag.
 """
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ import math
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 
-from .geometry import EPS_GEOM, Point2D, distance
-from .model import EPS_FUEL, EPS_TIME, Scenario
+from .geometry import EPS_GEOM, Point2D, distance, step_toward
+from .model import EPS_FUEL, EPS_TIME, Scenario, check_real
 from .offline import (MissionPlan, PlanningError, SegmentPlan, plan_mission,
                       segment_violations, validate_plan)
 from .online import (
@@ -80,15 +80,20 @@ class SimConfig:
     def __post_init__(self, keep_trace):
         if keep_trace:
             raise ValueError("keep_trace is gone: pass run a trace_file sink to keep the trace")
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if self.max_mission_time is not None and not 0 < self.max_mission_time < math.inf:
-            raise ValueError(f"max_mission_time must be finite and > 0, got {self.max_mission_time}")
+        check_real("dt", self.dt)
+        # a tick of EPS_TIME or less never runs step's UAV phase
+        if not EPS_TIME < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > {EPS_TIME}, got {self.dt}")
+        cap = self.max_mission_time
+        if cap is not None:
+            check_real("max_mission_time", cap)
+            if not 0 < cap < math.inf:
+                raise ValueError(f"max_mission_time must be finite and > 0, got {cap}")
 
 
 class TargetTracker:
     """Simulator-private processing state.  sim is the only module that
-    reads tau: reveal here, and the processing coast's completion test."""
+    reads tau: reveal here, and `_coast`'s copy of its completion test."""
 
     __slots__ = ("tau", "progress")
 
@@ -284,16 +289,12 @@ def step(world: WorldState):
         world.record_tick()
         return
 
-    # the UGV's step toward the site over the rest of the tick: step_toward, inline
+    # the UGV's step toward the site over the rest of the tick
     st = world.active
-    goal, ugv, stride = st.site_position, world.ugv_pos, world.params.v_ugv * (dt - t_ugv)
-    d = math.hypot(ugv.x - goal.x, ugv.y - goal.y)
-    ugv_next = goal if d <= stride or d <= EPS_GEOM else Point2D(
-        ugv.x + stride / d * (goal.x - ugv.x), ugv.y + stride / d * (goal.y - ugv.y))
-    world.ugv_pos = ugv_next
+    goal, v_ugv = st.site_position, world.params.v_ugv
+    world.ugv_pos = step_toward(world.ugv_pos, goal, v_ugv * (dt - t_ugv))
     # a UAV that reached the site with no sub-step left docks if this step did
-    if st.mode is Mode.WAIT and (ugv_next is goal or distance(ugv_next, goal)
-                                 <= world.params.v_ugv * EPS_TIME):
+    if st.mode is Mode.WAIT and distance(world.ugv_pos, goal) <= v_ugv * EPS_TIME:
         world.ugv_pos = goal
         _refuel(world, t0 + dt)
 
@@ -453,187 +454,163 @@ def _check_invariants(world: WorldState):
         world._conserved = key
 
 
-def _coast_transit(world: WorldState, limit: float) -> bool:
-    """Take every consecutive quiet transit tick (see the module docstring)
-    in one loop; return False when the next tick is not quiet.
+def _coast(world: WorldState, limit: float) -> bool:
+    """Take every consecutive quiet tick of the active mode (see the module
+    docstring) in one loop; return False when the next tick is not quiet.
 
-    Quiet means on_transit_tick's own test passes for the tick's whole
-    budget.  The arc, fuel, clock, UGV coordinates and path edge live in
-    locals.  The edge cursor only moves forward, to the last edge starting
-    at or before the arc, and an arc equal to that edge's start gives its
-    vertex, both as in point_at_arc.
+    The mode's entry test runs first, then one set-up reads the world into
+    locals; the state goes back through `_put`.  Each path edge cursor
+    stops at the last edge starting at or before its arc, and an arc equal
+    to that edge's start gives its vertex, both as in point_at_arc.
+    Transit's cursor follows the UAV forward.  A processing tick is judged
+    whole before any of it is kept: the lookahead, reveal's completion test
+    and the skip test read only the tick's start and the site it drags to,
+    so the first tick that fails one goes to step as it stood.  A slack
+    string leaves the site, and so both of step's pursuit steps, where they
+    were: the loop takes that step once.  A taut one drags the site, and
+    its cursor, backward; a dragged site lies below the site arc before it,
+    so the cursor starts at most on the path's last edge.  The site arc
+    only falls, so its low-water mark is the last arc, set in `_put`.
     """
     st = world.active
     mode = st.mode
-    if mode is not Mode.TRANSIT and mode is not Mode.TO_RENDEZVOUS:
-        return False
-    cfg = world.config
-    params = world.params
-    dt = cfg.dt
-    budget = params.burn_rate * dt
-    d_step = budget / params.fuel_per_meter
-    margin = d_step + EPS_GEOM
-    next_arc = st.pending[0][1] if st.pending else st.site_arc
-    arc, clock = st.uav_arc, world.clock
-    # a tick of EPS_TIME or less is no quiet tick: step's UAV phase skips it
-    if not (clock < limit and next_arc - arc > margin and dt > EPS_TIME):
-        return False
-
-    fuel, sarc, case = st.fuel, st.site_arc, st.case
-    goal = st.site_position
-    qx, qy, seg = goal.x, goal.y, st.ordinal
-    ugv = world.ugv_pos
-    gx, gy, parked = ugv.x, ugv.y, ugv is goal
-    stride = params.v_ugv * dt  # step's v_ugv * (dt - t_ugv), and t_ugv is 0
-    arcs, verts = st.plan.path.cumulative_arc, st.plan.path.vertices
-    i = bisect_right(arcs, arc) - 1
-    a0, a1, v, w = arcs[i], arcs[i + 1], verts[i], verts[i + 1]
-    edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
-    tick, checked = world.tick, cfg.check_invariants
-    while True:
-        arc += d_step
-        fuel -= budget
-        if fuel < -EPS_FUEL:  # as step faults: before the clock and the UGV move
-            _put(world, clock, fuel, gx, gy, parked, arc, sarc, goal, case, None)
-            world.fault("fuel exhausted in transit")
-        if not parked:
-            d = math.hypot(gx - qx, gy - qy)
-            if d <= stride or d <= EPS_GEOM:
-                gx, gy, parked = qx, qy, True
-            else:
-                f = stride / d
-                gx, gy = gx + f * (qx - gx), gy + f * (qy - gy)
-        clock = clock + dt
-        while a1 <= arc:
-            i += 1
-            a0, a1, v, w = a1, arcs[i + 1], w, verts[i + 1]
-            edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
-        if arc == a0:
-            ux, uy = v.x, v.y
-        else:
-            t = (arc - a0) / edge
-            ux, uy = v.x + t * dx, v.y + t * dy
-        if checked:
-            _put(world, clock, fuel, gx, gy, parked, arc, sarc, goal, case, None)
-            _check_invariants(world)
-        tick(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode)
-        if not (clock < limit and next_arc - arc > margin):
-            break
-    _put(world, clock, fuel, gx, gy, parked, arc, sarc, goal, case, None)
-    return True
-
-
-def _coast_processing(world: WorldState, limit: float) -> bool:
-    """Take every consecutive quiet processing tick (see the module
-    docstring) in one loop; return False when the next tick is not quiet.
-
-    Each tick is judged whole before any of it is kept: the lookahead,
-    reveal's completion test and the skip test read only the tick's start
-    and the site it drags to, so the first tick that fails one goes to step
-    as it stood.  A slack string leaves the site, and so both of step's
-    pursuit steps, where they were: the loop takes that step once.  A taut
-    one drags the site to a lower arc, whose point an edge cursor gives.
-    The cursor only moves backward, to the last edge starting at or before
-    the arc, and an arc equal to that edge's start gives its vertex, both
-    as in point_at_arc; a dragged site lies below the site arc before it,
-    so it is never the path's last vertex and the cursor starts at most on
-    the last edge.  The site arc only falls, so its low-water mark is the
-    last arc, set where the state is written back.
-    """
-    st = world.active
-    if st.mode is not Mode.PROCESSING:
+    if mode is Mode.WAIT:
         return False
     cfg = world.config
     params = world.params
     dt = cfg.dt
     burn = params.burn_rate
-    budget = burn * dt  # the lookahead's burn and reveal's avail, over the whole tick
+    budget = burn * dt  # a transit tick's burn; the lookahead's burn and reveal's avail
     clock, uarc, sarc = world.clock, st.uav_arc, st.site_arc
     pending = st.pending
-    last = pending[-1][1] if pending else -math.inf
-    # a residual t_rem above EPS_TIME makes step take a second sub-step, and
-    # a target past the undragged site is skipped by any tick's burn.  With
-    # the UAV at or before its site, backtrack_site's arc stays between them.
-    if not (clock < limit and dt > EPS_TIME and dt - budget / burn <= EPS_TIME
-            and last <= sarc + EPS_GEOM and uarc <= sarc):
-        return False
+    if mode is Mode.PROCESSING:
+        last = pending[-1][1] if pending else -math.inf
+        # a residual t_rem above EPS_TIME makes step take a second sub-step, and
+        # a target past the undragged site is skipped by any tick's burn.  With
+        # the UAV at or before its site, backtrack_site's arc stays between them.
+        if not (clock < limit and dt - budget / burn <= EPS_TIME
+                and last <= sarc + EPS_GEOM and uarc <= sarc):
+            return False
+    else:
+        d_step = budget / params.fuel_per_meter
+        margin = d_step + EPS_GEOM
+        next_arc = pending[0][1] if pending else sarc
+        if not (clock < limit and next_arc - uarc > margin):
+            return False
 
-    tracker = world.trackers[st.current]
-    tau, progress = tracker.tau, tracker.progress
-    avail = budget + EPS_FUEL  # reveal completes the target when tau - progress is at most this
-    fpm, v_ugv = params.fuel_per_meter, params.v_ugv
-    stride = v_ugv * dt  # step's v_ugv * (dt - t_ugv), and t_ugv is 0
-    fuel, case, seg, mode = st.fuel, st.case, st.ordinal, st.mode
-    uav = st.uav_position
-    ux, uy = uav.x, uav.y
+    fuel, case, seg = st.fuel, st.case, st.ordinal
     goal = st.site_position
     sarc0, qx, qy = sarc, goal.x, goal.y
     ugv = world.ugv_pos
     gx, gy, parked = ugv.x, ugv.y, ugv is goal
+    v_ugv = params.v_ugv
+    stride = v_ugv * dt  # step's v_ugv * (dt - t_ugv), and t_ugv is 0
     arcs, verts = st.plan.path.cumulative_arc, st.plan.path.vertices
-    i = min(bisect_right(arcs, sarc), len(arcs) - 1) - 1
-    a0, v, w = arcs[i], verts[i], verts[i + 1]
-    edge, vx, vy, dx, dy = arcs[i + 1] - a0, v.x, v.y, w.x - v.x, w.y - v.y
     tick, checked = world.tick, cfg.check_invariants
-    took = False
-    while clock < limit:
-        # check_abandonment: backtrack_site at fuel_next, a pursuit step
-        # toward the site before the drag, and ugv_reachable, which refuses
-        # an empty tank
-        fuel_next = fuel - budget
-        if fuel_next < 0.0:
-            break
-        s = uarc + fuel_next / fpm
-        if not s < sarc:
-            s = sarc
-        elif uarc > s:
-            s = uarc
-        if s == sarc:  # slack
-            px, py = qx, qy
-        else:
-            if s < a0:
-                i -= 1
-                while arcs[i] > s:
-                    i -= 1
-                a0, v, w = arcs[i], verts[i], verts[i + 1]
-                edge, vx, vy, dx, dy = arcs[i + 1] - a0, v.x, v.y, w.x - v.x, w.y - v.y
-            if s == a0:
-                px, py = vx, vy
+    if mode is Mode.PROCESSING:
+        tracker = world.trackers[st.current]
+        tau, progress = tracker.tau, tracker.progress
+        avail = budget + EPS_FUEL  # reveal completes the target when tau - progress is at most this
+        fpm = params.fuel_per_meter
+        uav = st.uav_position
+        ux, uy = uav.x, uav.y
+        i = min(bisect_right(arcs, sarc), len(arcs) - 1) - 1
+        a0, v, w = arcs[i], verts[i], verts[i + 1]
+        edge, vx, vy, dx, dy = arcs[i + 1] - a0, v.x, v.y, w.x - v.x, w.y - v.y
+        took = False
+        while clock < limit:
+            # check_abandonment: backtrack_site at fuel_next, a pursuit step
+            # toward the site before the drag, and ugv_reachable, which refuses
+            # an empty tank
+            fuel_next = fuel - budget
+            if fuel_next < 0.0:
+                break
+            s = uarc + fuel_next / fpm
+            if not s < sarc:
+                s = sarc
+            elif uarc > s:
+                s = uarc
+            if s == sarc:  # slack
+                px, py = qx, qy
             else:
-                t = (s - a0) / edge
-                px, py = vx + t * dx, vy + t * dy
-        if parked:
-            lx, ly, lpark = qx, qy, True
-        else:
-            d = math.hypot(gx - qx, gy - qy)
-            if d <= stride or d <= EPS_GEOM:
+                if s < a0:
+                    i -= 1
+                    while arcs[i] > s:
+                        i -= 1
+                    a0, v, w = arcs[i], verts[i], verts[i + 1]
+                    edge, vx, vy, dx, dy = arcs[i + 1] - a0, v.x, v.y, w.x - v.x, w.y - v.y
+                if s == a0:
+                    px, py = vx, vy
+                else:
+                    t = (s - a0) / edge
+                    px, py = vx + t * dx, vy + t * dy
+            if parked:
                 lx, ly, lpark = qx, qy, True
             else:
-                f = stride / d
-                lx, ly, lpark = gx + f * (qx - gx), gy + f * (qy - gy), False
-        if (math.hypot(lx - px, ly - py) / v_ugv > fuel_next / burn + EPS_TIME
-                or tau - progress <= avail or last > s + EPS_GEOM):
-            break  # step abandons, completes the target or skips
-        if s == sarc:  # the tick-end pursuit step is the lookahead's
-            gx, gy, parked = lx, ly, lpark
-        else:
-            if case < Case.BACKTRACK_ALL_VISITED and s < sarc - EPS_GEOM:
-                case = Case.BACKTRACK_ALL_VISITED
-            d = math.hypot(gx - px, gy - py)
-            if d <= stride or d <= EPS_GEOM:
-                gx, gy, parked = px, py, True
+                d = math.hypot(gx - qx, gy - qy)
+                if d <= stride or d <= EPS_GEOM:
+                    lx, ly, lpark = qx, qy, True
+                else:
+                    f = stride / d
+                    lx, ly, lpark = gx + f * (qx - gx), gy + f * (qy - gy), False
+            if (math.hypot(lx - px, ly - py) / v_ugv > fuel_next / burn + EPS_TIME
+                    or tau - progress <= avail or last > s + EPS_GEOM):
+                break  # step abandons, completes the target or skips
+            if s == sarc:  # the tick-end pursuit step is the lookahead's
+                gx, gy, parked = lx, ly, lpark
             else:
-                f = stride / d
-                gx, gy, parked = gx + f * (px - gx), gy + f * (py - gy), False
-        progress += budget
-        fuel, sarc, qx, qy = fuel_next, s, px, py
-        clock = clock + dt
+                if case < Case.BACKTRACK_ALL_VISITED and s < sarc - EPS_GEOM:
+                    case = Case.BACKTRACK_ALL_VISITED
+                d = math.hypot(gx - px, gy - py)
+                if d <= stride or d <= EPS_GEOM:
+                    gx, gy, parked = px, py, True
+                else:
+                    f = stride / d
+                    gx, gy, parked = gx + f * (px - gx), gy + f * (py - gy), False
+            progress += budget
+            fuel, sarc, qx, qy = fuel_next, s, px, py
+            clock = clock + dt
+            took = True
+            if checked:
+                _put(world, clock, fuel, gx, gy, parked, uarc, sarc,
+                     goal if sarc == sarc0 else Point2D(qx, qy), case, progress)
+                _check_invariants(world)
+            tick(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode)
+    else:
+        progress = None
+        i = bisect_right(arcs, uarc) - 1
+        a0, a1, v, w = arcs[i], arcs[i + 1], verts[i], verts[i + 1]
+        edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
         took = True
-        if checked:
-            _put(world, clock, fuel, gx, gy, parked, uarc, sarc,
-                 goal if sarc == sarc0 else Point2D(qx, qy), case, progress)
-            _check_invariants(world)
-        tick(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode)
+        while True:
+            uarc += d_step
+            fuel -= budget
+            if fuel < -EPS_FUEL:  # as step faults: before the clock and the UGV move
+                _put(world, clock, fuel, gx, gy, parked, uarc, sarc, goal, case, None)
+                world.fault("fuel exhausted in transit")
+            if not parked:
+                d = math.hypot(gx - qx, gy - qy)
+                if d <= stride or d <= EPS_GEOM:
+                    gx, gy, parked = qx, qy, True
+                else:
+                    f = stride / d
+                    gx, gy = gx + f * (qx - gx), gy + f * (qy - gy)
+            clock = clock + dt
+            while a1 <= uarc:
+                i += 1
+                a0, a1, v, w = a1, arcs[i + 1], w, verts[i + 1]
+                edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
+            if uarc == a0:
+                ux, uy = v.x, v.y
+            else:
+                t = (uarc - a0) / edge
+                ux, uy = v.x + t * dx, v.y + t * dy
+            if checked:
+                _put(world, clock, fuel, gx, gy, parked, uarc, sarc, goal, case, None)
+                _check_invariants(world)
+            tick(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode)
+            if not (clock < limit and next_arc - uarc > margin):
+                break
     if took:
         _put(world, clock, fuel, gx, gy, parked, uarc, sarc,
              goal if sarc == sarc0 else Point2D(qx, qy), case, progress)
@@ -684,7 +661,7 @@ def run(scenario: Scenario, config: SimConfig | None = None,
     world.record_tick()
     limit = max_t - EPS_TIME
     while not world.mission_complete and world.clock < limit:
-        if not (_coast_transit(world, limit) or _coast_processing(world, limit)):
+        if not _coast(world, limit):
             step(world)
 
     status = "completed" if world.mission_complete else "timeout"

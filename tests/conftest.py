@@ -1,4 +1,5 @@
-"""Shared scenario and plan builders for the test suite.
+"""Shared scenario and plan builders for the test suite, and the step-only
+reference engine that run()'s outputs are compared with.
 
 Three fixed geometries cover most tests:
 
@@ -13,12 +14,13 @@ Three fixed geometries cover most tests:
 from __future__ import annotations
 
 import io
+import json
 import math
 
 from fuelstring import sim
 from fuelstring.geometry import Point2D, Polyline
-from fuelstring.model import Scenario, Target, VehicleParams, World
-from fuelstring.offline import MissionPlan, SegmentPlan
+from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
+from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan
 from fuelstring.rng import SplitMix64
 from fuelstring.scenario_io import CostModel, generate_scenario
 
@@ -110,6 +112,53 @@ def traced_run(scenario, config=None, plan=None, sink=None):
         rec = sim._decode_line(line)
         (events if "kind" in rec else ticks).append(rec)
     return rep, ticks, events
+
+
+# what run() raises mid-mission: a repair's refusal or a broken invariant
+RUN_ERRORS = (PlanningError, sim.InvariantViolation)
+
+
+def run_outputs(scenario, config, plan, sink=None) -> list:
+    """What run() gives on a planned mission: its status, metrics text and
+    unprocessed ids, or a raised error's type and text; then the sink's
+    text.  The texts write every float with repr, so equal texts mean equal
+    bits, -0.0 included."""
+    sink = io.StringIO() if sink is None else sink
+    try:
+        rep = sim.run(scenario, config, plan=plan, trace_file=sink)
+    except RUN_ERRORS as exc:
+        got = [type(exc).__name__, str(exc)]
+    else:
+        got = [rep.status, sim.metrics_to_text(rep.metrics), rep.unprocessed]
+    return got + [sink.getvalue()]
+
+
+def stepped_outputs(scenario, config, plan) -> list:
+    """run_outputs of the reference engine: a WorldState driven tick by tick
+    with step under run's cap.  Its tick records are built from the world
+    after each tick, apart from the simulator's writer, which must have
+    written their lines."""
+    sink = io.StringIO()
+    world = sim.WorldState(scenario, plan, config, trace_file=sink)
+    world.record_tick()
+    records = [tick_record(world)]
+    cap = config.max_mission_time
+    if cap is None:
+        cap = 10.0 * plan.total_length / scenario.params.v_uav
+    try:
+        while not world.mission_complete and world.clock < cap - EPS_TIME:
+            sim.step(world)
+            records.append(tick_record(world))
+    except RUN_ERRORS as exc:
+        got = [type(exc).__name__, str(exc)]
+    else:
+        status = "completed" if world.mission_complete else "timeout"
+        got = [status, sim.metrics_to_text(world.fold.result()), world.unprocessed_ids()]
+    # only an event line has a "kind" key
+    lines = sink.getvalue().splitlines(keepends=True)
+    assert [line for line in lines if '"kind":' not in line] == [
+        json.dumps(r, separators=(",", ":")) + "\n" for r in records]
+    return got + [sink.getvalue()]
 
 
 def segment_cases(events) -> list[tuple[int, int]]:

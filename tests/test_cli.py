@@ -203,8 +203,8 @@ def test_bad_tick_size_exits_1(tmp_path, capsys):
     assert main(["batch", "--sweep-targets", "3", "--sweep-fuel", "50",
                  "--dt", "-0.05", "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: dt must be finite and > 0, got 0.0",
-        "error: dt must be finite and > 0, got -0.05"]
+        "error: dt must be finite and > 1e-09, got 0.0",
+        "error: dt must be finite and > 1e-09, got -0.05"]
     assert not out.exists()
 
 

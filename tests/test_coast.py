@@ -1,67 +1,29 @@
-"""run() coasts through quiet transit and processing ticks in loops of
-their own; every output must be the one a step()-only engine gives, byte
+"""run() coasts through quiet transit and processing ticks, one loop for
+each mode; every output must be the one a step()-only engine gives, byte
 for byte."""
 from __future__ import annotations
 
 import io
-import json
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
 from conftest import (acceptance7, bend_plan, bend_scenario, line_plan, line_scenario,
-                      tick_record, traced_run)
+                      run_outputs, stepped_outputs, traced_run, vehicle_space)
 from fuelstring import sim
 from fuelstring.geometry import Point2D, Polyline
-from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
+from fuelstring.model import Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mission
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import InvariantViolation, SimConfig, WorldState, run, step
 
 
-def _stepped(scenario, cfg, plan) -> list:
-    """The reference: a WorldState driven tick by tick with step under
-    run's cap.  Its tick records are built from the world after each tick,
-    apart from the simulator's writer, which must have written their lines."""
-    buf = io.StringIO()
-    world = WorldState(scenario, plan, cfg, trace_file=buf)
-    world.record_tick()
-    records = [tick_record(world)]
-    cap = cfg.max_mission_time
-    if cap is None:
-        cap = 10.0 * plan.total_length / scenario.params.v_uav
-    while not world.mission_complete and world.clock < cap - EPS_TIME:
-        step(world)
-        records.append(tick_record(world))
-    # only an event line has a "kind" key
-    lines = buf.getvalue().splitlines(keepends=True)
-    assert [line for line in lines if '"kind":' not in line] == [
-        json.dumps(r, separators=(",", ":")) + "\n" for r in records]
-    status = "completed" if world.mission_complete else "timeout"
-    return _outputs(status, world.fold.result(), records, world.unprocessed_ids(), buf)
-
-
-def _outputs(status, metrics, trace, unprocessed, buf) -> list:
-    # the JSONL text and the metrics text write every float with repr, so
-    # equal texts mean equal bits, -0.0 included
-    return [status, sim.metrics_to_text(metrics), trace, unprocessed, buf.getvalue()]
-
-
-def _assert_run_matches_steps(scenario, cfg, plan) -> Counter:
-    """Compare run() with the reference; return the ticks it coasted, by
-    kind: the mode a tick starts in, and for processing whether the site
-    held ("processing slack") or was dragged ("processing taut")."""
-    buf = io.StringIO()
-    rep, trace, _, coasted = _coasted_run(scenario, cfg, plan, buf)
-    got = _outputs(rep.status, rep.metrics, trace, rep.unprocessed, buf)
-    assert got == _stepped(scenario, cfg, plan)
-    return Counter(coasted.values())
-
-
-def _coasted_run(scenario, cfg, plan, sink=None):
-    """traced_run, and the kind of each tick run() coasted, keyed on the
-    record that ends it: a tick starts where the record before it ends."""
-    stepped_at = set()  # the clock only rises, so an instant names a tick
+@contextmanager
+def _counted_steps():
+    """Patch sim.step to note the clock each stepped tick starts at; the
+    clock only rises, so an instant names a tick."""
+    stepped_at = set()
 
     def counted(world):
         stepped_at.add(world.clock)
@@ -69,7 +31,13 @@ def _coasted_run(scenario, cfg, plan, sink=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "step", counted)
-        rep, trace, events = traced_run(scenario, cfg, plan, sink=sink)
+        yield stepped_at
+
+
+def _coasted(trace, stepped_at) -> dict:
+    """The kind of each tick run() coasted, keyed on the record that ends
+    it: the mode the tick starts in, and for processing whether the site
+    held ("processing slack") or was dragged ("processing taut")."""
     coasted = {}
     for j in range(1, len(trace)):
         a, b = trace[j - 1], trace[j]
@@ -78,7 +46,26 @@ def _coasted_run(scenario, cfg, plan, sink=None):
             if kind == "processing":
                 kind += " slack" if a["site"] == b["site"] else " taut"
             coasted[j] = kind
-    return rep, trace, events, coasted
+    return coasted
+
+
+def _assert_run_matches_steps(scenario, cfg, plan) -> Counter:
+    """Compare run() with the stepped reference; return the ticks it
+    coasted, by kind."""
+    sink = io.StringIO()
+    with _counted_steps() as stepped_at:
+        got = run_outputs(scenario, cfg, plan, sink)
+    assert got == stepped_outputs(scenario, cfg, plan)
+    trace = [rec for rec in map(sim._decode_line, sink.getvalue().splitlines())
+             if "kind" not in rec]
+    return Counter(_coasted(trace, stepped_at).values())
+
+
+def _coasted_run(scenario, cfg, plan, sink=None):
+    """traced_run, and the kind of each tick run() coasted."""
+    with _counted_steps() as stepped_at:
+        rep, trace, events = traced_run(scenario, cfg, plan, sink=sink)
+    return rep, trace, events, _coasted(trace, stepped_at)
 
 
 def _planned(scenario):
@@ -97,6 +84,32 @@ def test_acceptance7_missions_match_the_stepped_engine(checked):
         if plan is not None:
             coasted += _assert_run_matches_steps(sc, SimConfig(check_invariants=checked), plan)
     assert coasted.keys() >= {"transit", "to_rendezvous", "processing slack", "processing taut"}
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_vehicle_space_missions_match_the_stepped_engine(checked):
+    # speeds, tank, burn, r_max and costs vary too
+    coasted, vehicles = Counter(), []
+    for seed in range(1000, 1020):
+        sc = vehicle_space(seed)
+        plan = _planned(sc)
+        if plan is not None:
+            coasted += _assert_run_matches_steps(sc, SimConfig(check_invariants=checked), plan)
+            vehicles.append(sc.params)
+    assert coasted.keys() >= {"transit", "to_rendezvous", "processing slack", "processing taut"}
+    assert min(p.v_ugv / p.v_uav for p in vehicles) < 0.2
+    assert any(p.r_max is not None for p in vehicles)
+    assert len({p.burn_rate for p in vehicles}) == len(vehicles)
+
+
+def test_repair_refusal_mid_run_matches_the_stepped_engine():
+    # vehicle-space seed 1031 plans, but a rendezvous's repair refuses target 8
+    sc = vehicle_space(1031)
+    plan = plan_mission(sc)
+    assert _assert_run_matches_steps(sc, SimConfig(), plan)["transit"] > 0
+    got = run_outputs(sc, SimConfig(), plan)
+    assert got[0] == "PlanningError" and got[1].startswith("target 8 permanently infeasible")
+    assert '"kind":"refuel"' in got[-1]
 
 
 def _sweep_cell(n: int, ratio: float, seed: int, fuel: float = 50.0) -> Scenario:

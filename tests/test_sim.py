@@ -22,6 +22,7 @@ from conftest import (
     vehicle_space,
 )
 from fuelstring.geometry import Point2D, step_toward
+from fuelstring.model import EPS_TIME
 from fuelstring.offline import PlanningError, plan_mission
 from fuelstring.online import Mode
 from fuelstring.scenario_io import CostModel, generate_scenario
@@ -117,12 +118,24 @@ def test_timeout_reports_unprocessed_targets():
 
 @pytest.mark.parametrize("field, bad", [
     ("dt", 0.0), ("dt", -0.05), ("dt", math.nan), ("dt", math.inf),
+    ("dt", EPS_TIME), ("dt", 5e-10),
     ("max_mission_time", 0.0), ("max_mission_time", math.inf),
 ])
 def test_config_rejects_bad_numbers(field, bad):
-    # a zero or negative dt would never advance the clock
+    # a zero or negative dt would never advance the clock, and a tick of
+    # EPS_TIME or less never runs step's UAV phase
     with pytest.raises(ValueError, match=field):
         SimConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("dt", True), ("dt", "0.05"), ("dt", None), ("max_mission_time", False),
+    ("max_mission_time", "30"),
+])
+def test_config_names_a_field_of_the_wrong_type(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {bad!r}$"):
+        SimConfig(**{field: bad})
+    assert SimConfig(**{field: 1}) == SimConfig(**{field: 1.0})
 
 
 def test_config_is_frozen():
