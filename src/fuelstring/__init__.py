@@ -24,9 +24,8 @@ from .sim import (
     RunReport,
     SimConfig,
     TickLimitError,
-    fold_jsonl,
-    metrics_to_text,
     run,
 )
+from .trace import fold_jsonl, metrics_to_text
 
 __version__ = "0.1.0"

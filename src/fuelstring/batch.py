@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .model import VehicleParams
 from .offline import PlanningError
 from .scenario_io import CostModel, generate_scenario
-from .sim import METRIC_KEYS, InvariantViolation, SimConfig, run
+from .sim import InvariantViolation, SimConfig, run
+from .trace import METRIC_KEYS
 
 BASE_V_UAV = 2.0
 CSV_COLUMNS = ("n_targets", "fuel_capacity", "speed_ratio", "seed", "status") + METRIC_KEYS

@@ -26,7 +26,8 @@ from .scenario_io import (
     parse_plan,
     parse_scenario,
 )
-from .sim import InvariantViolation, SimConfig, metrics_to_text, run
+from .sim import InvariantViolation, SimConfig, run
+from .trace import metrics_to_text
 
 
 def _read(path: str) -> str:

@@ -12,7 +12,8 @@ SITE_STEP_BACK = 1e-6  # how far a refuel site steps back off a target (m)
 @dataclass(frozen=True, slots=True, init=False)
 class Point2D:
     """A plain coordinate pair.  It checks nothing: coordinates are checked
-    where they enter the program (document parsers, World, Polyline)."""
+    where they enter the program (document parsers, Scenario, Polyline's
+    edges, validate_plan's vertex rule)."""
 
     x: float
     y: float

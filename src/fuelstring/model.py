@@ -21,6 +21,11 @@ def is_real(v) -> bool:
     return type(v) is float or isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def is_int(v) -> bool:
+    """An int and not a bool: the type a target id or a seed takes."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def check_real(name: str, v):
     """Refuse a model value that is not a real number, naming its field."""
     if not is_real(v):
@@ -80,11 +85,15 @@ class Target:
     tau: float
 
     def __post_init__(self):
-        # the name is formatted only for a refusal: generators build many targets
+        # the exact type first, and the name formatted only for a refusal:
+        # generators build many targets
+        tid = self.id
+        if not (type(tid) is int or is_int(tid)):
+            raise ValueError(f"id must be an integer, got {tid!r}")
         tau = self.tau
         if not (is_real(tau) and 0 <= tau <= _FLOAT_MAX):
-            check_real(f"target {self.id}: tau", tau)
-            raise ValueError(f"target {self.id}: tau must be finite and >= 0, got {tau}")
+            check_real(f"target {tid}: tau", tau)
+            raise ValueError(f"target {tid}: tau must be finite and >= 0, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +104,9 @@ class World:
     def __post_init__(self):
         check_real("width", self.width)
         check_real("height", self.height)
-        # finite bounds let contains() reject a NaN or infinite position
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+        # finite bounds let contains() reject a NaN or infinite position; the
+        # float-max bound also refuses an int too large for a float
+        if not (0 < self.width <= _FLOAT_MAX and 0 < self.height <= _FLOAT_MAX):
             raise ValueError(f"world bounds must be positive and finite, got "
                              f"{self.width} x {self.height}")
 

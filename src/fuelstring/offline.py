@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .geometry import (EPS_GEOM, SITE_STEP_BACK, Point2D, Polyline, distance,
                        farthest_site_arc)
-from .model import Scenario, VehicleParams
+from .model import Scenario, VehicleParams, is_real
 
 
 # Bounds split_tour's work.  The largest segment estimate (tour length over
@@ -290,8 +290,10 @@ def segment_violations(seg: SegmentPlan, params: VehicleParams,
                        repaired: bool = False) -> list[Violation]:
     """The segment contract: every rule one segment keeps on its own.
 
-    Its length is at most the flight range and its site gap (start to site)
-    at most the reach radius.  Each target arc lies strictly inside (0,
+    Every vertex coordinate is a real number, not a bool: Polyline checks
+    no types, so a plan built in code meets its type check here.  Its
+    length is at most the flight range and its site gap (start to site) at
+    most the reach radius.  Each target arc lies strictly inside (0,
     length), strictly after the previous one, and maps to the target's
     position in positions (an id positions lacks is skipped).  A segment
     that transfer_and_repair built (repaired=True) has two relaxations: it
@@ -300,6 +302,12 @@ def segment_violations(seg: SegmentPlan, params: VehicleParams,
     are compared to EPS_GEOM, positions to 1e-6.
     """
     v: list[Violation] = []
+    for k, p in enumerate(seg.path.vertices):
+        if not (is_real(p.x) and is_real(p.y)):
+            axis, c = ("y", p.y) if is_real(p.x) else ("x", p.x)
+            v.append(Violation(
+                "vertex",
+                f"segment {seg.index} vertex {k}: {axis} must be a real number, got {c!r}"))
     if seg.length > params.flight_range + EPS_GEOM:
         v.append(Violation(
             "over-length",

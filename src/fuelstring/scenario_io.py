@@ -24,7 +24,8 @@ import sys
 from dataclasses import dataclass, replace
 
 from .geometry import Point2D, Polyline
-from .model import Buckets, Scenario, Target, VehicleParams, World, check_real, is_real
+from .model import (Buckets, Scenario, Target, VehicleParams, World, check_real, is_int,
+                    is_real)
 from .offline import MissionPlan, SegmentPlan
 from .rng import SplitMix64
 
@@ -60,7 +61,7 @@ class CostModel:
             check_real(name, v)
             if not _is_finite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        if not _is_int(self.seed):  # SplitMix64 takes any int, a negative one too
+        if not is_int(self.seed):  # SplitMix64 takes any int, a negative one too
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.kind == "uniform":
             if self.high < self.low:
@@ -81,10 +82,6 @@ def _is_finite(v) -> bool:
     return abs(v) <= sys.float_info.max
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _finite(v, what: str) -> float:
     if not (is_real(v) and _is_finite(v)):
         raise ScenarioFormatError(f"{what} must be a finite number, got {v!r}")
@@ -97,7 +94,7 @@ def _num(obj: dict, key: str, where: str) -> float:
 
 def _int(obj: dict, key: str, where: str) -> int:
     v = _need(obj, key, where)
-    if not _is_int(v):
+    if not is_int(v):
         raise ScenarioFormatError(f"{where}: field '{key}' must be an integer, got {v!r}")
     return v
 

@@ -30,7 +30,6 @@ burned plus a done flag.
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
@@ -49,13 +48,9 @@ from .online import (
     transfer_and_repair,
     ugv_reachable,
 )
-
-METRIC_KEYS = (
-    "abandonments", "backtrack_episodes", "case_1", "case_2", "case_3",
-    "case_4", "case_5", "mission_time", "rendezvous_count",
-    "targets_deferred", "uav_distance", "ugv_distance",
-)
-
+from .trace import MetricsFold, _tick_writer, event_line
+# bound here only because perfbench calls them as fuelstring.sim.*
+from .trace import fold_jsonl, metrics_to_text
 
 # Bounds a run's work.  The largest tick count in the default sweep grid and
 # the generated mission corpora at dt 0.05 is 45,775, about 1/218 of this.
@@ -112,87 +107,6 @@ class TargetTracker:
         return fuel_avail, False
 
 
-class MetricsFold:
-    """Running metrics as a pure fold over trace records.
-
-    Distances are sums of per-tick straight-line deltas; a backtrack episode
-    is a maximal run of consecutive same-segment ticks in which the site
-    moved.  Feeding the written trace back in reproduces the run's metrics
-    exactly.
-    """
-
-    def __init__(self):
-        self._m = {k: 0 for k in METRIC_KEYS}  # the event counts
-        self._uav = self._ugv = self._time = 0.0
-        self._episodes = 0
-        self._in_episode = False
-        self._seg = None  # the last tick's segment, None before the first tick
-
-    def add_tick(self, t, ux, uy, fuel, gx, gy, seg, sx, sy, mode):
-        """Fold one tick record; fuel and mode are unused."""
-        if self._seg is not None:
-            self._uav += ((ux - self._ux) ** 2 + (uy - self._uy) ** 2) ** 0.5
-            self._ugv += ((gx - self._gx) ** 2 + (gy - self._gy) ** 2) ** 0.5
-            dragged = (seg == self._seg
-                          and ((sx - self._sx) ** 2 + (sy - self._sy) ** 2) ** 0.5 > EPS_GEOM)
-            if dragged and not self._in_episode:
-                self._episodes += 1
-            self._in_episode = dragged
-        self._time = t
-        self._ux, self._uy = ux, uy
-        self._gx, self._gy = gx, gy
-        self._seg, self._sx, self._sy = seg, sx, sy
-
-    def add_event(self, kind: str, detail: dict):
-        if kind == "abandon":
-            self._m["abandonments"] += 1
-            self._m["targets_deferred"] += len(detail["targets"])
-        elif kind == "skip":
-            self._m["targets_deferred"] += len(detail["targets"])
-        elif kind == "refuel":
-            self._m["rendezvous_count"] += 1
-        elif kind == "case":
-            self._m[f"case_{detail['case']}"] += 1
-
-    def result(self) -> dict:
-        return {**self._m, "backtrack_episodes": self._episodes, "mission_time": self._time,
-                "uav_distance": self._uav, "ugv_distance": self._ugv}
-
-
-def fold_records(records) -> dict:
-    """Recompute the metrics block from trace records (dicts, as parsed
-    back from the JSONL trace)."""
-    fold = MetricsFold()
-    for rec in records:
-        if "kind" in rec:
-            fold.add_event(rec["kind"], rec["detail"])
-        else:
-            fold.add_tick(rec["t"], rec["uav"][0], rec["uav"][1], rec["fuel"],
-                          rec["ugv"][0], rec["ugv"][1], rec["seg"],
-                          rec["site"][0], rec["site"][1], rec["mode"])
-    return fold.result()
-
-
-# One decoder for every trace line; json.loads builds the same one per call.
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _decode_line(line: str):
-    """json.loads(line), as one bound call: strip JSON whitespace only, and
-    reject any characters left after the value."""
-    text = line.strip(" \t\n\r")
-    rec, end = _raw_decode(text)
-    if end != len(text):
-        raise json.JSONDecodeError("Extra data", text, end)
-    return rec
-
-
-def fold_jsonl(lines) -> dict:
-    """Recompute the metrics block from JSONL text lines; blank lines are
-    skipped."""
-    return fold_records(_decode_line(line) for line in lines if line.strip())
-
-
 @dataclass
 class RunReport:
     status: str
@@ -202,29 +116,6 @@ class RunReport:
     @property
     def completed(self) -> bool:
         return self.status == "completed"
-
-
-def _tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> str:
-    """The JSONL line of one tick: the bytes json.dumps(rec, separators=(",",
-    ":")) gives for {"t", "uav": [x, y], "fuel", "ugv": [x, y], "seg", "site":
-    [x, y], "mode"}.  The JSON encoder writes each finite float and int with
-    its repr, as this does.  Every value here is finite, because each input is
-    checked where it enters (World, VehicleParams, Polyline, SimConfig).  Each
-    mode is one of Mode's strings, which need no escape."""
-    return (f'{{"t":{t!r},"uav":[{ux!r},{uy!r}],"fuel":{fuel!r},"ugv":[{gx!r},{gy!r}],'
-            f'"seg":{seg!r},"site":[{sx!r},{sy!r}],"mode":"{mode}"}}\n')
-
-
-def _tick_writer(add_tick, write):
-    """The one call that takes each tick's record: add_tick itself without a
-    sink, else add_tick and one _tick_line to write."""
-    if write is None:
-        return add_tick
-
-    def tick(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode):
-        add_tick(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode)
-        write(_tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode))
-    return tick
 
 
 class WorldState:
@@ -255,8 +146,7 @@ class WorldState:
     def emit_event(self, t: float, kind: str, detail: dict):
         self.fold.add_event(kind, detail)
         if self._write is not None:
-            rec = {"t": t, "kind": kind, "detail": detail}
-            self._write(json.dumps(rec, separators=(",", ":")) + "\n")
+            self._write(event_line(t, kind, detail))
 
     def record_tick(self):
         """Take the world's current tick through `tick`."""
@@ -671,7 +561,3 @@ def run(scenario: Scenario, config: SimConfig | None = None,
         unprocessed=world.unprocessed_ids(),
     )
 
-
-def metrics_to_text(metrics: dict) -> str:
-    """Flat key-value block, keys sorted, one per line."""
-    return "\n".join(f"{k} = {metrics[k]!r}" for k in sorted(metrics)) + "\n"

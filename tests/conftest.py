@@ -23,6 +23,7 @@ from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan
 from fuelstring.rng import SplitMix64
 from fuelstring.scenario_io import CostModel, generate_scenario
+from fuelstring.trace import decode_line, metrics_to_text
 
 DEFAULT_PARAMS = VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=50.0,
                                fuel_per_meter=1.0)
@@ -104,12 +105,12 @@ def tick_record(world) -> dict:
 def traced_run(scenario, config=None, plan=None, sink=None):
     """run() with a trace sink, a fresh StringIO unless one is given.
     Returns the report, the sink's tick records and its event records, each
-    decoded with the simulator's own decoder."""
+    decoded with the trace format's own decoder."""
     sink = io.StringIO() if sink is None else sink
     rep = sim.run(scenario, config, plan=plan, trace_file=sink)
     ticks, events = [], []
     for line in sink.getvalue().splitlines():
-        rec = sim._decode_line(line)
+        rec = decode_line(line)
         (events if "kind" in rec else ticks).append(rec)
     return rep, ticks, events
 
@@ -129,7 +130,7 @@ def run_outputs(scenario, config, plan, sink=None) -> list:
     except RUN_ERRORS as exc:
         got = [type(exc).__name__, str(exc)]
     else:
-        got = [rep.status, sim.metrics_to_text(rep.metrics), rep.unprocessed]
+        got = [rep.status, metrics_to_text(rep.metrics), rep.unprocessed]
     return got + [sink.getvalue()]
 
 
@@ -153,7 +154,7 @@ def stepped_outputs(scenario, config, plan) -> list:
         got = [type(exc).__name__, str(exc)]
     else:
         status = "completed" if world.mission_complete else "timeout"
-        got = [status, sim.metrics_to_text(world.fold.result()), world.unprocessed_ids()]
+        got = [status, metrics_to_text(world.fold.result()), world.unprocessed_ids()]
     # only an event line has a "kind" key
     lines = sink.getvalue().splitlines(keepends=True)
     assert [line for line in lines if '"kind":' not in line] == [

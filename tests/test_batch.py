@@ -16,7 +16,8 @@ from fuelstring.batch import (
 from fuelstring.geometry import Point2D
 from fuelstring.model import Scenario, Target, VehicleParams, World
 from fuelstring.scenario_io import CostModel, generate_scenario
-from fuelstring.sim import METRIC_KEYS, run
+from fuelstring.sim import run
+from fuelstring.trace import METRIC_KEYS
 
 
 def small_sweep(**kw) -> SweepConfig:

@@ -14,7 +14,8 @@ from fuelstring.scenario_io import (
     parse_plan,
     parse_scenario,
 )
-from fuelstring.sim import fold_jsonl, metrics_to_text, run
+from fuelstring.sim import run
+from fuelstring.trace import fold_jsonl, metrics_to_text
 
 
 def write_scenario(path, tau=0.0, extra=None):

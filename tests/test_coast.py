@@ -17,6 +17,7 @@ from fuelstring.model import Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mission
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import InvariantViolation, SimConfig, WorldState, run, step
+from fuelstring.trace import decode_line
 
 
 @contextmanager
@@ -56,7 +57,7 @@ def _assert_run_matches_steps(scenario, cfg, plan) -> Counter:
     with _counted_steps() as stepped_at:
         got = run_outputs(scenario, cfg, plan, sink)
     assert got == stepped_outputs(scenario, cfg, plan)
-    trace = [rec for rec in map(sim._decode_line, sink.getvalue().splitlines())
+    trace = [rec for rec in map(decode_line, sink.getvalue().splitlines())
              if "kind" not in rec]
     return Counter(_coasted(trace, stepped_at).values())
 
@@ -262,7 +263,7 @@ def _processing_events(sc, plan, cfg=None):
     _, trace, _, coasted = _coasted_run(sc, cfg or SimConfig(), plan, buf)
     events, ticks = [], 0
     for line in buf.getvalue().splitlines():
-        rec = sim._decode_line(line)
+        rec = decode_line(line)
         if "kind" in rec:
             events.append((rec, ticks))
         else:

@@ -21,24 +21,21 @@ from conftest import (
     traced_run,
     vehicle_space,
 )
-from fuelstring.geometry import Point2D, step_toward
+from fuelstring.geometry import Point2D, Polyline, step_toward
 from fuelstring.model import EPS_TIME
-from fuelstring.offline import PlanningError, plan_mission
+from fuelstring.offline import MissionPlan, PlanningError, plan_mission
 from fuelstring.online import Mode
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import (
     InvariantViolation,
-    MetricsFold,
     RunReport,
     SimConfig,
     TargetTracker,
     WorldState,
-    fold_jsonl,
-    fold_records,
-    metrics_to_text,
     run,
     step,
 )
+from fuelstring.trace import MetricsFold, fold_jsonl, fold_records, metrics_to_text
 
 
 def test_tracker_splits_the_completing_tick():
@@ -114,6 +111,19 @@ def test_timeout_reports_unprocessed_targets():
     assert not rep.completed
     assert rep.unprocessed == [1]
     assert math.isclose(rep.metrics["mission_time"], 10.0, abs_tol=1e-9)
+
+
+def test_run_refuses_a_plan_with_a_bool_vertex():
+    # False == 0.0, so every other rule holds: unchecked, the first tick line
+    # read "uav":[False,0.0] and the trace did not fold
+    first, second = line_plan().segments
+    path = Polyline([Point2D(False, 0.0), *first.path.vertices[1:]])
+    bad = dataclasses.replace(first, path=path)
+    buf = io.StringIO()
+    with pytest.raises(PlanningError, match="^invalid mission plan:\nvertex: segment 0 vertex 0: "
+                                            "x must be a real number, got False$"):
+        run(line_scenario(3.0), plan=MissionPlan(segments=(bad, second)), trace_file=buf)
+    assert buf.getvalue() == ""
 
 
 @pytest.mark.parametrize("field, bad", [
