@@ -54,6 +54,9 @@ class VehicleParams:
             if not (is_real(v) and 0 < v <= _FLOAT_MAX):
                 check_real(name, v)
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        if not 0 < self.burn_rate <= _FLOAT_MAX:
+            raise ValueError(f"burn rate v_uav * fuel_per_meter must be positive and finite, "
+                             f"got {self.v_uav} * {self.fuel_per_meter} = {self.burn_rate}")
 
     @cached_property
     def burn_rate(self) -> float:

@@ -64,6 +64,7 @@ class SegmentState:
     case: int = Case.NO_REPLAN
     site_arc_seen: float = 0.0  # low-water mark; backtracking is one-way
     deferred: tuple[tuple[int, Point2D], ...] = ()
+    dragged_by: int | None = None  # the target whose visit has dragged the site
     # the last point computed for each arc, keyed on the arc's value so that
     # a direct assignment to site_arc or uav_arc can never leave it stale
     _site_cache: tuple[float, Point2D | None] = field(
@@ -167,14 +168,16 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
 
     Burns the fuel, drags the site back if the string is taut, and defers
     any pending target the site has passed.  Returns target ids skipped by
-    this tick.  Completion flips the mode back to transit; the caller runs
-    the abandonment lookahead before each processing sub-step, never after.
+    this tick.  The visit's first drag by more than EPS_GEOM sets
+    dragged_by, and only it can raise the case.  Completion flips the mode
+    back to transit; the caller runs the abandonment lookahead before each
+    processing sub-step, never after.
     """
     state.fuel -= fuel_used
     skipped_now: list[int] = []
     new_site = backtrack_site(state, state.fuel, params)
-    if new_site < state.site_arc - EPS_GEOM and state.case < Case.BACKTRACK_ALL_VISITED:
-        state.case = Case.BACKTRACK_ALL_VISITED
+    if new_site < state.site_arc - EPS_GEOM and state.dragged_by != state.current:
+        state.dragged_by, state.case = state.current, max(state.case, Case.BACKTRACK_ALL_VISITED)
     state.site_arc = new_site
     if new_site < state.site_arc_seen:
         state.site_arc_seen = new_site

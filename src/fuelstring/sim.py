@@ -15,13 +15,16 @@ consecutive quiet tick of the active mode in one tight loop over locals:
   * processing: a tick that starts in processing, below the time cap, whose
     lookahead approves the whole tick, whose burn does not complete the
     target (reveal's own test), whose dragged site passes no pending
-    target, and that leaves step no second sub-step.  It fires no event
-    either; its burn may drag the site back along the path.
+    target, that leaves step no second sub-step, and that is not its
+    visit's first drag of the site.  It fires no event either; its burn
+    may drag the site back along the path.
 Every other tick, hovering included, goes to step.  The coast does step's
 float operations in step's order and picks point_at_arc's edge, so every
 record, event, metric and fault message is the one step gives.  It writes
-its locals back through `_put`, and every tick leaves through one call,
-`WorldState.tick`, the run's only tick writer.
+its locals back through `_put`.
+
+The metrics come from events alone: each carries the UAV and UGV odometers
+(`WorldState.emit_event`), and one `end` event closes the run.
 
 Processing costs stay hidden from the planning layer: the simulator reveals
 them strictly one tick of burn at a time, through TargetTracker.reveal or
@@ -48,7 +51,7 @@ from .online import (
     transfer_and_repair,
     ugv_reachable,
 )
-from .trace import MetricsFold, _tick_writer, event_line
+from .trace import MetricsFold, event_line, tick_line
 # bound here only because perfbench calls them as fuelstring.sim.*
 from .trace import fold_jsonl, metrics_to_text
 
@@ -68,7 +71,7 @@ class TickLimitError(ValueError):
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 0.05
-    max_mission_time: float | None = None  # None: 10x offline flight time
+    max_mission_time: float | None = None  # None: see time_cap
     check_invariants: bool = False
     keep_trace: InitVar[bool] = False  # only so perfbench's keep_trace argument still builds
 
@@ -136,29 +139,36 @@ class WorldState:
         self.ugv_pos = scenario.depot
         self.mission_complete = False
         self.fold = MetricsFold()
-        self._write = None if trace_file is None else trace_file.write
-        self.tick = _tick_writer(self.fold.add_tick, self._write)
+        self.write = None if trace_file is None else trace_file.write
+        self.flown = 0.0  # the finished segments' final uav_arc: the UAV only flies forward
+        self.driven = 0.0  # the UGV's odometer: the sum of its steps
+        self.ticks = 0  # the tick records taken
         # the holders the conservation check last passed, as one key
         self._conserved: tuple | None = None
 
     # -- recording ---------------------------------------------------------
 
-    def emit_event(self, t: float, kind: str, detail: dict):
-        self.fold.add_event(kind, detail)
-        if self._write is not None:
-            self._write(event_line(t, kind, detail))
+    def emit_event(self, t: float, kind: str, **detail):
+        """Fold one event and write its line; its detail ends with both odometers."""
+        detail.update(uav_odo=self.flown + self.active.uav_arc, ugv_odo=self.driven)
+        self.fold.add_event(t, kind, detail)
+        if self.write is not None:
+            self.write(event_line(t, kind, detail))
 
     def record_tick(self):
-        """Take the world's current tick through `tick`."""
-        st, ugv = self.active, self.ugv_pos
-        uav, site = st.uav_position, st.site_position
-        self.tick(self.clock, uav.x, uav.y, st.fuel, ugv.x, ugv.y, st.ordinal,
-                  site.x, site.y, st.mode)
+        """Count the world's current tick, and write its line to the sink if any."""
+        self.ticks += 1
+        if self.write is not None:
+            st, ugv = self.active, self.ugv_pos
+            uav, site = st.uav_position, st.site_position
+            self.write(tick_line(self.clock, uav.x, uav.y, st.fuel, ugv.x, ugv.y, st.ordinal,
+                                 site.x, site.y, st.mode))
 
-    # -- helpers -----------------------------------------------------------
-
-    def unprocessed_ids(self) -> list[int]:
-        return sorted(tid for tid in self.trackers if tid not in self.done_ids)
+    def finish(self) -> RunReport:
+        """Close the run after its last tick with the `end` event, and report."""
+        self.emit_event(self.clock, "end", ticks=self.ticks)
+        return RunReport("completed" if self.mission_complete else "timeout", self.fold.result(),
+                         sorted(tid for tid in self.trackers if tid not in self.done_ids))
 
     def fault(self, message: str):
         st = self.active
@@ -182,10 +192,14 @@ def step(world: WorldState):
     # the UGV's step toward the site over the rest of the tick
     st = world.active
     goal, v_ugv = st.site_position, world.params.v_ugv
-    world.ugv_pos = step_toward(world.ugv_pos, goal, v_ugv * (dt - t_ugv))
+    ugv, stride = world.ugv_pos, v_ugv * (dt - t_ugv)
+    world.ugv_pos = step_toward(ugv, goal, stride)
+    world.driven += distance(ugv, goal) if world.ugv_pos is goal else stride
     # a UAV that reached the site with no sub-step left docks if this step did
-    if st.mode is Mode.WAIT and distance(world.ugv_pos, goal) <= v_ugv * EPS_TIME:
+    gap = distance(world.ugv_pos, goal) if st.mode is Mode.WAIT else math.inf
+    if gap <= v_ugv * EPS_TIME:
         world.ugv_pos = goal
+        world.driven += gap
         _refuel(world, t0 + dt)
 
     world.clock = t0 + dt
@@ -205,34 +219,32 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
                                              params.v_ugv * (dt - t_ugv), params)
             if deferred_now is not None:
                 site = st.site_position
-                world.emit_event(t0 + (dt - t_rem), "abandon", {
-                    "segment": st.ordinal,
-                    "targets": deferred_now,
-                    "site": [site.x, site.y],
-                })
+                world.emit_event(t0 + (dt - t_rem), "abandon", segment=st.ordinal,
+                                 targets=deferred_now, site=[site.x, site.y])
                 continue
             tracker = world.trackers[st.current]
             avail = params.burn_rate * t_rem
             used, done = tracker.reveal(avail)
             if used > st.fuel + EPS_FUEL:
                 world.fault(f"processing target {st.current} would exhaust fuel")
-            target_id = st.current
+            target_id, dragged_by = st.current, st.dragged_by
             skipped_now = on_processing_tick(st, used, done, params)
             t_rem -= used / params.burn_rate
             t_now = t0 + (dt - (0.0 if t_rem < 0.0 else t_rem))
+            if st.dragged_by != dragged_by:  # the visit's first drag of the site
+                world.emit_event(t_now, "drag", segment=st.ordinal, target=target_id,
+                                 site_arc=st.site_arc)
             if skipped_now:
-                world.emit_event(t_now, "skip", {
-                    "segment": st.ordinal,
-                    "targets": skipped_now,
-                    "site_arc": st.site_arc,
-                })
+                world.emit_event(t_now, "skip", segment=st.ordinal, targets=skipped_now,
+                                 site_arc=st.site_arc)
             if done:
                 _complete(world, target_id, t_now)
         elif st.mode is Mode.WAIT:
             # hover until the UGV, driving straight at the site from where it
             # stands at offset t_ugv, arrives there, or to the tick end
             elapsed = dt - t_rem
-            t_dock = t_ugv + distance(world.ugv_pos, st.site_position) / params.v_ugv
+            gap = distance(world.ugv_pos, st.site_position)
+            t_dock = t_ugv + gap / params.v_ugv
             t_end = dt if t_dock > dt else elapsed if t_dock < elapsed else t_dock
             st.fuel -= params.burn_rate * (t_end - elapsed)
             if st.fuel < -EPS_FUEL:
@@ -240,6 +252,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
             t_rem = dt - t_end
             if t_dock <= dt + EPS_TIME:
                 world.ugv_pos, t_ugv = st.site_position, t_end
+                world.driven += gap
                 _refuel(world, t0 + t_end)
         else:  # transit or to_rendezvous
             budget = params.burn_rate * t_rem
@@ -258,7 +271,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
             elif (not world.queue and not st.deferred
                   and len(world.done_ids) == len(world.trackers)
                   and distance(st.site_position, world.scenario.depot) <= EPS_GEOM):
-                world.emit_event(t_now, "case", {"segment": st.ordinal, "case": st.case})
+                world.emit_event(t_now, "case", segment=st.ordinal, case=st.case)
                 world.mission_complete = True
                 world.clock = t_now
             else:
@@ -269,7 +282,7 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
 def _complete(world: WorldState, target_id: int, t_now: float):
     """Record target_id, just finished in the active segment, as done."""
     world.done_ids |= {target_id}
-    world.emit_event(t_now, "complete", {"segment": world.active.ordinal, "target": target_id})
+    world.emit_event(t_now, "complete", segment=world.active.ordinal, target=target_id)
 
 
 def _refuel(world: WorldState, t_now: float):
@@ -279,12 +292,9 @@ def _refuel(world: WorldState, t_now: float):
     st = world.active
     params = world.params
     site = st.site_position
-    world.emit_event(t_now, "case", {"segment": st.ordinal, "case": st.case})
-    world.emit_event(t_now, "refuel", {
-        "segment": st.ordinal,
-        "site": [site.x, site.y],
-        "fuel": params.fuel_capacity,
-    })
+    world.emit_event(t_now, "case", segment=st.ordinal, case=st.case)
+    world.emit_event(t_now, "refuel", segment=st.ordinal, site=[site.x, site.y],
+                     fuel=params.fuel_capacity)
 
     next_plan = world.queue[0] if world.queue else None
     world.queue = world.queue[1:]
@@ -292,8 +302,8 @@ def _refuel(world: WorldState, t_now: float):
         site, st.deferred, next_plan, world.scenario.depot, params,
         ordinal=st.ordinal + 1)
     if modified:  # the repaired segment's first case event; its final one follows
-        world.emit_event(t_now, "case", {"segment": st.ordinal + 1,
-                                         "case": Case.SEGMENT_REPAIR})
+        world.emit_event(t_now, "case", segment=st.ordinal + 1, case=Case.SEGMENT_REPAIR)
+    world.flown += st.uav_arc  # the new segment's uav_arc starts at 0
     world.active = SegmentState.begin(new_plan, st.ordinal + 1,
                                       fuel=params.fuel_capacity, deferred=tuple(shed))
     if world.config.check_invariants:
@@ -352,15 +362,17 @@ def _coast(world: WorldState, limit: float) -> bool:
     locals; the state goes back through `_put`.  Each path edge cursor
     stops at the last edge starting at or before its arc, and an arc equal
     to that edge's start gives its vertex, both as in point_at_arc.
-    Transit's cursor follows the UAV forward.  A processing tick is judged
-    whole before any of it is kept: the lookahead, reveal's completion test
-    and the skip test read only the tick's start and the site it drags to,
-    so the first tick that fails one goes to step as it stood.  A slack
-    string leaves the site, and so both of step's pursuit steps, where they
-    were: the loop takes that step once.  A taut one drags the site, and
-    its cursor, backward; a dragged site lies below the site arc before it,
-    so the cursor starts at most on the path's last edge.  The site arc
-    only falls, so its low-water mark is the last arc, set in `_put`.
+    Transit's cursor follows the UAV forward, for a traced run only.  A
+    processing tick is judged whole before any of it is kept: the
+    lookahead, reveal's completion test, the skip test and the visit's
+    first drag read only the tick's start and the site it drags to, so the
+    first tick that fails one goes to step as it stood.  A slack string
+    leaves the site, and so both of step's pursuit steps, where they were:
+    the loop takes that step once.  A taut one drags the site, and its
+    cursor, backward; a dragged site lies below the site arc before it, so
+    the cursor starts at most on the path's last edge.  The site arc only
+    falls, so its low-water mark is the last arc, set in `_put`.  A UGV
+    step adds its distance to the odometer when it arrives, else the stride.
     """
     st = world.active
     mode = st.mode
@@ -388,26 +400,27 @@ def _coast(world: WorldState, limit: float) -> bool:
         if not (clock < limit and next_arc - uarc > margin):
             return False
 
-    fuel, case, seg = st.fuel, st.case, st.ordinal
+    fuel, seg = st.fuel, st.ordinal
     goal = st.site_position
     sarc0, qx, qy = sarc, goal.x, goal.y
     ugv = world.ugv_pos
-    gx, gy, parked = ugv.x, ugv.y, ugv is goal
+    gx, gy, parked, driven = ugv.x, ugv.y, ugv is goal, world.driven
     v_ugv = params.v_ugv
     stride = v_ugv * dt  # step's v_ugv * (dt - t_ugv), and t_ugv is 0
     arcs, verts = st.plan.path.cumulative_arc, st.plan.path.vertices
-    tick, checked = world.tick, cfg.check_invariants
+    write, checked = world.write, cfg.check_invariants
+    n = 0  # the ticks taken
     if mode is Mode.PROCESSING:
         tracker = world.trackers[st.current]
         tau, progress = tracker.tau, tracker.progress
         avail = budget + EPS_FUEL  # reveal completes the target when tau - progress is at most this
         fpm = params.fuel_per_meter
+        dragged = st.dragged_by == st.current
         uav = st.uav_position
         ux, uy = uav.x, uav.y
         i = min(bisect_right(arcs, sarc), len(arcs) - 1) - 1
         a0, v, w = arcs[i], verts[i], verts[i + 1]
         edge, vx, vy, dx, dy = arcs[i + 1] - a0, v.x, v.y, w.x - v.x, w.y - v.y
-        took = False
         while clock < limit:
             # check_abandonment: backtrack_site at fuel_next, a pursuit step
             # toward the site before the drag, and ugv_reachable, which refuses
@@ -423,6 +436,8 @@ def _coast(world: WorldState, limit: float) -> bool:
             if s == sarc:  # slack
                 px, py = qx, qy
             else:
+                if not dragged and s < sarc - EPS_GEOM:
+                    break  # the visit's first drag: step writes its event
                 if s < a0:
                     i -= 1
                     while arcs[i] > s:
@@ -434,93 +449,101 @@ def _coast(world: WorldState, limit: float) -> bool:
                 else:
                     t = (s - a0) / edge
                     px, py = vx + t * dx, vy + t * dy
-            if parked:
-                lx, ly, lpark = qx, qy, True
+            d = math.hypot(gx - qx, gy - qy)  # 0 when parked: the UGV stands on the site
+            if d <= stride or d <= EPS_GEOM:
+                lx, ly, lpark, lstep = qx, qy, True, d
             else:
-                d = math.hypot(gx - qx, gy - qy)
-                if d <= stride or d <= EPS_GEOM:
-                    lx, ly, lpark = qx, qy, True
-                else:
-                    f = stride / d
-                    lx, ly, lpark = gx + f * (qx - gx), gy + f * (qy - gy), False
+                f = stride / d
+                lx, ly, lpark, lstep = gx + f * (qx - gx), gy + f * (qy - gy), False, stride
             if (math.hypot(lx - px, ly - py) / v_ugv > fuel_next / burn + EPS_TIME
                     or tau - progress <= avail or last > s + EPS_GEOM):
                 break  # step abandons, completes the target or skips
             if s == sarc:  # the tick-end pursuit step is the lookahead's
                 gx, gy, parked = lx, ly, lpark
+                driven += lstep
             else:
-                if case < Case.BACKTRACK_ALL_VISITED and s < sarc - EPS_GEOM:
-                    case = Case.BACKTRACK_ALL_VISITED
                 d = math.hypot(gx - px, gy - py)
                 if d <= stride or d <= EPS_GEOM:
                     gx, gy, parked = px, py, True
+                    driven += d
                 else:
                     f = stride / d
                     gx, gy, parked = gx + f * (px - gx), gy + f * (py - gy), False
+                    driven += stride
             progress += budget
             fuel, sarc, qx, qy = fuel_next, s, px, py
             clock = clock + dt
-            took = True
+            n += 1
             if checked:
                 _put(world, clock, fuel, gx, gy, parked, uarc, sarc,
-                     goal if sarc == sarc0 else Point2D(qx, qy), case, progress)
+                     goal if sarc == sarc0 else Point2D(qx, qy), driven, progress)
                 _check_invariants(world)
-            tick(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode)
+            if write is not None:
+                write(tick_line(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode))
     else:
         progress = None
         i = bisect_right(arcs, uarc) - 1
         a0, a1, v, w = arcs[i], arcs[i + 1], verts[i], verts[i + 1]
         edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
-        took = True
         while True:
             uarc += d_step
             fuel -= budget
             if fuel < -EPS_FUEL:  # as step faults: before the clock and the UGV move
-                _put(world, clock, fuel, gx, gy, parked, uarc, sarc, goal, case, None)
+                _put(world, clock, fuel, gx, gy, parked, uarc, sarc, goal, driven, None)
                 world.fault("fuel exhausted in transit")
-            if not parked:
-                d = math.hypot(gx - qx, gy - qy)
-                if d <= stride or d <= EPS_GEOM:
-                    gx, gy, parked = qx, qy, True
-                else:
-                    f = stride / d
-                    gx, gy = gx + f * (qx - gx), gy + f * (qy - gy)
-            clock = clock + dt
-            while a1 <= uarc:
-                i += 1
-                a0, a1, v, w = a1, arcs[i + 1], w, verts[i + 1]
-                edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
-            if uarc == a0:
-                ux, uy = v.x, v.y
+            d = math.hypot(gx - qx, gy - qy)
+            if d <= stride or d <= EPS_GEOM:
+                gx, gy, parked = qx, qy, True
+                driven += d
             else:
-                t = (uarc - a0) / edge
-                ux, uy = v.x + t * dx, v.y + t * dy
+                f = stride / d
+                gx, gy = gx + f * (qx - gx), gy + f * (qy - gy)
+                driven += stride
+            clock = clock + dt
+            n += 1
             if checked:
-                _put(world, clock, fuel, gx, gy, parked, uarc, sarc, goal, case, None)
+                _put(world, clock, fuel, gx, gy, parked, uarc, sarc, goal, driven, None)
                 _check_invariants(world)
-            tick(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode)
+            if write is not None:
+                while a1 <= uarc:
+                    i += 1
+                    a0, a1, v, w = a1, arcs[i + 1], w, verts[i + 1]
+                    edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
+                if uarc == a0:
+                    ux, uy = v.x, v.y
+                else:
+                    t = (uarc - a0) / edge
+                    ux, uy = v.x + t * dx, v.y + t * dy
+                write(tick_line(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode))
             if not (clock < limit and next_arc - uarc > margin):
                 break
-    if took:
+    if n:
         _put(world, clock, fuel, gx, gy, parked, uarc, sarc,
-             goal if sarc == sarc0 else Point2D(qx, qy), case, progress)
-    return took
+             goal if sarc == sarc0 else Point2D(qx, qy), driven, progress)
+        world.ticks += n
+    return n > 0
 
 
 def _put(world: WorldState, clock: float, fuel: float, gx: float, gy: float, parked: bool,
-         uav_arc: float, site_arc: float, site: Point2D, case: int, progress: float | None):
+         uav_arc: float, site_arc: float, site: Point2D, driven: float, progress: float | None):
     """Write a coast's locals back to the world: before a fault, on every
     tick when check_invariants is set, and when the coast ends.  The UGV
     stands on the site's own point when parked; progress, when given, is
     the current target's."""
     st = world.active
-    st.uav_arc, st.fuel, st.site_arc, st.case = uav_arc, fuel, site_arc, case
+    st.uav_arc, st.fuel, st.site_arc = uav_arc, fuel, site_arc
     if site_arc < st.site_arc_seen:
         st.site_arc_seen = site_arc
     st._site_cache = (site_arc, site)
     if progress is not None:
         world.trackers[st.current].progress = progress
-    world.clock, world.ugv_pos = clock, site if parked else Point2D(gx, gy)
+    world.clock, world.ugv_pos, world.driven = clock, site if parked else Point2D(gx, gy), driven
+
+
+def time_cap(config: SimConfig, plan: MissionPlan, params) -> float:
+    """config's max_mission_time, else ten times the plan's flight time."""
+    cap = config.max_mission_time
+    return 10.0 * plan.total_length / params.v_uav if cap is None else cap
 
 
 def run(scenario: Scenario, config: SimConfig | None = None,
@@ -539,9 +562,7 @@ def run(scenario: Scenario, config: SimConfig | None = None,
     if not audit.ok:
         raise PlanningError("invalid mission plan:\n" + audit.describe())
 
-    max_t = cfg.max_mission_time
-    if max_t is None:
-        max_t = 10.0 * plan.total_length / scenario.params.v_uav
+    max_t = time_cap(cfg, plan, scenario.params)
     if max_t / cfg.dt > MAX_TICKS:
         raise TickLimitError(
             f"time cap {max_t:.6g} s at dt {cfg.dt:.6g} s needs {max_t / cfg.dt:.3g} "
@@ -553,11 +574,4 @@ def run(scenario: Scenario, config: SimConfig | None = None,
     while not world.mission_complete and world.clock < limit:
         if not _coast(world, limit):
             step(world)
-
-    status = "completed" if world.mission_complete else "timeout"
-    return RunReport(
-        status=status,
-        metrics=world.fold.result(),
-        unprocessed=world.unprocessed_ids(),
-    )
-
+    return world.finish()

@@ -3,17 +3,18 @@
 A trace is JSON lines.  A tick record holds t, uav [x, y], fuel, ugv [x, y],
 seg, site [x, y] and mode, in that order; an event record holds t, kind and
 detail.  Each line is the compact JSON of its record, json.dumps(rec,
-separators=(",", ":")), and a newline.  The run's metrics are a fold over
-these records, so folding a written trace back gives them bit for bit.
+separators=(",", ":")), and a newline.  An event's detail ends with the
+odometers uav_odo and ugv_odo; one `end` event, at the mission time,
+follows the last tick and counts the tick records.  The run's metrics are a
+fold over the events alone, so folding a written trace back gives them bit
+for bit.
 
-This module imports only the standard library and geometry: whatever reads
-or writes records needs no part of the engine.
+This module imports only the standard library: whatever reads or writes
+records needs no part of the engine.
 """
 from __future__ import annotations
 
 import json
-
-from .geometry import EPS_GEOM
 
 METRIC_KEYS = (
     "abandonments", "backtrack_episodes", "case_1", "case_2", "case_3",
@@ -23,37 +24,14 @@ METRIC_KEYS = (
 
 
 class MetricsFold:
-    """Running metrics as a pure fold over trace records.
-
-    Distances are sums of per-tick straight-line deltas; a backtrack episode
-    is a maximal run of consecutive same-segment ticks in which the site
-    moved.  Feeding the written trace back in reproduces the run's metrics
-    exactly.
-    """
+    """Running metrics as a pure fold over event records: the `end` event
+    gives the mission time and both distances, and a backtrack episode is a
+    `drag` event, one per processing visit that moved the site back."""
 
     def __init__(self):
-        self._m = {k: 0 for k in METRIC_KEYS}  # the event counts
-        self._uav = self._ugv = self._time = 0.0
-        self._episodes = 0
-        self._in_episode = False
-        self._seg = None  # the last tick's segment, None before the first tick
+        self._m = {k: 0 for k in METRIC_KEYS}
 
-    def add_tick(self, t, ux, uy, fuel, gx, gy, seg, sx, sy, mode):
-        """Fold one tick record; fuel and mode are unused."""
-        if self._seg is not None:
-            self._uav += ((ux - self._ux) ** 2 + (uy - self._uy) ** 2) ** 0.5
-            self._ugv += ((gx - self._gx) ** 2 + (gy - self._gy) ** 2) ** 0.5
-            dragged = (seg == self._seg
-                          and ((sx - self._sx) ** 2 + (sy - self._sy) ** 2) ** 0.5 > EPS_GEOM)
-            if dragged and not self._in_episode:
-                self._episodes += 1
-            self._in_episode = dragged
-        self._time = t
-        self._ux, self._uy = ux, uy
-        self._gx, self._gy = gx, gy
-        self._seg, self._sx, self._sy = seg, sx, sy
-
-    def add_event(self, kind: str, detail: dict):
+    def add_event(self, t: float, kind: str, detail: dict):
         if kind == "abandon":
             self._m["abandonments"] += 1
             self._m["targets_deferred"] += len(detail["targets"])
@@ -63,23 +41,23 @@ class MetricsFold:
             self._m["rendezvous_count"] += 1
         elif kind == "case":
             self._m[f"case_{detail['case']}"] += 1
+        elif kind == "drag":
+            self._m["backtrack_episodes"] += 1
+        elif kind == "end":
+            self._m.update(mission_time=t, uav_distance=detail["uav_odo"],
+                           ugv_distance=detail["ugv_odo"])
 
     def result(self) -> dict:
-        return {**self._m, "backtrack_episodes": self._episodes, "mission_time": self._time,
-                "uav_distance": self._uav, "ugv_distance": self._ugv}
+        return dict(self._m)
 
 
 def fold_records(records) -> dict:
     """Recompute the metrics block from trace records (dicts, as parsed
-    back from the JSONL trace)."""
+    back from the JSONL trace); tick records are passed over."""
     fold = MetricsFold()
     for rec in records:
         if "kind" in rec:
-            fold.add_event(rec["kind"], rec["detail"])
-        else:
-            fold.add_tick(rec["t"], rec["uav"][0], rec["uav"][1], rec["fuel"],
-                          rec["ugv"][0], rec["ugv"][1], rec["seg"],
-                          rec["site"][0], rec["site"][1], rec["mode"])
+            fold.add_event(rec["t"], rec["kind"], rec["detail"])
     return fold.result()
 
 
@@ -98,12 +76,24 @@ def decode_line(line: str):
 
 
 def fold_jsonl(lines) -> dict:
-    """Recompute the metrics block from JSONL text lines; blank lines are
-    skipped."""
-    return fold_records(decode_line(line) for line in lines if line.strip())
+    """Recompute the metrics block from JSONL text lines, decoding each event
+    line strictly and skipping blank ones.  A tick line, one without
+    '"kind":', is only counted: a count other than the `end` event's, as
+    when a sink dropped or repeated a line, raises ValueError."""
+    ticks, events = 0, []
+    for line in lines:
+        if '"kind":' in line:
+            events.append(decode_line(line))
+        elif line.strip():
+            ticks += 1
+    end = next((e["detail"]["ticks"] for e in events if e["kind"] == "end"), None)
+    if ticks != end:
+        raise ValueError(f"trace has {ticks} tick lines, but " + (
+            "no end event" if end is None else f"its end event counts {end}"))
+    return fold_records(events)
 
 
-def _tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> str:
+def tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> str:
     """The JSONL line of one tick: the bytes json.dumps(rec, separators=(",",
     ":")) gives for {"t", "uav": [x, y], "fuel", "ugv": [x, y], "seg", "site":
     [x, y], "mode"}.  The JSON encoder writes each finite float and int with
@@ -113,18 +103,6 @@ def _tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> str:
     strings, which need no escape."""
     return (f'{{"t":{t!r},"uav":[{ux!r},{uy!r}],"fuel":{fuel!r},"ugv":[{gx!r},{gy!r}],'
             f'"seg":{seg!r},"site":[{sx!r},{sy!r}],"mode":"{mode}"}}\n')
-
-
-def _tick_writer(add_tick, write):
-    """The one call that takes each tick's record: add_tick itself without a
-    sink, else add_tick and one _tick_line to write."""
-    if write is None:
-        return add_tick
-
-    def tick(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode):
-        add_tick(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode)
-        write(_tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode))
-    return tick
 
 
 def event_line(t: float, kind: str, detail: dict) -> str:

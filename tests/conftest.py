@@ -136,30 +136,50 @@ def run_outputs(scenario, config, plan, sink=None) -> list:
 
 def stepped_outputs(scenario, config, plan) -> list:
     """run_outputs of the reference engine: a WorldState driven tick by tick
-    with step under run's cap.  Its tick records are built from the world
-    after each tick, apart from the simulator's writer, which must have
-    written their lines."""
+    with step under run's cap, and closed as run closes it.  Its tick
+    records are built from the world after each tick, apart from the
+    simulator's writer, which must have written their lines; the end event
+    must count them."""
     sink = io.StringIO()
     world = sim.WorldState(scenario, plan, config, trace_file=sink)
     world.record_tick()
     records = [tick_record(world)]
-    cap = config.max_mission_time
-    if cap is None:
-        cap = 10.0 * plan.total_length / scenario.params.v_uav
+    limit = sim.time_cap(config, plan, scenario.params) - EPS_TIME
     try:
-        while not world.mission_complete and world.clock < cap - EPS_TIME:
+        while not world.mission_complete and world.clock < limit:
             sim.step(world)
             records.append(tick_record(world))
     except RUN_ERRORS as exc:
         got = [type(exc).__name__, str(exc)]
     else:
-        status = "completed" if world.mission_complete else "timeout"
-        got = [status, metrics_to_text(world.fold.result()), world.unprocessed_ids()]
+        rep = world.finish()
+        got = [rep.status, metrics_to_text(rep.metrics), rep.unprocessed]
+        end = decode_line(sink.getvalue().splitlines()[-1])
+        assert (end["kind"], end["detail"]["ticks"]) == ("end", len(records))
     # only an event line has a "kind" key
     lines = sink.getvalue().splitlines(keepends=True)
     assert [line for line in lines if '"kind":' not in line] == [
         json.dumps(r, separators=(",", ":")) + "\n" for r in records]
     return got + [sink.getvalue()]
+
+
+def checked_outcomes(recipe, seeds) -> dict[str, list[int]]:
+    """Run recipe(seed) for each seed, every tick checked, and sort the
+    seeds by outcome: completed, timeout, infeasible (a planner refusal that
+    names a target permanently infeasible; any other refusal raises) and
+    fault (a broken invariant, whose message is printed)."""
+    seen = {"completed": [], "timeout": [], "infeasible": [], "fault": []}
+    for seed in seeds:
+        try:
+            seen[sim.run(recipe(seed), sim.SimConfig(check_invariants=True)).status].append(seed)
+        except PlanningError as exc:
+            if "permanently infeasible" not in str(exc):
+                raise
+            seen["infeasible"].append(seed)
+        except sim.InvariantViolation as exc:
+            seen["fault"].append(seed)
+            print(f"seed {seed}: {exc}")
+    return seen
 
 
 def segment_cases(events) -> list[tuple[int, int]]:

@@ -71,15 +71,16 @@ def scaled(sc: Scenario, k: float) -> Scenario:
 
 
 def scale_record(rec: dict, k: float) -> dict:
-    """A trace record as the scaled mission must write it: positions and
-    arcs times k, everything else as it is."""
+    """A trace record as the scaled mission must write it: positions, arcs
+    and odometers times k, everything else as it is."""
     if "kind" not in rec:
         return {**rec, **{key: [v * k for v in rec[key]] for key in ("uav", "ugv", "site")}}
     detail = dict(rec["detail"])
     if "site" in detail:
         detail["site"] = [v * k for v in detail["site"]]
-    if "site_arc" in detail:
-        detail["site_arc"] *= k
+    for key in ("site_arc", "uav_odo", "ugv_odo"):
+        if key in detail:
+            detail[key] *= k
     return {**rec, "detail": detail}
 
 
@@ -148,13 +149,14 @@ def with_tau(sc: Scenario, tid: int, tau: float) -> Scenario:
 
 def trace_lines(sc: Scenario, plan, cap: float | None = None) -> list[str]:
     """The run's JSONL lines, ticks and events in the order written, up to
-    the time cap or a repair that finds a target infeasible."""
+    the time cap or a repair that finds a target infeasible.  The closing
+    end event is left out: a capped run writes its own at the cap."""
     buf = io.StringIO()
     try:
         run(sc, sim.SimConfig(max_mission_time=cap), plan=plan, trace_file=buf)
     except PlanningError:
         pass
-    return buf.getvalue().splitlines()
+    return [line for line in buf.getvalue().splitlines() if '"kind":"end"' not in line]
 
 
 def completions(lines: list[str]) -> dict[int, float]:

@@ -36,6 +36,11 @@ def test_a_real_number_is_an_int_or_a_float_and_not_a_bool():
     ({"v_ugv": -2.0}, "^v_ugv must be positive and finite, got -2.0$"),
     ({"v_uav": 10 ** 400}, "^v_uav must be positive and finite, got 1000"),
     ({"r_max": 0}, "^r_max must be positive and finite, got 0$"),
+    # each field passes alone; the product overflows or underflows
+    ({"v_uav": 1e308, "fuel_per_meter": 10.0},
+     r"^burn rate v_uav \* fuel_per_meter must be positive and finite, got 1e\+308 \* 10.0 = inf$"),
+    ({"v_uav": 1e-200, "fuel_per_meter": 1e-200},
+     r"^burn rate v_uav \* fuel_per_meter must be positive and finite, got 1e-200 \* 1e-200 = 0.0$"),
 ])
 def test_vehicle_names_a_bad_field(fields, message):
     with pytest.raises(ValueError, match=message):

@@ -13,6 +13,7 @@ from conftest import (
     bend_plan,
     bend_scenario,
     case_counts,
+    checked_outcomes,
     collinear_scenario,
     line_plan,
     line_scenario,
@@ -22,8 +23,8 @@ from conftest import (
     vehicle_space,
 )
 from fuelstring.geometry import Point2D, Polyline, step_toward
-from fuelstring.model import EPS_TIME
-from fuelstring.offline import MissionPlan, PlanningError, plan_mission
+from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
+from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mission
 from fuelstring.online import Mode
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import (
@@ -71,7 +72,7 @@ def test_single_tank_out_and_back():
     assert rep.metrics["rendezvous_count"] == 0
     assert case_counts(rep.metrics) == [1, 0, 0, 0, 0]
     kinds = [(e["kind"], round(e["t"], 6)) for e in events]
-    assert kinds == [("complete", 5.0), ("case", 10.0)]
+    assert kinds == [("complete", 5.0), ("case", 10.0), ("end", 10.0)]
 
 
 def test_uav_hovers_until_ground_vehicle_arrives():
@@ -228,11 +229,30 @@ def test_fold_jsonl_reads_json_lines_like_json_loads():
     lines = buf.getvalue().splitlines()
     padded = ["", " \t"] + [f" \t{line} \r" for line in lines] + ["\x0c", "\n"]
     assert fold_jsonl(padded) == rep.metrics
-    for bad in (lines[0] + " x", "\x0c" + lines[0]):
+    event = next(line for line in lines if '"kind":' in line)
+    for bad in (event + " x", "\x0c" + event):
         with pytest.raises(json.JSONDecodeError):
             json.loads(bad)
         with pytest.raises(json.JSONDecodeError):
             fold_jsonl([bad])
+
+
+def test_fold_jsonl_counts_tick_lines_against_the_end_event():
+    # a sink that drops or repeats a tick line, or loses the end event, is
+    # caught without decoding a tick line
+    buf = io.StringIO()
+    rep = run(bend_scenario(), plan=bend_plan(), trace_file=buf)
+    lines = buf.getvalue().splitlines()
+    assert fold_jsonl(lines) == rep.metrics
+    ticks = sum('"kind":' not in line for line in lines)
+    k = next(k for k, line in enumerate(lines) if '"kind":' in line) - 1  # a tick line
+    for bad, got in ((lines[:k] + lines[k + 1:], ticks - 1),
+                     (lines[:k] + [lines[k]] + lines[k:], ticks + 1)):
+        with pytest.raises(ValueError, match=f"^trace has {got} tick lines, but its end "
+                                             f"event counts {ticks}$"):
+            fold_jsonl(bad)
+    with pytest.raises(ValueError, match=f"^trace has {ticks} tick lines, but no end event$"):
+        fold_jsonl(lines[:-1])
 
 
 def test_repeat_runs_are_identical():
@@ -468,14 +488,9 @@ def test_vehicle_space_missions_pass_every_check():
     """Seeds 1000-1099 of the vehicle-space recipe, every tick checked: no
     fault, and each mission completes, times out or names a target
     permanently infeasible."""
-    seen = {"completed": 0, "timeout": 0, "infeasible": 0}
-    for seed in range(1000, 1100):
-        try:
-            seen[run(vehicle_space(seed), SimConfig(check_invariants=True)).status] += 1
-        except PlanningError as exc:
-            assert "permanently infeasible" in str(exc), (seed, exc)
-            seen["infeasible"] += 1
-    assert seen == {"completed": 90, "timeout": 5, "infeasible": 5}
+    seen = checked_outcomes(vehicle_space, range(1000, 1100))
+    assert {k: len(v) for k, v in seen.items()} == {
+        "completed": 90, "timeout": 5, "infeasible": 5, "fault": 0}
 
 
 def test_reach_holds_on_the_segment_after_a_refuel():
@@ -637,32 +652,86 @@ def test_ugv_steps_toward_the_site_each_tick():
 
 
 def test_fold_counts_maximal_backtrack_episodes():
+    # an episode is a drag event, one per processing visit that drags the
+    # site; the end event gives the time and both distances
     fold = MetricsFold()
-    rows = [
-        (0, 0, 0, 0.0, 0, 0, 20.0, 0),
-        (1, 1, 0, 0.5, 0, 0, 20.0, 0),
-        (2, 1, 0, 1.0, 0, 0, 19.0, 0),  # episode 1
-        (3, 1, 0, 1.5, 0, 0, 18.0, 0),
-        (4, 1, 0, 2.0, 0, 0, 18.0, 0),  # pause ends it
-        (5, 1, 0, 2.5, 0, 0, 17.0, 0),  # episode 2
-        (6, 5, 0, 3.0, 0, 1, 40.0, 0),  # new segment: no episode
-        (7, 6, 0, 3.5, 0, 1, 39.5, 0),  # episode 3
+    events = [
+        (1.0, "drag", {"segment": 0, "target": 3, "site_arc": 19.0}),
+        (2.5, "drag", {"segment": 0, "target": 4, "site_arc": 17.0}),
+        (3.0, "refuel", {"segment": 0, "site": [1, 0], "fuel": 50.0}),
+        (3.5, "drag", {"segment": 1, "target": 3, "site_arc": 39.5}),
+        (7.0, "end", {"ticks": 8}),
     ]
-    for t, ux, uy, gx, gy, seg, sx, sy in rows:
-        fold.add_tick(t, ux, uy, 50.0, gx, gy, seg, sx, sy, Mode.TRANSIT)
+    for k, (t, kind, detail) in enumerate(events):
+        fold.add_event(t, kind, {**detail, "uav_odo": 6.0 * k / 4, "ugv_odo": 3.5 * k / 4})
     m = fold.result()
     assert m["backtrack_episodes"] == 3
-    assert math.isclose(m["uav_distance"], 6.0, abs_tol=1e-12)
-    assert math.isclose(m["ugv_distance"], 3.5, abs_tol=1e-12)
-    assert m["mission_time"] == 7
+    assert (m["uav_distance"], m["ugv_distance"], m["mission_time"]) == (6.0, 3.5, 7.0)
+
+
+def test_one_drag_event_per_dragging_visit():
+    # bend: only the visit to target 1 drags the site, over many ticks, from
+    # arc 20 back past the second target; only its first drag writes an event
+    rep, trace, events = traced_run(bend_scenario(), plan=bend_plan())
+    (drag,) = [e for e in events if e["kind"] == "drag"]
+    assert (drag["detail"]["segment"], drag["detail"]["target"]) == (0, 1)
+    assert rep.metrics["backtrack_episodes"] == 1
+    moved = [(b["seg"], tuple(b["uav"])) for a, b in zip(trace, trace[1:])
+             if a["seg"] == b["seg"] and a["site"] != b["site"]]
+    assert len(moved) > 1 and set(moved) == {(0, (2.0, 0.0))}
+    (skip,) = [e for e in events if e["kind"] == "skip"]
+    assert drag["t"] < skip["t"] and drag["detail"]["site_arc"] > 15.0
+
+
+def test_uav_distance_is_the_flown_path_length():
+    # dt 0.3 flies 0.6 m a tick, so the bend at arc 5.05 falls mid-tick: a
+    # chord between tick positions cuts that corner, the odometer does not
+    sc = Scenario(world=World(50.0, 50.0), depot=Point2D(0.0, 0.0),
+                  params=VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=50.0,
+                                       fuel_per_meter=1.0),
+                  targets=(Target(id=1, position=Point2D(5.05, 3.0), tau=0.0),))
+    plan = MissionPlan(segments=(
+        SegmentPlan(index=0, target_arcs=((1, 8.05),), path=Polyline([
+            Point2D(0.0, 0.0), Point2D(5.05, 0.0), Point2D(5.05, 6.0)])),
+        SegmentPlan(index=1, path=Polyline([Point2D(5.05, 6.0), Point2D(0.0, 0.0)])),
+    ))
+    rep, trace, events = traced_run(sc, SimConfig(dt=0.3, check_invariants=True), plan)
+    assert rep.completed
+    first, second = (seg.path.length for seg in plan.segments)
+    assert rep.metrics["uav_distance"] == first + second
+    assert not any(r["uav"] == [5.05, 0.0] for r in trace)  # no tick lands on the bend
+    chords = sum(math.dist(a["uav"], b["uav"]) for a, b in zip(trace, trace[1:]))
+    assert chords < first + second - 0.1
+    # the UGV drives without a stop, to the site and on toward the depot,
+    # until the last whole tick ends at 11.7 s; the chords between its tick
+    # positions cut the corner it turns at the site in the docking tick
+    assert rep.metrics["ugv_distance"] == pytest.approx(11.7, abs=1e-9)
+    steps = sum(math.dist(a["ugv"], b["ugv"]) for a, b in zip(trace, trace[1:]))
+    assert steps < 11.7 - 0.05
+
+
+def test_odometers_never_decrease_and_end_with_the_metrics():
+    for i in range(5):
+        sc = acceptance7(i)
+        try:
+            plan = plan_mission(sc)
+        except PlanningError:
+            continue
+        rep, _, events = traced_run(sc, plan=plan)
+        odos = [(e["detail"]["uav_odo"], e["detail"]["ugv_odo"]) for e in events]
+        assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(odos, odos[1:])), 9000 + i
+        end = events[-1]
+        assert end["kind"] == "end" and [e["kind"] for e in events].count("end") == 1
+        assert (end["t"], *odos[-1]) == (rep.metrics["mission_time"], rep.metrics["uav_distance"],
+                                         rep.metrics["ugv_distance"])
 
 
 def test_fold_counts_events():
     fold = MetricsFold()
-    fold.add_event("abandon", {"targets": [1, 2], "segment": 0, "site": [0, 0]})
-    fold.add_event("skip", {"targets": [3], "segment": 1, "site_arc": 4.0})
-    fold.add_event("refuel", {"segment": 0, "site": [1, 1], "fuel": 50})
-    fold.add_event("case", {"segment": 0, "case": 4})
+    fold.add_event(1.0, "abandon", {"targets": [1, 2], "segment": 0, "site": [0, 0]})
+    fold.add_event(2.0, "skip", {"targets": [3], "segment": 1, "site_arc": 4.0})
+    fold.add_event(3.0, "refuel", {"segment": 0, "site": [1, 1], "fuel": 50})
+    fold.add_event(3.0, "case", {"segment": 0, "case": 4})
     m = fold.result()
     assert m["abandonments"] == 1
     assert m["targets_deferred"] == 3
