@@ -248,7 +248,9 @@ def transfer_and_repair(start: Point2D,
     any feasible site are shed, last first.  The shed targets start the next
     segment's deferred, so they prefix the segment after it.
     When even a single target cannot head toward the terminal, the leg
-    gives up on the terminal entirely and doubles back toward its start.
+    doubles back toward its start; with no site past the target in reach,
+    it stops short as a relay hop, min(reach, range) straight toward the
+    target, and sheds every entry.
     Returns (plan, shed targets, whether anything had to change).
 
     The leg start -> targets is threaded once (see _thread).  Each candidate
@@ -257,9 +259,8 @@ def transfer_and_repair(start: Point2D,
     own.  A candidate whose last target arc already uses the whole tank is
     shed without building a path: no site can lie past it.
 
-    Raises PlanningError only when that last resort fails too: no path
-    from this start visits the target and ends in range at a site within
-    reach of it.
+    Raises PlanningError ("infeasible leg") only for a leg with no site at
+    all: reach or range within EPS_GEOM of zero, or no edge out of start.
     """
     entries = list(deferred)
     if next_plan is not None:
@@ -287,10 +288,13 @@ def transfer_and_repair(start: Point2D,
             if not math.isfinite(length):
                 Polyline(pts)  # raises, naming the terminal edge
             hi = min(length, max_len)
-            if hi > lo + EPS_GEOM:
+            floor = 0.0 if out_and_back else lo  # doubling back may stop short
+            if hi > floor + EPS_GEOM:
                 path = Polyline(pts)
-                best = farthest_site_arc(path, lo, hi, start, reach)
+                best = farthest_site_arc(path, floor, hi, start, reach)
                 if best is not None:
+                    if best <= lo + EPS_GEOM:  # a relay hop toward the target
+                        m = 0
                     modified = out_and_back or m < len(entries)
                     if best < length - EPS_GEOM:
                         path = path.sub_polyline(0.0, best)
@@ -301,15 +305,10 @@ def transfer_and_repair(start: Point2D,
                         target_arcs=tuple((tid, cum[j]) for (tid, _), j in zip(entries, at[:m])),
                     )
                     return plan, entries[m:], modified
-        if out_and_back:
+        if out_and_back or m == 0:
             raise PlanningError(
-                f"target {entries[0][0]} permanently infeasible: from ({start.x:.6g}, "
-                f"{start.y:.6g}) even an out-and-back leg through it has no "
-                f"refuel site within range {max_len:.6g} and reach {reach:.6g}")
-        if m == 0:
-            raise PlanningError(
-                f"no refuel site reachable on the leg from ({start.x:.6g}, "
-                f"{start.y:.6g}) within range {max_len:.6g} and reach {reach:.6g}")
+                f"infeasible leg from ({start.x:.6g}, {start.y:.6g}): no refuel site "
+                f"within range {max_len:.6g} and reach {reach:.6g}")
         if m == 1:
             # last resort: fly out to the lone target, then double back
             terminal = start

@@ -165,17 +165,12 @@ def stepped_outputs(scenario, config, plan) -> list:
 
 def checked_outcomes(recipe, seeds) -> dict[str, list[int]]:
     """Run recipe(seed) for each seed, every tick checked, and sort the
-    seeds by outcome: completed, timeout, infeasible (a planner refusal that
-    names a target permanently infeasible; any other refusal raises) and
-    fault (a broken invariant, whose message is printed)."""
-    seen = {"completed": [], "timeout": [], "infeasible": [], "fault": []}
+    seeds by outcome: completed, timeout and fault (a broken invariant,
+    whose message is printed).  A planner refusal raises."""
+    seen = {"completed": [], "timeout": [], "fault": []}
     for seed in seeds:
         try:
             seen[sim.run(recipe(seed), sim.SimConfig(check_invariants=True)).status].append(seed)
-        except PlanningError as exc:
-            if "permanently infeasible" not in str(exc):
-                raise
-            seen["infeasible"].append(seed)
         except sim.InvariantViolation as exc:
             seen["fault"].append(seed)
             print(f"seed {seed}: {exc}")

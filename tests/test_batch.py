@@ -80,14 +80,17 @@ def test_zero_processing_cost_never_replans():
 
 
 def test_failed_cell_recorded_without_aborting():
-    """A 2-unit tank cannot finish any default mission; the row says so."""
-    cfg = small_sweep(target_counts=(4,), fuel_capacities=(2.0, 50.0),
+    """More targets than the default world holds fail their cell; the row
+    says so, and the next cell still runs.  There a 2-unit tank relays its
+    rendezvous toward every target and completes."""
+    cfg = small_sweep(target_counts=(10_000, 4), fuel_capacities=(2.0,),
                       speed_ratios=(0.5,), seeds=(1,))
     results = batch_run(cfg)
     assert len(results) == 2
-    assert results[0].status.startswith("error: PlanningError")
+    assert results[0].status.startswith("error: TooManyTargetsError")
     assert results[0].metrics is None
     assert results[1].status == "completed"
+    assert results[1].metrics["rendezvous_count"] == 119
     rows = list(csv.reader(io.StringIO(results_to_csv(results))))
     assert len(rows) == 9
     # the broken cell aggregates to no-data rows with blank metrics

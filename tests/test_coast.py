@@ -103,14 +103,16 @@ def test_vehicle_space_missions_match_the_stepped_engine(checked):
     assert len({p.burn_rate for p in vehicles}) == len(vehicles)
 
 
-def test_repair_refusal_mid_run_matches_the_stepped_engine():
-    # vehicle-space seed 1031 plans, but a rendezvous's repair refuses target 8
+def test_relay_hops_mid_run_match_the_stepped_engine():
+    # vehicle-space seed 1031: no site past target 8 is in reach of the
+    # rendezvous at (13.7653, 21.7461), so the repaired segment 7 hops the
+    # site toward it; segment 12 is a second hop.  The mission completes
     sc = vehicle_space(1031)
     plan = plan_mission(sc)
-    assert _assert_run_matches_steps(sc, SimConfig(), plan)["transit"] > 0
-    got = run_outputs(sc, SimConfig(), plan)
-    assert got[0] == "PlanningError" and got[1].startswith("target 8 permanently infeasible")
-    assert '"kind":"refuel"' in got[-1]
+    for checked in (False, True):
+        assert _assert_run_matches_steps(sc, SimConfig(check_invariants=checked),
+                                         plan)["transit"] > 0
+    assert run_outputs(sc, SimConfig(), plan)[0] == "completed"
 
 
 def _sweep_cell(n: int, ratio: float, seed: int, fuel: float = 50.0) -> Scenario:

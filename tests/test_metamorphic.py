@@ -17,7 +17,6 @@ import pytest
 
 from fuelstring import (
     CostModel,
-    PlanningError,
     Point2D,
     Scenario,
     World,
@@ -149,13 +148,10 @@ def with_tau(sc: Scenario, tid: int, tau: float) -> Scenario:
 
 def trace_lines(sc: Scenario, plan, cap: float | None = None) -> list[str]:
     """The run's JSONL lines, ticks and events in the order written, up to
-    the time cap or a repair that finds a target infeasible.  The closing
-    end event is left out: a capped run writes its own at the cap."""
+    the time cap.  The closing end event is left out: a capped run writes
+    its own at the cap."""
     buf = io.StringIO()
-    try:
-        run(sc, sim.SimConfig(max_mission_time=cap), plan=plan, trace_file=buf)
-    except PlanningError:
-        pass
+    run(sc, sim.SimConfig(max_mission_time=cap), plan=plan, trace_file=buf)
     return [line for line in buf.getvalue().splitlines() if '"kind":"end"' not in line]
 
 
@@ -212,7 +208,8 @@ def test_online_decisions_are_blind_to_unrevealed_costs():
     up to the instant the changed run completes it."""
     dt = sim.SimConfig().dt
     cases = 0
-    for i in range(COST_MISSIONS):
+    # missions 188 and 416 relay their rendezvous toward a lone target
+    for i in [*range(COST_MISSIONS), 188, 416]:
         sc = acceptance7(i)
         plan = plan_mission(sc)
         base = trace_lines(sc, plan)
@@ -227,7 +224,7 @@ def test_online_decisions_are_blind_to_unrevealed_costs():
             cut = min(done.get(tid, math.inf), got.get(tid, math.inf))
             assert first_difference_at(base, other) >= cut, (9000 + i, tid, changed)
             cases += 1
-    assert cases >= 60
+    assert cases >= 90
 
 
 def test_plans_are_blind_to_costs():

@@ -240,13 +240,34 @@ def test_repair_doubles_back_when_terminal_is_hopeless():
     assert shed == [] and modified
 
 
-def test_repair_raises_on_permanently_unreachable_target():
-    # out-and-back needs 80 of flight but range + reach is only 55
+def test_repair_relays_the_site_toward_an_out_of_reach_target():
+    # out-and-back from (0, 0) needs 80 of flight, but range + reach is only
+    # 55: no site past the target is in reach, so each repair hops the site
+    # 5 toward it, sheds the target, and the next repair starts there
     tight = VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=50.0,
                           fuel_per_meter=1.0, r_max=5.0)
-    with pytest.raises(PlanningError, match="target 7 permanently infeasible"):
-        transfer_and_repair(P(0, 0), [(7, P(40, 0))], None, P(0, 0),
-                            tight, ordinal=2)
+    start, deferred = P(0, 0), [(7, P(40, 0))]
+    for hop in (P(5, 0), P(10, 0), P(15, 0)):
+        plan, shed, modified = transfer_and_repair(start, deferred, None, P(0, 0),
+                                                   tight, ordinal=2)
+        assert plan.path.vertices == (start, hop) and plan.target_arcs == ()
+        assert shed == deferred and modified
+        start = plan.site
+    # from (15, 0) the out-and-back is 50, the whole range
+    plan, shed, modified = transfer_and_repair(start, deferred, None, P(0, 0),
+                                               tight, ordinal=2)
+    assert plan.path.vertices == (P(15, 0), P(40, 0), P(15, 0))
+    assert plan.target_arcs == ((7, 25.0),)
+    assert shed == [] and modified
+
+
+def test_repair_names_the_limits_of_a_leg_with_no_site():
+    # a reach within EPS_GEOM of zero leaves no site on any leg
+    blind = VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=50.0,
+                          fuel_per_meter=1.0, r_max=1e-10)
+    with pytest.raises(PlanningError, match=r"^infeasible leg from \(0, 0\): no refuel "
+                                            r"site within range 50 and reach 1e-10$"):
+        transfer_and_repair(P(0, 0), [(7, P(40, 0))], None, P(0, 0), blind, ordinal=2)
 
 
 def test_repair_names_a_thread_too_long_for_a_float():
@@ -320,7 +341,8 @@ def test_repair_threads_deferred_before_planned_targets():
 def reference_repair(start, deferred, next_plan, depot, params, ordinal):
     """transfer_and_repair as it was written before the leg was threaded
     once: every candidate re-threads its whole leg and builds a new path.
-    Also returns whether the out-and-back last resort was taken."""
+    Also returns whether the out-and-back last resort was taken; where it
+    finds no site past the target, its leg stops short as a relay hop."""
     entries = list(deferred)
     if next_plan is not None:
         entries += [(tid, next_plan.path.point_at_arc(arc))
@@ -339,8 +361,11 @@ def reference_repair(start, deferred, next_plan, depot, params, ordinal):
         if len(pts) >= 2:
             path = Polyline(pts)
             lo = target_arcs[-1] if target_arcs else 0.0
-            best = farthest_site_arc(path, lo, min(path.length, max_len), start, reach)
+            best = farthest_site_arc(path, 0.0 if out_and_back else lo,
+                                     min(path.length, max_len), start, reach)
             if best is not None:
+                if best <= lo + EPS_GEOM:  # the hop visits nothing
+                    shed[:0], entries = entries, []
                 if best < path.length - EPS_GEOM:
                     path = path.sub_polyline(0.0, best)
                     modified = True
@@ -350,15 +375,10 @@ def reference_repair(start, deferred, next_plan, depot, params, ordinal):
                     target_arcs=tuple((tid, arc) for (tid, _), arc in zip(entries, target_arcs)),
                 )
                 return plan, shed, modified, out_and_back
-        if out_and_back:
+        if out_and_back or not entries:
             raise PlanningError(
-                f"target {entries[0][0]} permanently infeasible: from ({start.x:.6g}, "
-                f"{start.y:.6g}) even an out-and-back leg through it has no "
-                f"refuel site within range {max_len:.6g} and reach {reach:.6g}")
-        if not entries:
-            raise PlanningError(
-                f"no refuel site reachable on the leg from ({start.x:.6g}, "
-                f"{start.y:.6g}) within range {max_len:.6g} and reach {reach:.6g}")
+                f"infeasible leg from ({start.x:.6g}, {start.y:.6g}): no refuel site "
+                f"within range {max_len:.6g} and reach {reach:.6g}")
         if len(entries) == 1:
             terminal = start
             out_and_back = True
@@ -444,8 +464,7 @@ def repair_case(seed: int, family: str):
 
 def test_repair_matches_rethreading_reference():
     families = ["mixed"] * 140 + ["start"] * 30 + ["tail"] * 50 + ["lone"] * 40 + ["empty"] * 20
-    seen = {"shed": 0, "trimmed": 0, "out_and_back": 0, "start": 0,
-            "infeasible": 0, "no site": 0}
+    seen = {"shed": 0, "trimmed": 0, "out_and_back": 0, "relay": 0, "start": 0, "no site": 0}
     shared = 0  # plans whose coincident targets share an arc past 0
     for seed, family in enumerate(families):
         args = repair_case(1000 + seed, family)
@@ -455,7 +474,7 @@ def test_repair_matches_rethreading_reference():
             with pytest.raises(PlanningError) as got:
                 transfer_and_repair(*args, ordinal=4)
             assert str(got.value) == str(exc), (seed, family)
-            seen["infeasible" if "infeasible" in str(exc) else "no site"] += 1
+            seen["no site"] += 1
             continue
         plan, shed, modified = transfer_and_repair(*args, ordinal=4)
         ref_plan, ref_shed, ref_modified, out_and_back = want
@@ -480,9 +499,11 @@ def test_repair_matches_rethreading_reference():
         assert plan.path.cumulative_arc == ref_plan.path.cumulative_arc, (seed, family)
         assert plan.target_arcs == ref_plan.target_arcs, (seed, family)
         assert (shed, modified) == (ref_shed, ref_modified), (seed, family)
-        seen["shed"] += bool(shed)
+        relay = out_and_back and not plan.target_arcs
+        seen["shed"] += bool(shed) and not relay
         seen["trimmed"] += modified and not shed and not out_and_back
-        seen["out_and_back"] += out_and_back
+        seen["out_and_back"] += out_and_back and not relay
+        seen["relay"] += relay
     assert all(count >= 5 for count in seen.values()), seen
     assert shared == 2, shared  # cases 41 and 114
 

@@ -25,7 +25,7 @@ from conftest import (
 from fuelstring.geometry import Point2D, Polyline, step_toward
 from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mission
-from fuelstring.online import Mode
+from fuelstring.online import Case, Mode
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import (
     InvariantViolation,
@@ -486,11 +486,24 @@ def _checked_generated_run(n: int, seed: int, dt: float = 0.05):
 
 def test_vehicle_space_missions_pass_every_check():
     """Seeds 1000-1099 of the vehicle-space recipe, every tick checked: no
-    fault, and each mission completes, times out or names a target
-    permanently infeasible."""
+    fault, no refusal, and each mission completes or times out."""
     seen = checked_outcomes(vehicle_space, range(1000, 1100))
-    assert {k: len(v) for k, v in seen.items()} == {
-        "completed": 90, "timeout": 5, "infeasible": 5, "fault": 0}
+    assert {k: len(v) for k, v in seen.items()} == {"completed": 95, "timeout": 5, "fault": 0}
+
+
+@pytest.mark.parametrize("i", [188, 416])
+def test_relay_hop_completes_a_once_refused_mission(i):
+    """Acceptance-7 missions 9188 and 9416 once ended in a repair's refusal:
+    no site past a lone target was in reach.  Now a repaired segment that
+    is not the last hops the site toward it, visiting no target, and the
+    mission completes with every tick checked."""
+    rep, _, events = traced_run(acceptance7(i), SimConfig(check_invariants=True))
+    assert rep.completed
+    cases = segment_cases(events)
+    repaired = {s for s, case in cases if case == Case.SEGMENT_REPAIR}
+    visited = {e["detail"]["segment"] for e in events
+               if e["kind"] in ("complete", "skip", "abandon")}
+    assert repaired - visited - {cases[-1][0]}
 
 
 def test_reach_holds_on_the_segment_after_a_refuel():
@@ -506,7 +519,7 @@ def test_coarse_tick_hover_docks_in_time():
 
 
 @pytest.mark.xfail(strict=True, raises=InvariantViolation,
-                   reason="ROADMAP item 10, abandonment as an event: at dt 0.5 the "
+                   reason="ROADMAP item 9, abandonment as an event: at dt 0.5 the "
                           "lookahead approves processing to tick end, the target "
                           "completes at 141.74 s with the site less dragged than "
                           "predicted, and at 142 s it is out of the UGV's reach")
