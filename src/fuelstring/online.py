@@ -200,25 +200,26 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
 
 
 def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
-                      stride: float, params: VehicleParams) -> list[int] | None:
+                      params: VehicleParams) -> list[int] | None:
     """Lookahead: would processing for the t_left seconds left in the tick
     leave the site out of the ground vehicle's reach at tick end?
 
-    Evaluated where a processing sub-step starts, with the UGV where it is
-    during the UAV's sub-steps; the prediction advances the UGV by stride,
-    the step it takes toward the site at tick end.  If the answer
-    is yes, abandon now: the current target and all pending ones are
-    deferred and the UAV heads for the site.  Returns the newly deferred
-    target ids, or None when processing may continue.  The current target
-    is deferred at the UAV's position, on its arc.
+    Evaluated where a processing sub-step starts, with the UGV where it
+    stands then.  The prediction drags the site back for all of t_left and
+    steps the UGV v_ugv * t_left toward that dragged site: the step the UGV
+    takes when processing runs to the tick end.  If the answer is yes,
+    abandon now: the current target and all pending ones are deferred and
+    the UAV heads for the site.  Returns the newly deferred target ids, or
+    None when processing may continue.  The current target is deferred at
+    the UAV's position, on its arc.
     """
     fuel_next = state.fuel - params.burn_rate * t_left
     site_next = backtrack_site(state, fuel_next, params)
     site_pos = state.site_position
-    ugv_next = step_toward(ugv_pos, site_pos, stride)
     # a slack string leaves the site where it is; a tank run dry is never in reach
     site_next_pos = (site_pos if site_next == state.site_arc
                      else state.plan.path.point_at_arc(site_next))
+    ugv_next = step_toward(ugv_pos, site_next_pos, params.v_ugv * t_left)
     if ugv_reachable(ugv_next, site_next_pos, fuel_next, params):
         # a sub-step that burns all of t_left drags the site to site_next
         if site_next_pos is not site_pos:

@@ -1,10 +1,12 @@
 """Deterministic fixed-step mission simulator.
 
 One tick: the UAV consumes its time slice in exact sub-steps (transit,
-processing, hovering -- split at target arrivals, completions and docks),
-then the UGV steps toward the current site.  Each processing sub-step starts
-with the abandonment lookahead, also when the UAV reaches a target mid-tick.
-A hovering UAV docks the instant the UGV reaches the site, to EPS_TIME.
+processing, hovering -- split at target arrivals, completions and docks).
+The UGV has one motion rule, `_drive`: after each sub-step of h seconds it
+steps v_ugv * h straight toward the site that sub-step ends with.  Each
+processing sub-step starts with the abandonment lookahead, also when the
+UAV reaches a target mid-tick.  A hovering UAV docks the instant the UGV
+reaches the site, to EPS_TIME, also with no time left in the tick.
 Identical inputs give identical traces, byte for byte.
 
 `step` takes one tick.  `run` first tries `_coast`, which takes every
@@ -65,7 +67,8 @@ class InvariantViolation(RuntimeError):
 
 
 class TickLimitError(ValueError):
-    """The mission time cap divided by dt exceeds MAX_TICKS."""
+    """dt lies outside the mission's tick domain: the time cap divided by
+    dt exceeds MAX_TICKS, or dt exceeds one full tank's airtime."""
 
 
 @dataclass(frozen=True)
@@ -179,58 +182,49 @@ class WorldState:
 
 
 def step(world: WorldState):
-    """Advance the world by one tick."""
-    cfg = world.config
-    dt = cfg.dt
-    t0 = world.clock
-
-    t_ugv = _uav_phase(world, t0, dt)
-    if world.mission_complete:  # the clock already holds the landing instant
-        world.record_tick()
-        return
-
-    # the UGV's step toward the site over the rest of the tick
-    st = world.active
-    goal, v_ugv = st.site_position, world.params.v_ugv
-    ugv, stride = world.ugv_pos, v_ugv * (dt - t_ugv)
-    world.ugv_pos = step_toward(ugv, goal, stride)
-    world.driven += distance(ugv, goal) if world.ugv_pos is goal else stride
-    # a UAV that reached the site with no sub-step left docks if this step did
-    gap = distance(world.ugv_pos, goal) if st.mode is Mode.WAIT else math.inf
-    if gap <= v_ugv * EPS_TIME:
-        world.ugv_pos = goal
-        world.driven += gap
-        _refuel(world, t0 + dt)
-
-    world.clock = t0 + dt
-    if cfg.check_invariants:
-        _check_invariants(world)
-    world.record_tick()
-
-
-def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
-    params = world.params
+    """Advance the world by one tick: the UAV's sub-steps, each followed by
+    the UGV's step over the same seconds, then the clock, the checks and
+    the tick record."""
+    cfg, params = world.config, world.params
+    burn, dt, t0 = params.burn_rate, cfg.dt, world.clock
     t_rem = dt
-    t_ugv = 0.0  # the tick offset world.ugv_pos holds at: 0, or the last dock
-    while t_rem > EPS_TIME and not world.mission_complete:
+    while not world.mission_complete:
         st = world.active
-        if st.mode is Mode.PROCESSING:
-            deferred_now = check_abandonment(st, world.ugv_pos, t_rem,
-                                             params.v_ugv * (dt - t_ugv), params)
+        if st.mode is Mode.WAIT:
+            # hover until the UGV, driving straight at the site, reaches it,
+            # or to the tick end; this runs with no time left too, so a UGV
+            # already on the site docks at once
+            elapsed = dt - t_rem
+            gap = distance(world.ugv_pos, st.site_position)
+            t_dock = elapsed + gap / params.v_ugv
+            t_end = dt if t_dock > dt else t_dock
+            used = burn * (t_end - elapsed)
+            st.fuel -= used
+            if st.fuel < -EPS_FUEL:
+                world.fault("fuel exhausted hovering at refuel site")
+            if t_dock > dt + EPS_TIME:
+                _drive(world, t_rem, used)
+                break
+            world.ugv_pos, world.driven = st.site_position, world.driven + gap
+            t_rem = dt - t_end
+            _refuel(world, t0 + t_end)
+        elif t_rem <= EPS_TIME:
+            break
+        elif st.mode is Mode.PROCESSING:
+            deferred_now = check_abandonment(st, world.ugv_pos, t_rem, params)
             if deferred_now is not None:
                 site = st.site_position
                 world.emit_event(t0 + (dt - t_rem), "abandon", segment=st.ordinal,
                                  targets=deferred_now, site=[site.x, site.y])
                 continue
             tracker = world.trackers[st.current]
-            avail = params.burn_rate * t_rem
-            used, done = tracker.reveal(avail)
+            used, done = tracker.reveal(burn * t_rem)
             if used > st.fuel + EPS_FUEL:
                 world.fault(f"processing target {st.current} would exhaust fuel")
             target_id, dragged_by = st.current, st.dragged_by
             skipped_now = on_processing_tick(st, used, done, params)
-            t_rem -= used / params.burn_rate
-            t_now = t0 + (dt - (0.0 if t_rem < 0.0 else t_rem))
+            t_rem = _drive(world, t_rem, used)
+            t_now = t0 + (dt - t_rem)
             if st.dragged_by != dragged_by:  # the visit's first drag of the site
                 world.emit_event(t_now, "drag", segment=st.ordinal, target=target_id,
                                  site_arc=st.site_arc)
@@ -239,28 +233,12 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
                                  site_arc=st.site_arc)
             if done:
                 _complete(world, target_id, t_now)
-        elif st.mode is Mode.WAIT:
-            # hover until the UGV, driving straight at the site from where it
-            # stands at offset t_ugv, arrives there, or to the tick end
-            elapsed = dt - t_rem
-            gap = distance(world.ugv_pos, st.site_position)
-            t_dock = t_ugv + gap / params.v_ugv
-            t_end = dt if t_dock > dt else elapsed if t_dock < elapsed else t_dock
-            st.fuel -= params.burn_rate * (t_end - elapsed)
-            if st.fuel < -EPS_FUEL:
-                world.fault("fuel exhausted hovering at refuel site")
-            t_rem = dt - t_end
-            if t_dock <= dt + EPS_TIME:
-                world.ugv_pos, t_ugv = st.site_position, t_end
-                world.driven += gap
-                _refuel(world, t0 + t_end)
         else:  # transit or to_rendezvous
-            budget = params.burn_rate * t_rem
-            used, arrival = on_transit_tick(st, budget, params)
+            used, arrival = on_transit_tick(st, burn * t_rem, params)
             if st.fuel < -EPS_FUEL:
                 world.fault("fuel exhausted in transit")
-            t_rem -= used / params.burn_rate
-            t_now = t0 + (dt - (0.0 if t_rem < 0.0 else t_rem))
+            t_rem = _drive(world, t_rem, used)
+            t_now = t0 + (dt - t_rem)
             if arrival == "target":
                 target_id = st.current
                 if world.trackers[target_id].reveal(0.0)[1]:  # a zero-cost target
@@ -276,7 +254,28 @@ def _uav_phase(world: WorldState, t0: float, dt: float) -> float:
                 world.clock = t_now
             else:
                 st.mode = Mode.WAIT  # a parked UGV makes the hover zero-length
-    return t_ugv
+
+    if not world.mission_complete:  # else the clock holds the landing instant
+        world.clock = t0 + dt
+        if cfg.check_invariants:
+            _check_invariants(world)
+    world.record_tick()
+
+
+def _drive(world: WorldState, t_rem: float, used: float) -> float:
+    """The UGV's one motion rule, after a UAV sub-step that burned `used`
+    with t_rem seconds left in the tick: v_ugv times the sub-step's seconds
+    straight toward the site it ends with, stopping on it, and added to the
+    odometer.  A sub-step that leaves EPS_TIME or less runs to the tick end.
+    Returns the seconds left after the sub-step."""
+    params = world.params
+    left = t_rem - used / params.burn_rate
+    left = 0.0 if left <= EPS_TIME else left
+    goal, ugv = world.active.site_position, world.ugv_pos
+    stride = params.v_ugv * (t_rem - left)
+    world.ugv_pos = step_toward(ugv, goal, stride)
+    world.driven += distance(ugv, goal) if world.ugv_pos is goal else stride
+    return left
 
 
 def _complete(world: WorldState, target_id: int, t_now: float):
@@ -366,9 +365,8 @@ def _coast(world: WorldState, limit: float) -> bool:
     processing tick is judged whole before any of it is kept: the
     lookahead, reveal's completion test, the skip test and the visit's
     first drag read only the tick's start and the site it drags to, so the
-    first tick that fails one goes to step as it stood.  A slack string
-    leaves the site, and so both of step's pursuit steps, where they were:
-    the loop takes that step once.  A taut one drags the site, and its
+    first tick that fails one goes to step as it stood.  The lookahead's
+    UGV step is the tick's UGV step.  A taut string drags the site, and its
     cursor, backward; a dragged site lies below the site arc before it, so
     the cursor starts at most on the path's last edge.  The site arc only
     falls, so its low-water mark is the last arc, set in `_put`.  A UGV
@@ -406,7 +404,7 @@ def _coast(world: WorldState, limit: float) -> bool:
     ugv = world.ugv_pos
     gx, gy, parked, driven = ugv.x, ugv.y, ugv is goal, world.driven
     v_ugv = params.v_ugv
-    stride = v_ugv * dt  # step's v_ugv * (dt - t_ugv), and t_ugv is 0
+    stride = v_ugv * dt  # _drive's stride over a whole tick
     arcs, verts = st.plan.path.cumulative_arc, st.plan.path.vertices
     write, checked = world.write, cfg.check_invariants
     n = 0  # the ticks taken
@@ -422,9 +420,9 @@ def _coast(world: WorldState, limit: float) -> bool:
         a0, v, w = arcs[i], verts[i], verts[i + 1]
         edge, vx, vy, dx, dy = arcs[i + 1] - a0, v.x, v.y, w.x - v.x, w.y - v.y
         while clock < limit:
-            # check_abandonment: backtrack_site at fuel_next, a pursuit step
-            # toward the site before the drag, and ugv_reachable, which refuses
-            # an empty tank
+            # check_abandonment: backtrack_site at fuel_next, the UGV's step
+            # toward the dragged site, and ugv_reachable, which refuses an
+            # empty tank
             fuel_next = fuel - budget
             if fuel_next < 0.0:
                 break
@@ -449,27 +447,16 @@ def _coast(world: WorldState, limit: float) -> bool:
                 else:
                     t = (s - a0) / edge
                     px, py = vx + t * dx, vy + t * dy
-            d = math.hypot(gx - qx, gy - qy)  # 0 when parked: the UGV stands on the site
+            d = math.hypot(gx - px, gy - py)
             if d <= stride or d <= EPS_GEOM:
-                lx, ly, lpark, lstep = qx, qy, True, d
+                lx, ly, lpark, lstep = px, py, True, d
             else:
                 f = stride / d
-                lx, ly, lpark, lstep = gx + f * (qx - gx), gy + f * (qy - gy), False, stride
+                lx, ly, lpark, lstep = gx + f * (px - gx), gy + f * (py - gy), False, stride
             if (math.hypot(lx - px, ly - py) / v_ugv > fuel_next / burn + EPS_TIME
                     or tau - progress <= avail or last > s + EPS_GEOM):
                 break  # step abandons, completes the target or skips
-            if s == sarc:  # the tick-end pursuit step is the lookahead's
-                gx, gy, parked = lx, ly, lpark
-                driven += lstep
-            else:
-                d = math.hypot(gx - px, gy - py)
-                if d <= stride or d <= EPS_GEOM:
-                    gx, gy, parked = px, py, True
-                    driven += d
-                else:
-                    f = stride / d
-                    gx, gy, parked = gx + f * (px - gx), gy + f * (py - gy), False
-                    driven += stride
+            gx, gy, parked, driven = lx, ly, lpark, driven + lstep
             progress += budget
             fuel, sarc, qx, qy = fuel_next, s, px, py
             clock = clock + dt
@@ -551,11 +538,16 @@ def run(scenario: Scenario, config: SimConfig | None = None,
     """Plan (unless given) and fly the whole mission.
 
     Returns a completed or timeout report; raises PlanningError when no
-    feasible plan exists, TickLimitError before the first tick when the
-    time cap would take more than MAX_TICKS ticks, and InvariantViolation
-    on internal faults.
+    feasible plan exists, TickLimitError before the first tick when dt
+    exceeds one full tank's airtime, fuel_capacity / burn_rate, or the time
+    cap would take more than MAX_TICKS ticks, and InvariantViolation on
+    internal faults.
     """
     cfg = config if config is not None else SimConfig()
+    airtime = scenario.params.fuel_capacity / scenario.params.burn_rate
+    if cfg.dt > airtime:
+        raise TickLimitError(f"dt {cfg.dt!r} s exceeds one full tank's airtime, "
+                             f"fuel_capacity / burn_rate = {airtime!r} s")
     if plan is None:
         plan = plan_mission(scenario)
     audit = validate_plan(plan, scenario)

@@ -163,14 +163,15 @@ def stepped_outputs(scenario, config, plan) -> list:
     return got + [sink.getvalue()]
 
 
-def checked_outcomes(recipe, seeds) -> dict[str, list[int]]:
-    """Run recipe(seed) for each seed, every tick checked, and sort the
-    seeds by outcome: completed, timeout and fault (a broken invariant,
-    whose message is printed).  A planner refusal raises."""
+def checked_outcomes(recipe, seeds, dt: float = 0.05) -> dict[str, list[int]]:
+    """Run recipe(seed) for each seed at tick size dt, every tick checked,
+    and sort the seeds by outcome: completed, timeout and fault (a broken
+    invariant, whose message is printed).  A planner refusal raises."""
     seen = {"completed": [], "timeout": [], "fault": []}
+    config = sim.SimConfig(dt=dt, check_invariants=True)
     for seed in seeds:
         try:
-            seen[sim.run(recipe(seed), sim.SimConfig(check_invariants=True)).status].append(seed)
+            seen[sim.run(recipe(seed), config).status].append(seed)
         except sim.InvariantViolation as exc:
             seen["fault"].append(seed)
             print(f"seed {seed}: {exc}")

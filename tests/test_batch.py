@@ -112,6 +112,18 @@ def test_bad_vehicle_value_fails_only_its_cells():
     assert statuses[3] == "completed"
 
 
+def test_cell_with_dt_above_its_airtime_is_an_error_row():
+    # a 2-unit tank burning 2 a second flies 1 s, less than the 5 s tick; a
+    # 50-unit one flies 25 s
+    cfg = small_sweep(target_counts=(3,), fuel_capacities=(2.0, 50.0), speed_ratios=(0.5,),
+                      seeds=(1,), dt=5.0)
+    small, large = batch_run(cfg)
+    assert small.status == ("error: TickLimitError: dt 5.0 s exceeds one full tank's airtime, "
+                            "fuel_capacity / burn_rate = 1.0 s")
+    assert small.metrics is None
+    assert large.status == "completed"
+
+
 def test_empty_grid_rejected():
     with pytest.raises(ValueError, match="sweep grid is empty"):
         batch_run(small_sweep(seeds=()))

@@ -160,7 +160,7 @@ def test_cached_points_follow_their_arcs():
         point_at_arc = Polyline.point_at_arc
         mp.setattr(Polyline, "point_at_arc",
                    lambda path, s: arcs.append(s) or point_at_arc(path, s))
-        assert check_abandonment(st, ugv, 0.5, 0.5, DEFAULT_PARAMS) is None
+        assert check_abandonment(st, ugv, 0.5, DEFAULT_PARAMS) is None
         on_processing_tick(st, 1.0, False, DEFAULT_PARAMS)  # all of the 0.5 s
         dragged = st.site_position
     assert arcs == [17.0]
@@ -168,7 +168,7 @@ def test_cached_points_follow_their_arcs():
     assert dragged == st.plan.path.point_at_arc(17.0)
     assert (dragged.x, dragged.y) == pytest.approx((5.8, 5.6), abs=1e-12)
     st = dragging()
-    assert check_abandonment(st, ugv, 0.5, 0.5, DEFAULT_PARAMS) is None
+    assert check_abandonment(st, ugv, 0.5, DEFAULT_PARAMS) is None
     assert st.site_position == st.plan.path.point_at_arc(18.0)  # not dragged yet
 
 
@@ -186,7 +186,7 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
     # present state is exactly reachable, one more tick is not
     st = processing_state(5.0)
     assert ugv_reachable(P(17.5, 0), st.site_position, st.fuel, DEFAULT_PARAMS)
-    deferred = check_abandonment(st, P(17.5, 0), 0.05, 0.05, DEFAULT_PARAMS)
+    deferred = check_abandonment(st, P(17.5, 0), 0.05, DEFAULT_PARAMS)
     assert deferred == [1]
     assert st.mode == Mode.TO_RENDEZVOUS
     assert st.case == Case.ABANDON_RENDEZVOUS and st.current is None
@@ -194,13 +194,13 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
 
     # a slightly closer ground vehicle keeps the margin
     st = processing_state(5.0)
-    assert check_abandonment(st, P(17.3, 0), 0.05, 0.05, DEFAULT_PARAMS) is None
+    assert check_abandonment(st, P(17.3, 0), 0.05, DEFAULT_PARAMS) is None
     assert st.mode == Mode.PROCESSING
 
     # imminent fuel exhaustion forces the call even with the UGV on site
     st = processing_state(0.04)
     st.site_arc = 10.04
-    assert check_abandonment(st, st.site_position, 0.05, 0.05, DEFAULT_PARAMS) == [1]
+    assert check_abandonment(st, st.site_position, 0.05, DEFAULT_PARAMS) == [1]
 
 
 def test_repair_walks_terminal_back_along_the_path():
@@ -526,7 +526,7 @@ def test_segment_case_only_rises():
 
     # the UGV far out of reach: the lookahead abandons the current target,
     # deferred where the UAV stands on its arc
-    assert check_abandonment(st, P(40.0, 40.0), 0.05, 0.05, DEFAULT_PARAMS) == [1]
+    assert check_abandonment(st, P(40.0, 40.0), 0.05, DEFAULT_PARAMS) == [1]
     assert st.case == Case.ABANDON_RENDEZVOUS
     assert st.deferred == ((1, P(2.0, 0.0)), (2, P(7.0, 4.0)))
 
@@ -538,7 +538,7 @@ def test_abandonment_clears_pending_so_the_next_stop_is_the_site():
     st = SegmentState.begin(bend_plan().segments[0], ordinal=0, fuel=30.0)
     assert on_transit_tick(st, 2.0, DEFAULT_PARAMS) == (2.0, "target")
     assert st.current == 1 and st.pending == ((2, 15.0),)
-    assert check_abandonment(st, P(40.0, 40.0), 0.05, 0.05, DEFAULT_PARAMS) == [1, 2]
+    assert check_abandonment(st, P(40.0, 40.0), 0.05, DEFAULT_PARAMS) == [1, 2]
     assert st.mode == Mode.TO_RENDEZVOUS and st.current is None
     assert st.pending == ()
     assert st.deferred == ((1, P(2.0, 0.0)), (2, P(7.0, 4.0)))

@@ -32,6 +32,7 @@ from fuelstring.sim import (
     RunReport,
     SimConfig,
     TargetTracker,
+    TickLimitError,
     WorldState,
     run,
     step,
@@ -101,9 +102,9 @@ def test_uav_hovers_until_ground_vehicle_arrives():
     # 14 m home at 2 m/s after the 14 s refuel
     assert math.isclose(rep.metrics["mission_time"], 21.0, abs_tol=1e-6)
     assert math.isclose(rep.metrics["uav_distance"], 28.0, abs_tol=1e-6)
-    # ground travel stops at the tick before the UAV lands at 21 s: 14 out,
-    # then 6.95 s at 1 m/s back
-    assert math.isclose(rep.metrics["ugv_distance"], 20.95, abs_tol=1e-6)
+    # the UGV drives through the landing tick and stops when the UAV lands
+    # at 21 s: 14 m out, then 7 s at 1 m/s back
+    assert math.isclose(rep.metrics["ugv_distance"], 21.0, abs_tol=1e-6)
 
 
 def test_timeout_reports_unprocessed_targets():
@@ -166,6 +167,38 @@ def test_config_has_three_fields_and_refuses_a_kept_trace():
         SimConfig(keep_trace=True)
     assert [f.name for f in dataclasses.fields(RunReport)] == [
         "status", "metrics", "unprocessed"]
+
+
+def test_dt_may_be_at_most_one_full_tanks_airtime():
+    # the line's 50-unit tank burns 2 a second: 25 s of airtime.  In the
+    # first 25 s tick the UAV flies the 20 m out in 10 s, the UGV drives
+    # along at 1 m/s and docks at 20 s, and the UAV flies 10 m of the 20 m
+    # home; it lands at 30 s, when the UGV has driven 5 m more
+    rep = run(line_scenario(0.0), SimConfig(dt=25.0, check_invariants=True), plan=line_plan())
+    assert rep.completed
+    assert (rep.metrics["mission_time"], rep.metrics["ugv_distance"]) == (30.0, 30.0)
+    assert rep.metrics["rendezvous_count"] == 1
+    with pytest.raises(TickLimitError, match=r"^dt 25\.000000000000004 s exceeds one full "
+                                             r"tank's airtime, fuel_capacity / burn_rate = 25\.0 s$"):
+        run(line_scenario(0.0), SimConfig(dt=math.nextafter(25.0, math.inf)), plan=line_plan())
+
+
+def test_uav_reaching_the_site_at_a_tick_end_refuels_with_no_hover_tick():
+    # at dt 0.5 every float is exact: the UGV, at 4 m/s, parks on the site
+    # (20, 0) at 5 s, and the UAV reaches it exactly at the end of the tick
+    # ending at 10 s, with no time left in that tick.  It docks at once.
+    sc = dataclasses.replace(line_scenario(0.0), params=VehicleParams(
+        v_uav=2.0, v_ugv=4.0, fuel_capacity=50.0, fuel_per_meter=1.0))
+    rep, trace, events = traced_run(sc, SimConfig(dt=0.5, check_invariants=True), line_plan())
+    assert rep.completed
+    (refuel,) = [e for e in events if e["kind"] == "refuel"]
+    assert refuel["t"] == 10.0
+    assert all(r["mode"] != Mode.WAIT for r in trace)
+    (tick,) = [r for r in trace if r["t"] == 10.0]
+    assert (tick["seg"], tick["fuel"], tick["uav"], tick["ugv"]) == (1, 50.0, [20.0, 0.0],
+                                                                    [20.0, 0.0])
+    # the UGV drives home at 4 m/s and parks there at 15 s; the UAV lands at 20 s
+    assert (rep.metrics["mission_time"], rep.metrics["ugv_distance"]) == (20.0, 40.0)
 
 
 def test_kept_progress_lets_oversized_jobs_finish():
@@ -561,8 +594,8 @@ def test_uav_docks_at_the_ugv_arrival_mid_tick(monkeypatch):
     refuels = [e for e in events if e["kind"] == "refuel"]
     assert refuels[0]["t"] == t_dock
     assert math.isclose(t_dock, 14.03, abs_tol=1e-9)
-    # the tick-end step toward the next site (0, 0) covers the 0.02 s left
-    # of the tick at 0.5 m/s: 0.01 m
+    # after the dock, the UGV's step over the UAV's sub-step of the 0.02 s
+    # left in the tick goes 0.01 m, at 0.5 m/s, toward the next site (0, 0)
     tick = min((r for r in trace if r["t"] > t_dock), key=lambda r: r["t"])
     assert math.isclose(tick["t"], 14.05, abs_tol=1e-9)
     assert tick["seg"] == 1 and tick["ugv"][1] == 0.0
@@ -647,21 +680,72 @@ def test_reach_is_checked_on_the_tick_the_lookahead_fires():
     assert [json.loads(line)["kind"] for line in buf.getvalue().splitlines()] == ["abandon"]
 
 
-def test_ugv_steps_toward_the_site_each_tick():
-    # the tick's UGV step is step_toward the site the tick ends with,
-    # through slack and taut processing, transit and the final run home
-    world = WorldState(bend_scenario(), bend_plan(), SimConfig())
-    stride = world.params.v_ugv * world.config.dt
-    modes = []
+def test_ugv_steps_toward_the_site_each_sub_step(monkeypatch):
+    # after each of the UAV's sub-steps the UGV steps v_ugv times that
+    # sub-step's seconds straight toward the site it ends with, through
+    # slack and taut processing, transit and the final run home; without a
+    # dock, a tick's sub-steps cover the tick up to its end or the landing
+    from fuelstring import sim
+
+    # at dt 0.03 the UAV reaches target 1 at 1 s, 0.01 s into a tick
+    world = WorldState(bend_scenario(), bend_plan(), SimConfig(dt=0.03))
+    drive, drives = sim._drive, []
+
+    def spy(world, t_rem, used):
+        ugv, st = world.ugv_pos, world.active
+        left = drive(world, t_rem, used)
+        seconds = t_rem - left
+        assert world.ugv_pos == step_toward(ugv, st.site_position, world.params.v_ugv * seconds)
+        drives.append((seconds, st.mode, st.site_arc))
+        return left
+
+    monkeypatch.setattr(sim, "_drive", spy)
+    sub_steps, site_arcs = [], set()
     while not world.mission_complete:
-        st, ugv, site_arc = world.active, world.ugv_pos, world.active.site_arc
+        t0, seg = world.clock, world.active.ordinal
+        drives.clear()
         step(world)
-        if world.active is st and not world.mission_complete:
-            assert world.ugv_pos == step_toward(ugv, st.site_position, stride), world.clock
-            modes.append((st.mode, st.site_arc != site_arc))
-    assert (Mode.PROCESSING, False) in modes and (Mode.PROCESSING, True) in modes
-    assert (Mode.TRANSIT, False) in modes
-    assert len(modes) > 0.95 * world.clock / world.config.dt
+        if world.active.ordinal == seg:
+            assert sum(h for h, _, _ in drives) == pytest.approx(world.clock - t0, abs=1e-12)
+            sub_steps.append(len(drives))
+            site_arcs |= {arc for _, mode, arc in drives if mode is Mode.PROCESSING}
+    assert max(sub_steps) == 2 and len(site_arcs) > 10  # split ticks; a dragged site
+    assert len(sub_steps) > 0.95 * world.clock / world.config.dt
+
+
+def test_processed_ticks_end_where_the_lookahead_put_the_ugv(monkeypatch):
+    # the lookahead steps the UGV v_ugv * t_left toward the site dragged for
+    # all of t_left: exactly the step it takes when processing runs to the
+    # tick end, on the line's no-replan, drag and abandon missions and the
+    # bend's skip, in slack and taut ticks
+    from fuelstring import sim
+    from fuelstring.online import backtrack_site
+
+    lookahead, calls = sim.check_abandonment, []
+
+    def spy(st, ugv, t_left, params):
+        fuel_next = st.fuel - params.burn_rate * t_left
+        site = st.plan.path.point_at_arc(backtrack_site(st, fuel_next, params))
+        calls.append((st.current, step_toward(ugv, site, params.v_ugv * t_left)))
+        return lookahead(st, ugv, t_left, params)
+
+    monkeypatch.setattr(sim, "check_abandonment", spy)
+    missions = [(line_scenario(tau), line_plan()) for tau in (5.0, 25.0, 60.0)]
+    missions.append((bend_scenario(), bend_plan()))
+    compared = dragged = parked = 0
+    for scenario, plan in missions:
+        world = WorldState(scenario, plan, SimConfig())
+        while not world.mission_complete:
+            calls.clear()
+            site_arc = world.active.site_arc
+            step(world)
+            st = world.active
+            if st.mode is Mode.PROCESSING and calls and calls[-1][0] == st.current:
+                assert world.ugv_pos == calls[-1][1], world.clock
+                compared += 1
+                dragged += st.site_arc != site_arc
+                parked += world.ugv_pos == st.site_position
+    assert dragged > 50 and compared - dragged > 500 and parked < 10, (compared, dragged, parked)
 
 
 def test_fold_counts_maximal_backtrack_episodes():
@@ -716,11 +800,16 @@ def test_uav_distance_is_the_flown_path_length():
     chords = sum(math.dist(a["uav"], b["uav"]) for a, b in zip(trace, trace[1:]))
     assert chords < first + second - 0.1
     # the UGV drives without a stop, to the site and on toward the depot,
-    # until the last whole tick ends at 11.7 s; the chords between its tick
-    # positions cut the corner it turns at the site in the docking tick
-    assert rep.metrics["ugv_distance"] == pytest.approx(11.7, abs=1e-9)
+    # until the UAV lands: the site is 7.84 m from the depot, the UGV docks
+    # when it gets there, and the UAV's 7.84 m home at 2 m/s takes half that
+    # time again, so both the clock and the UGV's odometer end at 1.5 times
+    # 7.84.  The chords between its tick positions cut the corner it turns
+    # at the site in the docking tick.
+    drive = 1.5 * math.hypot(5.05, 6.0)
+    assert rep.metrics["mission_time"] == pytest.approx(drive, abs=1e-9)
+    assert rep.metrics["ugv_distance"] == pytest.approx(drive, abs=1e-9)
     steps = sum(math.dist(a["ugv"], b["ugv"]) for a, b in zip(trace, trace[1:]))
-    assert steps < 11.7 - 0.05
+    assert steps < drive - 0.05
 
 
 def test_odometers_never_decrease_and_end_with_the_metrics():
