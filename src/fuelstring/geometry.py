@@ -6,7 +6,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 
 EPS_GEOM = 1e-9
-SITE_STEP_BACK = 1e-6  # how far a refuel site steps back off a target (m)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -112,37 +111,31 @@ def step_toward(pos: Point2D, goal: Point2D, step: float) -> Point2D:
     return Point2D(pos.x + f * (goal.x - pos.x), pos.y + f * (goal.y - pos.y))
 
 
-def farthest_site_arc(path: Polyline, lo: float, hi: float, center: Point2D, reach: float,
-                      avoid: list[float] | tuple[float, ...] = ()) -> float | None:
+def farthest_site_arc(path: Polyline, lo: float, hi: float, center: Point2D,
+                      reach: float) -> float | None:
     """Farthest refuel-site arc in (lo, hi] whose point lies within reach of
     center, or None.
 
     hi counts, bit for bit, when its point lies within reach + EPS_GEOM.
     Below hi the answer is exact: scanning the edges down from hi, each
-    meets the reach disc between the roots of one quadratic.  A site never
-    lands on a target: an answer within EPS_GEOM of an avoid arc steps back
-    to SITE_STEP_BACK short of that arc, and the search starts again there.
+    meets the reach disc between the roots of one quadratic.  A site may
+    land on a target; the splitter then starts the next segment there.
     """
-    avoid = sorted(avoid)
+    if hi <= lo + EPS_GEOM:
+        return None
+    if distance(center, path.point_at_arc(hi)) <= reach + EPS_GEOM:
+        return hi
     arcs, verts = path.cumulative_arc, path.vertices
-    while hi > lo + EPS_GEOM:
-        site = hi if distance(center, path.point_at_arc(hi)) <= reach + EPS_GEOM else None
-        j = min(bisect_left(arcs, hi), len(arcs) - 1)  # the edge ending at arcs[j] holds hi
-        while site is None and j > 0 and arcs[j] > lo + EPS_GEOM:
-            a0, a1, v, w = arcs[j - 1], arcs[j], verts[j - 1], verts[j]
-            dx, dy, ex, ey = w.x - v.x, w.y - v.y, v.x - center.x, v.y - center.y
-            qa, qb = dx * dx + dy * dy, dx * ex + dy * ey
-            disc = qb * qb - qa * (ex * ex + ey * ey - reach * reach)
-            if disc >= 0.0:  # within reach: v + t (w - v) for t0 <= t <= t1
-                t0, t1 = (-qb - math.sqrt(disc)) / qa, (-qb + math.sqrt(disc)) / qa
-                top = min(a0 + min(t1, 1.0) * (a1 - a0), hi)
-                if a0 + max(t0, 0.0) * (a1 - a0) <= top:
-                    site = top
-            j -= 1
-        if site is None or site <= lo + EPS_GEOM:
-            return None
-        k = bisect_left(avoid, site - EPS_GEOM)
-        if k == len(avoid) or avoid[k] > site + EPS_GEOM:
-            return site
-        hi = avoid[k] - SITE_STEP_BACK
+    j = min(bisect_left(arcs, hi), len(arcs) - 1)  # the edge ending at arcs[j] holds hi
+    while j > 0 and arcs[j] > lo + EPS_GEOM:
+        a0, a1, v, w = arcs[j - 1], arcs[j], verts[j - 1], verts[j]
+        dx, dy, ex, ey = w.x - v.x, w.y - v.y, v.x - center.x, v.y - center.y
+        qa, qb = dx * dx + dy * dy, dx * ex + dy * ey
+        disc = qb * qb - qa * (ex * ex + ey * ey - reach * reach)
+        if disc >= 0.0:  # within reach: v + t (w - v) for t0 <= t <= t1
+            t0, t1 = (-qb - math.sqrt(disc)) / qa, (-qb + math.sqrt(disc)) / qa
+            top = min(a0 + min(t1, 1.0) * (a1 - a0), hi)
+            if a0 + max(t0, 0.0) * (a1 - a0) <= top:
+                return top if top > lo + EPS_GEOM else None
+        j -= 1
     return None

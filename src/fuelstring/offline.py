@@ -10,8 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .geometry import (EPS_GEOM, SITE_STEP_BACK, Point2D, Polyline, distance,
-                       farthest_site_arc)
+from .geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc
 from .model import Scenario, VehicleParams, is_real
 
 
@@ -197,9 +196,10 @@ def split_tour(tour: Tour, params: VehicleParams) -> MissionPlan:
     From each cut, the next refuel site goes at the farthest site arc
     (see farthest_site_arc) whose segment fits in one tank and whose site
     the ground vehicle can reach from the previous one.  Each cut but the
-    last (or one stepped back off a target) advances at least min(reach,
-    range), as no arc is shorter than its chord.  Raises PlanningError when
-    that allows more than MAX_SEGMENTS segments, or no site advances a cut.
+    last advances at least min(reach, range), as no arc is shorter than its
+    chord.  A site may land on a target: a target within EPS_GEOM of a cut
+    starts the segment after it, at arc 0.  Raises PlanningError when that
+    allows more than MAX_SEGMENTS segments, or no site advances a cut.
     """
     reach = params.reach_radius
     max_len = params.flight_range
@@ -210,26 +210,24 @@ def split_tour(tour: Tour, params: VehicleParams) -> MissionPlan:
             f"plan needs about {total / step if step else math.inf:.3g} segments (tour "
             f"{total:.6g} over min(reach, range) {step:.6g}), more than the limit of "
             f"{MAX_SEGMENTS}")
-    target_arcs = [arc for _, arc in tour.visits]
 
     cuts = [0.0]
     while cuts[-1] < total - EPS_GEOM:
         a_prev = cuts[-1]
         best = farthest_site_arc(tour.path, a_prev, min(a_prev + max_len, total),
-                                 tour.path.point_at_arc(a_prev), reach, target_arcs)
+                                 tour.path.point_at_arc(a_prev), reach)
         if best is None:
             raise PlanningError(
                 f"cannot place a refuel site after arc {a_prev:.6g}: no arc more than "
                 f"EPS_GEOM {EPS_GEOM:g} past it and within range {max_len:.6g} lies "
-                f"inside reach radius {reach:.6g} once a site on a target steps back "
-                f"SITE_STEP_BACK {SITE_STEP_BACK:g}")
+                f"inside reach radius {reach:.6g}")
         cuts.append(best)
 
     segments = []
     for i, (a0, a1) in enumerate(zip(cuts, cuts[1:])):
         inside = tuple(
-            (tid, arc - a0) for tid, arc in tour.visits
-            if a0 + EPS_GEOM < arc < a1 - EPS_GEOM
+            (tid, max(arc - a0, 0.0)) for tid, arc in tour.visits
+            if a0 - EPS_GEOM <= arc < a1 - EPS_GEOM
         )
         segments.append(SegmentPlan(
             index=i,
@@ -286,19 +284,17 @@ def validate_plan(plan: MissionPlan, scenario: Scenario) -> ValidationReport:
 
 
 def segment_violations(seg: SegmentPlan, params: VehicleParams,
-                       positions: dict[int, Point2D], *,
-                       repaired: bool = False) -> list[Violation]:
+                       positions: dict[int, Point2D]) -> list[Violation]:
     """The segment contract: every rule one segment keeps on its own.
 
     Every vertex coordinate is a real number, not a bool: Polyline checks
     no types, so a plan built in code meets its type check here.  Its
     length is at most the flight range and its site gap (start to site) at
-    most the reach radius.  Each target arc lies strictly inside (0,
-    length), strictly after the previous one, and maps to the target's
-    position in positions (an id positions lacks is skipped).  A segment
-    that transfer_and_repair built (repaired=True) has two relaxations: it
-    may start on a deferred target (arc 0), and coincident targets may
-    share an arc, so its arcs need only be nondecreasing.  Lengths and arcs
+    most the reach radius.  Each target arc lies in [0, length - EPS_GEOM),
+    no earlier than the previous one, and maps to the target's position in
+    positions (an id positions lacks is skipped).  A target at arc 0 stands
+    on the segment's start: a refuel site placed on it, or a target deferred
+    at the rendezvous.  Coincident targets share an arc.  Lengths and arcs
     are compared to EPS_GEOM, positions to 1e-6.
     """
     v: list[Violation] = []
@@ -319,19 +315,17 @@ def segment_violations(seg: SegmentPlan, params: VehicleParams,
             "site-gap",
             f"segment {seg.index} site gap {gap:.6g} exceeds "
             f"reach radius {params.reach_radius:.6g}"))
-    inside, order = ("inside", "before") if repaired else ("strictly inside", "not strictly after")
     prev = -math.inf  # the first target has no previous arc
     for tid, arc in seg.target_arcs:
-        past_start = arc >= 0.0 if repaired else arc > EPS_GEOM
-        if not (past_start and arc < seg.length - EPS_GEOM):
+        if not 0.0 <= arc < seg.length - EPS_GEOM:
             v.append(Violation(
                 "target-arc",
-                f"target {tid} at arc {arc:.6g} not {inside} "
+                f"target {tid} at arc {arc:.6g} not inside "
                 f"segment {seg.index} (length {seg.length:.6g})"))
-        if (arc < prev) if repaired else (arc <= prev + EPS_GEOM and prev > 0.0):
+        if arc < prev:
             v.append(Violation(
                 "target-order",
-                f"target {tid} arc {arc:.6g} {order} previous "
+                f"target {tid} arc {arc:.6g} before previous "
                 f"arc {prev:.6g} in segment {seg.index}"))
         prev = arc
         actual = positions.get(tid)

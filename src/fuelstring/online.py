@@ -44,7 +44,7 @@ class SegmentState:
     """Live execution state of one segment.
 
     pending holds (target id, arc) pairs not yet visited, on arcs that keep
-    offline.segment_violations' repaired rules; deferred holds (id, position)
+    offline.segment_violations' rules; deferred holds (id, position)
     pairs to prefix the next segment: those the repair shed when this segment
     began, with each skip or abandonment prefixing the targets it pushes out.
     Both are tuples, so a change to either binds a new object.  While

@@ -307,7 +307,7 @@ def _refuel(world: WorldState, t_now: float):
                                       fuel=params.fuel_capacity, deferred=tuple(shed))
     if world.config.check_invariants:
         positions = {t.id: t.position for t in world.scenario.targets}
-        broken = segment_violations(new_plan, params, positions, repaired=True)
+        broken = segment_violations(new_plan, params, positions)
         if broken:
             world.fault(f"{broken[0].kind}: {broken[0].message}")
 
@@ -426,11 +426,10 @@ def _coast(world: WorldState, limit: float) -> bool:
             fuel_next = fuel - budget
             if fuel_next < 0.0:
                 break
+            # no clamp up to uarc, as backtrack_site has: fuel_next >= 0 keeps s >= uarc
             s = uarc + fuel_next / fpm
             if not s < sarc:
                 s = sarc
-            elif uarc > s:
-                s = uarc
             if s == sarc:  # slack
                 px, py = qx, qy
             else:

@@ -150,13 +150,15 @@ def test_collinear_abandonments_monotone_in_speed_ratio():
 
     Holds for the frozen tau values below; it is a recorded observation,
     not a theorem (tau=10 breaks it, see the free-cost sibling note).  At
-    tau 20 and ratio 0.2 (reach 10 m) each refuel docks the UGV 0.1 m
-    short of the site; the next site is measured from the UGV, so it stays
-    in reach and target 1 completes in its first segment.  Targets 2, 3
-    and 4 are each abandoned once and finished in the next repaired
-    segment: 3 abandonments, and every mission completes.
+    ratio 0.2 the reach, 10 m, ties the target spacing.  The first site
+    lands on target 1, which starts segment 1 at arc 0.  From there the
+    tank's limit, x = 20 on the way back, lies exactly 10 m off, so segment
+    1 carries all four targets, and at tau 20 it cannot hold their 80 of
+    processing: 8 abandonments in 278.95 s.  Off the tie, at ratio
+    0.2 (1 - 1e-7), the mission takes 3 abandonments in 177.55 s.  Every
+    mission completes.
     """
-    for tau, expect in ((0.0, (0, 0, 0)), (20.0, (3, 3, 1))):
+    for tau, expect in ((0.0, (0, 0, 0)), (20.0, (8, 3, 1))):
         counts = []
         for ratio in (0.2, 0.5, 1.0):
             rep = run(collinear_family(tau, ratio))

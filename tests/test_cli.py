@@ -5,16 +5,21 @@ import time
 
 import pytest
 
+from conftest import DEFAULT_PARAMS, line_scenario
+from test_batch import collinear_family
 from fuelstring.cli import _OpenOnWrite, main
-from fuelstring.offline import PlanningError
+from fuelstring.geometry import Point2D, Polyline
+from fuelstring.model import Scenario, Target, World
+from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mission
 from fuelstring.scenario_io import (
     CostModel,
+    emit_plan,
     emit_scenario,
     generate_scenario,
     parse_plan,
     parse_scenario,
 )
-from fuelstring.sim import run
+from fuelstring.sim import SimConfig, run
 from fuelstring.trace import fold_jsonl, metrics_to_text
 
 
@@ -151,6 +156,45 @@ def test_validate_fresh_plan_ok(tmp_path, capsys):
     sp = write_scenario(tmp_path / "s.json")
     assert main(["validate", "--scenario", str(sp)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def _second_segment_on_a_target():
+    # line's target at (10, 0) is the first site, and arc 0 of the second segment
+    seg0 = SegmentPlan(index=0, path=Polyline([Point2D(0.0, 0.0), Point2D(10.0, 0.0)]))
+    seg1 = SegmentPlan(index=1, path=Polyline([Point2D(10.0, 0.0), Point2D(0.0, 0.0)]),
+                       target_arcs=((1, 0.0),))
+    return line_scenario(3.0), MissionPlan(segments=(seg0, seg1))
+
+
+def _targets_sharing_an_arc():
+    # two targets 1e-7 m apart, one arc: positions are compared to 1e-6
+    sc = Scenario(world=World(50.0, 50.0), depot=Point2D(0.0, 0.0), params=DEFAULT_PARAMS,
+                  targets=(Target(id=1, position=Point2D(10.0, 0.0), tau=2.0),
+                           Target(id=2, position=Point2D(10.0 + 1e-7, 0.0), tau=2.0)))
+    return sc, MissionPlan(segments=(
+        SegmentPlan(index=0, path=Polyline([Point2D(0.0, 0.0), Point2D(20.0, 0.0)]),
+                    target_arcs=((1, 10.0), (2, 10.0))),
+        SegmentPlan(index=1, path=Polyline([Point2D(20.0, 0.0), Point2D(0.0, 0.0)]))))
+
+
+def _collinear_tie():
+    # reach 10 m ties the target spacing: the first site lands on target 1
+    sc = collinear_family(20.0, 0.2)
+    plan = plan_mission(sc)
+    assert plan.segments[1].target_arcs[0] == (1, 0.0)
+    return sc, plan
+
+
+@pytest.mark.parametrize("mission", [_second_segment_on_a_target, _targets_sharing_an_arc,
+                                     _collinear_tie])
+def test_plans_with_targets_on_a_segment_start_validate_and_fly(tmp_path, capsys, mission):
+    sc, plan = mission()
+    sp, pp = tmp_path / "s.json", tmp_path / "p.json"
+    sp.write_text(emit_scenario(sc))
+    pp.write_text(emit_plan(plan))
+    assert main(["validate", "--scenario", str(sp), "--plan", str(pp)]) == 0
+    assert capsys.readouterr().out == "plan ok\n"
+    assert run(sc, SimConfig(check_invariants=True), plan).completed
 
 
 def test_validate_flags_corrupt_plan(tmp_path, capsys):

@@ -4,6 +4,7 @@ for byte."""
 from __future__ import annotations
 
 import io
+import math
 from collections import Counter
 from contextlib import contextmanager
 
@@ -12,7 +13,7 @@ import pytest
 from conftest import (acceptance7, bend_plan, bend_scenario, line_plan, line_scenario,
                       run_outputs, stepped_outputs, traced_run, vehicle_space)
 from fuelstring import sim
-from fuelstring.geometry import Point2D, Polyline
+from fuelstring.geometry import Point2D, Polyline, distance
 from fuelstring.model import Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mission
 from fuelstring.scenario_io import CostModel, generate_scenario
@@ -334,6 +335,31 @@ def test_site_dragged_exactly_onto_a_vertex_matches_the_stepped_engine(checked):
     (j,) = [j for j, r in enumerate(trace) if r["site"] == [0.3, 8.0]]
     assert coasted[j] == coasted[j + 1] == "processing taut"
     assert trace[j]["ugv"] == [0.3, 8.0]
+
+
+def _zigzag_plan() -> MissionPlan:
+    # line's plan, with segment 0's leg past the target zig-zagging to (20,
+    # 0) in 0.03 m steps of x, y alternating 0.01 and 0: each edge is about
+    # 0.0316 m, and a taut 0.05 s tick drags the site 0.1 m, over three
+    # edges or four
+    zig = [Point2D(10.0 + 0.03 * k, 0.01 * (k % 2)) for k in range(1, 334)]
+    return MissionPlan(segments=(
+        SegmentPlan(index=0, target_arcs=((1, 10.0),), path=Polyline(
+            [Point2D(0.0, 0.0), Point2D(10.0, 0.0)] + zig + [Point2D(20.0, 0.0)])),
+        SegmentPlan(index=1, path=Polyline([Point2D(20.0, 0.0), Point2D(0.0, 0.0)])),
+    ))
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_site_dragged_over_several_edges_a_tick_matches_the_stepped_engine(checked):
+    sc, plan = line_scenario(30.0), _zigzag_plan()
+    cfg = SimConfig(check_invariants=checked)
+    assert _assert_run_matches_steps(sc, cfg, plan)["processing taut"] > 0
+    _, trace, _, coasted = _coasted_run(sc, cfg, plan)
+    # a chord longer than two edges: the coast's cursor passed two vertices
+    moves = [distance(Point2D(*trace[j - 1]["site"]), Point2D(*trace[j]["site"]))
+             for j, kind in coasted.items() if kind == "processing taut"]
+    assert max(moves) > 2 * math.hypot(0.03, 0.01)
 
 
 @pytest.mark.parametrize("tau, cap, kind", [(25.0, 7.0, "processing slack"),

@@ -9,7 +9,6 @@ import pytest
 
 from fuelstring.geometry import (
     EPS_GEOM,
-    SITE_STEP_BACK,
     Point2D,
     Polyline,
     distance,
@@ -161,23 +160,6 @@ def test_site_search_stops_at_the_reach_circle():
     assert farthest_site_arc(hook, 0.0, 13.2, Point2D(0, 0), 3.2) == 3.2
 
 
-def test_site_search_skips_avoided_arcs():
-    # the frontier on a target steps back SITE_STEP_BACK (1e-6 m), and again
-    # when that lands within EPS_GEOM of another target
-    line = Polyline([Point2D(0, 0), Point2D(10, 0)])
-    o = Point2D(0, 0)
-    assert farthest_site_arc(line, 0.0, 10.0, o, 50.0, avoid=[10.0]) == 10.0 - SITE_STEP_BACK
-    assert farthest_site_arc(line, 0.0, 10.0, o, 50.0,
-                             avoid=[9.5, 10.0 + 1e-12]) == 10.0 + 1e-12 - SITE_STEP_BACK
-    twice = farthest_site_arc(line, 0.0, 10.0, o, 50.0,
-                              avoid=[10.0, 10.0 - SITE_STEP_BACK + 0.5 * EPS_GEOM])
-    assert twice == 10.0 - SITE_STEP_BACK + 0.5 * EPS_GEOM - SITE_STEP_BACK
-    # the reach circle through a target: the step back stays inside it
-    assert farthest_site_arc(line, 0.0, 10.0, o, 6.0, avoid=[6.0]) == 6.0 - SITE_STEP_BACK
-    # a step back to lo or below leaves nothing
-    assert farthest_site_arc(line, 9.9999995, 10.0, o, 50.0, avoid=[10.0]) is None
-
-
 def test_site_search_on_empty_or_infeasible_interval_is_none():
     line = Polyline([Point2D(0, 0), Point2D(10, 0)])
     assert farthest_site_arc(line, 5.0, 5.0, Point2D(0, 0), 50.0) is None
@@ -228,16 +210,15 @@ def last_inside_arc(path: Polyline, j: int, center: Point2D, reach: float) -> fl
 
 
 def test_site_search_against_a_sampling_oracle():
-    """Seeded random paths, centres, reaches, intervals and avoid lists.
+    """Seeded random paths, centres, reaches and intervals.
 
-    The answer lies in (lo, hi], within reach + EPS_GEOM of the centre and
-    off every avoided arc.  No arc in (answer + SITE_STEP_BACK, hi] (in
-    (lo, hi] when there is no answer) is both inside reach and off the
-    avoided arcs: checked on a dense sample, on every vertex and on each
-    edge's last point inside reach, found by bisection.
+    The answer lies in (lo, hi], within reach + EPS_GEOM of the centre.  No
+    arc in (answer + EPS_GEOM, hi] (in (lo, hi] when there is no answer)
+    lies inside reach: checked on a dense sample, on every vertex and on
+    each edge's last point inside reach, found by bisection.
     """
     rng = SplitMix64(77)
-    seen = {"hi": 0, "crossing": 0, "step back": 0, "none": 0}
+    seen = {"hi": 0, "crossing": 0, "none": 0}
     for _ in range(400):
         pts = [Point2D(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))]
         while len(pts) < 2 + rng.next_u64() % 5:
@@ -251,18 +232,7 @@ def test_site_search_against_a_sampling_oracle():
         center = (path.point_at_arc(lo) if rng.next_u64() % 2
                   else Point2D(rng.uniform(-25.0, 25.0), rng.uniform(-25.0, 25.0)))
         reach = rng.uniform(0.5, 30.0)
-        free = farthest_site_arc(path, lo, hi, center, reach)
-        avoid = []
-        for a in [free, hi] + list(arcs) + [rng.uniform(lo, hi) for _ in range(3)]:
-            # every third candidate; spaced apart, so no step back lands on another
-            if (a is not None and rng.next_u64() % 3 == 0
-                    and all(abs(a - b) > 3.0 * SITE_STEP_BACK for b in avoid)):
-                avoid.append(a)
-
-        got = farthest_site_arc(path, lo, hi, center, reach, avoid)
-
-        def clear(a):
-            return all(abs(a - b) > EPS_GEOM for b in avoid)
+        got = farthest_site_arc(path, lo, hi, center, reach)
 
         def inside(a):
             return distance(center, path.point_at_arc(a)) <= reach
@@ -273,10 +243,8 @@ def test_site_search_against_a_sampling_oracle():
         else:
             assert lo < got <= hi
             assert distance(center, path.point_at_arc(got)) <= reach + EPS_GEOM
-            assert clear(got)
-            floor = got + SITE_STEP_BACK
-            kind = "step back" if got != free else "hi" if got == hi else "crossing"
-            seen[kind] += 1
+            floor = got + EPS_GEOM
+            seen["hi" if got == hi else "crossing"] += 1
         probes = [floor + (hi - floor) * (k + 1) / 500 for k in range(500)] + list(arcs)
         for j in range(1, len(arcs)):
             last = last_inside_arc(path, j, center, reach)
@@ -284,5 +252,5 @@ def test_site_search_against_a_sampling_oracle():
                 probes.append(min(last, hi))
         for a in probes:
             if floor < a <= hi:
-                assert not (inside(a) and clear(a)), (a, got, lo, hi, reach, avoid)
+                assert not inside(a), (a, got, lo, hi, reach)
     assert all(count >= 10 for count in seen.values()), seen

@@ -24,6 +24,7 @@ from fuelstring.offline import (
     validate_plan,
 )
 from fuelstring.scenario_io import generate_scenario
+from fuelstring.sim import SimConfig, run
 
 
 def brute_force_tour_length(scenario: Scenario) -> float:
@@ -212,33 +213,39 @@ def test_split_refuses_a_plan_of_too_many_segments():
     assert time.perf_counter() - start < 1.0
 
 
+def tiny_range_scenario(x: float, fuel_per_meter: float) -> Scenario:
+    return Scenario(world=World(1.0, 1.0), depot=Point2D(0.0, 0.0),
+                    params=VehicleParams(v_ugv=100.0, fuel_per_meter=fuel_per_meter),
+                    targets=(Target(id=1, position=Point2D(x, 0.0), tau=0.0),))
+
+
 @pytest.mark.parametrize("x, fuel_per_meter, arc", [
-    # range 5e-7 against reach 2.5e-5: the window after the last cut holds
-    # only the target's own arc, and its step back falls behind the cut
-    (1e-3, 1e8, "0.0009995"),
     # range 5e-11 against reach 2.5e-9: no window is wider than EPS_GEOM
     (5e-9, 1e12, "0"),
 ])
 def test_split_names_the_limits_that_leave_no_site(x, fuel_per_meter, arc):
-    sc = Scenario(world=World(1.0, 1.0), depot=Point2D(0.0, 0.0),
-                  params=VehicleParams(v_ugv=100.0, fuel_per_meter=fuel_per_meter),
-                  targets=(Target(id=1, position=Point2D(x, 0.0), tau=0.0),))
+    sc = tiny_range_scenario(x, fuel_per_meter)
     assert sc.params.reach_radius > sc.params.flight_range
     with pytest.raises(PlanningError, match=(
             rf"^cannot place a refuel site after arc {arc}: no arc more than EPS_GEOM "
             rf"1e-09 past it and within range {sc.params.flight_range:g} lies inside "
-            rf"reach radius {sc.params.reach_radius:g} once a site on a target steps "
-            rf"back SITE_STEP_BACK 1e-06$")):
+            rf"reach radius {sc.params.reach_radius:g}$")):
         plan_mission(sc)
 
 
-def test_sites_never_land_on_targets():
-    for seed in (3, 11, 27):
-        sc = generate_scenario(9, seed=seed)
-        plan = plan_mission(sc)
-        positions = [t.position for t in sc.targets]
-        for site in plan.sites[:-1]:  # final depot stop excepted
-            assert all(distance(site, p) > 1e-9 for p in positions)
+def test_split_plans_a_range_of_5e_7_down_to_its_last_cut():
+    """Range 5e-7 against reach 2.5e-5, on the 2e-3 m tour 0 -> 1e-3 -> 0:
+    every cut advances one range, so 4000 segments.  The 2000th cut lands
+    on the target, to rounding, and the target starts the next segment."""
+    sc = tiny_range_scenario(1e-3, 1e8)
+    plan = plan_mission(sc)
+    assert len(plan.segments) == 4000
+    [(k, ((tid, arc),))] = [(k, seg.target_arcs) for k, seg in enumerate(plan.segments)
+                            if seg.target_arcs]
+    assert (k, tid) == (2000, 1) and 0.0 <= arc < EPS_GEOM
+    assert validate_plan(plan, sc).ok
+    rep = run(sc, SimConfig(dt=1e-8, check_invariants=True), plan)
+    assert rep.completed and rep.metrics["rendezvous_count"] == 3999
 
 
 def test_generated_plans_validate_and_preserve_tour_length():
@@ -316,7 +323,8 @@ def test_validator_flags_target_placement():
                     target_arcs=((1, 0.0), (2, 10.0))),
     ))
     kinds3 = {v.kind for v in validate_plan(plan3, sc).violations}
-    assert "target-arc" in kinds3  # offline arcs must be strictly interior
+    assert "target-position" in kinds3  # arc 0 of the first segment is the depot
+    assert "target-arc" not in kinds3  # a segment's start is a target's arc
 
 
 def test_validator_flags_duplicate_and_unknown_targets():
@@ -345,8 +353,8 @@ def test_validator_flags_duplicate_and_unknown_targets():
 
 def test_validator_reports_every_segment_rule_in_order():
     # segment 0 breaks each per-segment rule once: its length and site gap,
-    # target 1 at arc 0 (also off its position), target 2 off its position,
-    # target 3 before target 2, and target 4 past the end of the path
+    # target 1 at arc 0 off its position, target 2 off its position, target
+    # 3 before target 2, and target 4 past the end of the path
     P = Point2D
     sc = Scenario(world=World(80.0, 50.0), depot=P(0.0, 0.0), params=VehicleParams(),
                   targets=(Target(id=1, position=P(5.0, 0.0), tau=0.0),
@@ -361,32 +369,32 @@ def test_validator_reports_every_segment_rule_in_order():
     assert validate_plan(plan, sc).describe() == (
         "over-length: segment 0 length 60 exceeds flight range 50\n"
         "site-gap: segment 0 site gap 60 exceeds reach radius 25\n"
-        "target-arc: target 1 at arc 0 not strictly inside segment 0 (length 60)\n"
         "target-position: target 1 arc 0 maps to (0, 0), expected (5, 0)\n"
         "target-position: target 2 arc 20 maps to (20, 0), expected (20, 5)\n"
-        "target-order: target 3 arc 10 not strictly after previous arc 20 in segment 0\n"
-        "target-arc: target 4 at arc 70 not strictly inside segment 0 (length 60)\n"
+        "target-order: target 3 arc 10 before previous arc 20 in segment 0\n"
+        "target-arc: target 4 at arc 70 not inside segment 0 (length 60)\n"
         "target-position: target 4: arc 70.0 outside [0, 60.0]\n"
         "over-length: segment 1 length 60 exceeds flight range 50\n"
         "site-gap: segment 1 site gap 60 exceeds reach radius 25")
 
 
 def test_repaired_segment_may_start_on_a_target_and_share_arcs():
+    # one contract for planned and repaired segments alike
     P = Point2D
     params = VehicleParams()
     positions = {1: P(0.0, 0.0), 2: P(10.0, 0.0), 3: P(10.0, 0.0)}
     seg = SegmentPlan(index=3, path=Polyline([P(0, 0), P(20, 0)]),
                       target_arcs=((1, 0.0), (2, 10.0), (3, 10.0)))
-    assert segment_violations(seg, params, positions, repaired=True) == []
-    assert [v.kind for v in segment_violations(seg, params, positions)] == [
-        "target-arc", "target-order"]
+    assert segment_violations(seg, params, positions) == []
 
-    # a decreasing arc, or one at the site, breaks the repaired rules too
+    # a decreasing arc, a negative one, or one within EPS_GEOM of the site breaks it
     back = SegmentPlan(index=3, path=seg.path, target_arcs=((2, 10.0), (1, 0.0)))
-    assert segment_violations(back, params, positions, repaired=True) == [
+    assert segment_violations(back, params, positions) == [
         Violation("target-order", "target 1 arc 0 before previous arc 10 in segment 3")]
+    before = SegmentPlan(index=3, path=seg.path, target_arcs=((1, -EPS_GEOM),))
+    assert [v.kind for v in segment_violations(before, params, positions)] == ["target-arc"]
     end = SegmentPlan(index=3, path=Polyline([P(0, 0), P(10, 0)]), target_arcs=((2, 10.0),))
-    assert segment_violations(end, params, positions, repaired=True) == [
+    assert segment_violations(end, params, positions) == [
         Violation("target-arc", "target 2 at arc 10 not inside segment 3 (length 10)")]
 
 

@@ -108,7 +108,7 @@ def test_processing_drags_site_and_defers_passed_targets():
 
 
 def test_processing_defers_a_passed_suffix_of_equal_arcs():
-    # a repaired segment can hold equal arcs (coincident stops); the site
+    # a segment can hold equal arcs (coincident stops); the site
     # passes a target only once it is more than EPS_GEOM short of its arc
     plan = SegmentPlan(index=3, path=Polyline([P(0, 0), P(20, 0)]),
                        target_arcs=((1, 2.0), (2, 8.0), (3, 8.0), (4, 12.0)))
@@ -478,22 +478,17 @@ def test_repair_matches_rethreading_reference():
             continue
         plan, shed, modified = transfer_and_repair(*args, ordinal=4)
         ref_plan, ref_shed, ref_modified, out_and_back = want
-        # the repaired plan keeps the segment contract, with the repaired
-        # relaxations, against the positions it was handed
+        # the repaired plan keeps the segment contract against the positions
+        # it was handed, also with a target at its start or a shared arc
         _, deferred, next_plan, _, params = args
         positions = dict(deferred)
         if next_plan is not None:
             positions.update((tid, next_plan.path.point_at_arc(arc))
                              for tid, arc in next_plan.target_arcs)
-        assert segment_violations(plan, params, positions, repaired=True) == [], (seed, family)
+        assert segment_violations(plan, params, positions) == [], (seed, family)
         arcs = [arc for _, arc in plan.target_arcs]
-        offline_kinds = {v.kind for v in segment_violations(plan, params, positions)}
-        if 0.0 in arcs:  # a target at the start, which the offline rules reject
-            assert "target-arc" in offline_kinds, (seed, family)
-            seen["start"] += 1
-        if any(0.0 < a == b for a, b in zip(arcs, arcs[1:])):  # and so is a shared arc
-            assert "target-order" in offline_kinds, (seed, family)
-            shared += 1
+        seen["start"] += 0.0 in arcs
+        shared += any(0.0 < a == b for a, b in zip(arcs, arcs[1:]))
         assert plan.index == ref_plan.index
         assert plan.path.vertices == ref_plan.path.vertices, (seed, family)
         assert plan.path.cumulative_arc == ref_plan.path.cumulative_arc, (seed, family)
