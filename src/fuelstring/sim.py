@@ -53,7 +53,7 @@ from .online import (
     transfer_and_repair,
     ugv_reachable,
 )
-from .trace import MetricsFold, event_line, tick_line
+from .trace import MetricsFold, event_line, point_text, tick_line, tick_tail, tick_text
 # bound here only because perfbench calls them as fuelstring.sim.*
 from .trace import fold_jsonl, metrics_to_text
 
@@ -371,6 +371,17 @@ def _coast(world: WorldState, limit: float) -> bool:
     the cursor starts at most on the path's last edge.  The site arc only
     falls, so its low-water mark is the last arc, set in `_put`.  A UGV
     step adds its distance to the odometer when it arrives, else the stride.
+
+    A traced coast builds each tick line from trace.py's pieces and keeps
+    those that hold.  The site's point text and the tail (seg, site, mode)
+    are built when the coast starts and again on each tick whose site arc
+    differs from the tail's, that is, a tick that dragged the site.  The
+    UAV's point text is built once per processing coast.  A parked UGV
+    stands on the site's floats, so its text is the site's.  Reuse is
+    decided from the `parked` flag and the site arc, never from equal
+    coordinates (-0.0 == 0.0, but their reprs differ).  So a line formats
+    only t, fuel and the points that move: the UAV's in transit, the UGV's
+    while it drives.
     """
     st = world.active
     mode = st.mode
@@ -407,6 +418,9 @@ def _coast(world: WorldState, limit: float) -> bool:
     stride = v_ugv * dt  # _drive's stride over a whole tick
     arcs, verts = st.plan.path.cumulative_arc, st.plan.path.vertices
     write, checked = world.write, cfg.check_invariants
+    if write is not None:
+        site_text = point_text(qx, qy)
+        tail, tail_arc = tick_tail(seg, site_text, mode), sarc
     n = 0  # the ticks taken
     if mode is Mode.PROCESSING:
         tracker = world.trackers[st.current]
@@ -414,8 +428,9 @@ def _coast(world: WorldState, limit: float) -> bool:
         avail = budget + EPS_FUEL  # reveal completes the target when tau - progress is at most this
         fpm = params.fuel_per_meter
         dragged = st.dragged_by == st.current
-        uav = st.uav_position
-        ux, uy = uav.x, uav.y
+        if write is not None:
+            uav = st.uav_position
+            uav_text = point_text(uav.x, uav.y)
         i = min(bisect_right(arcs, sarc), len(arcs) - 1) - 1
         a0, v, w = arcs[i], verts[i], verts[i + 1]
         edge, vx, vy, dx, dy = arcs[i + 1] - a0, v.x, v.y, w.x - v.x, w.y - v.y
@@ -465,7 +480,11 @@ def _coast(world: WorldState, limit: float) -> bool:
                      goal if sarc == sarc0 else Point2D(qx, qy), driven, progress)
                 _check_invariants(world)
             if write is not None:
-                write(tick_line(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode))
+                if sarc != tail_arc:  # the tick dragged the site
+                    site_text = point_text(qx, qy)
+                    tail, tail_arc = tick_tail(seg, site_text, mode), sarc
+                write(tick_text(clock, uav_text, fuel,
+                                site_text if parked else point_text(gx, gy), tail))
     else:
         progress = None
         i = bisect_right(arcs, uarc) - 1
@@ -500,7 +519,8 @@ def _coast(world: WorldState, limit: float) -> bool:
                 else:
                     t = (uarc - a0) / edge
                     ux, uy = v.x + t * dx, v.y + t * dy
-                write(tick_line(clock, ux, uy, fuel, gx, gy, seg, qx, qy, mode))
+                write(tick_text(clock, point_text(ux, uy), fuel,
+                                site_text if parked else point_text(gx, gy), tail))
             if not (clock < limit and next_arc - uarc > margin):
                 break
     if n:

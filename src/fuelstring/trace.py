@@ -9,6 +9,13 @@ follows the last tick and counts the tick records.  The run's metrics are a
 fold over the events alone, so folding a written trace back gives them bit
 for bit.
 
+A tick line is built from three pieces, so that a writer can keep the ones
+that do not change from tick to tick: `point_text` of each point, the
+`tick_tail` of seg, site and mode, and `tick_text`, which joins t, the UAV's
+text, fuel, the UGV's text and the tail.  A point's text holds while its
+floats do, and the tail while seg, mode and the site's floats do;
+`tick_line` formats all of them afresh.
+
 This module imports only the standard library: whatever reads or writes
 records needs no part of the engine.
 """
@@ -93,16 +100,32 @@ def fold_jsonl(lines) -> dict:
     return fold_records(events)
 
 
+def point_text(x, y) -> str:
+    """The JSON text of one point, [x, y]."""
+    return f"[{x!r},{y!r}]"
+
+
+def tick_tail(seg, site_text, mode) -> str:
+    """The end of a tick line: seg, the site's point_text, mode and the
+    newline."""
+    return f',"seg":{seg!r},"site":{site_text},"mode":"{mode}"}}\n'
+
+
+def tick_text(t, uav_text, fuel, ugv_text, tail) -> str:
+    """A whole tick line from t, fuel and the pieces of the rest."""
+    return f'{{"t":{t!r},"uav":{uav_text},"fuel":{fuel!r},"ugv":{ugv_text}{tail}'
+
+
 def tick_line(t, ux, uy, fuel, gx, gy, seg, sx, sy, mode) -> str:
     """The JSONL line of one tick: the bytes json.dumps(rec, separators=(",",
     ":")) gives for {"t", "uav": [x, y], "fuel", "ugv": [x, y], "seg", "site":
     [x, y], "mode"}.  The JSON encoder writes each finite float and int with
-    its repr, as this does.  Every value here is a finite int or float, because
-    each input is checked where it enters (World, VehicleParams, Polyline,
-    validate_plan's vertex rule, SimConfig).  Each mode is one of Mode's
-    strings, which need no escape."""
-    return (f'{{"t":{t!r},"uav":[{ux!r},{uy!r}],"fuel":{fuel!r},"ugv":[{gx!r},{gy!r}],'
-            f'"seg":{seg!r},"site":[{sx!r},{sy!r}],"mode":"{mode}"}}\n')
+    its repr, as the pieces do.  Every value here is a finite int or float,
+    because each input is checked where it enters (World, VehicleParams,
+    Polyline, validate_plan's vertex rule, SimConfig).  Each mode is one of
+    Mode's strings, which need no escape."""
+    return tick_text(t, point_text(ux, uy), fuel, point_text(gx, gy),
+                     tick_tail(seg, point_text(sx, sy), mode))
 
 
 def event_line(t: float, kind: str, detail: dict) -> str:

@@ -29,11 +29,11 @@ DEFAULT_PARAMS = VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=50.0,
                                fuel_per_meter=1.0)
 
 
-def line_scenario(tau: float, fuel: float = 50.0) -> Scenario:
+def line_scenario(tau: float, fuel: float = 50.0, v_ugv: float = 1.0) -> Scenario:
     return Scenario(
         world=World(50.0, 50.0),
         depot=Point2D(0.0, 0.0),
-        params=VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=fuel,
+        params=VehicleParams(v_uav=2.0, v_ugv=v_ugv, fuel_capacity=fuel,
                              fuel_per_meter=1.0),
         targets=(Target(id=1, position=Point2D(10.0, 0.0), tau=tau),),
     )

@@ -187,6 +187,41 @@ def test_time_cap_inside_a_coast_matches_the_stepped_engine():
     assert traced_run(sc, cfg, plan)[1] == trace[:j + 1]
 
 
+def _cache_states(trace, coasted) -> Counter:
+    """The coasted ticks whose lines reuse a cached piece, by what the
+    cache holds: in transit, a UGV that parks within the coast (its text
+    becomes the site's); in processing, a site that held, or one dragged
+    with the UGV parked on it or chasing it."""
+    states = Counter()
+    for j, kind in coasted.items():
+        a, b = trace[j - 1], trace[j]
+        on_site = b["ugv"] == b["site"]
+        if kind == "processing slack":
+            states[kind] += 1
+        elif kind == "processing taut":
+            states["processing taut, UGV parked" if on_site else "processing taut, UGV chasing"] += 1
+        elif on_site and j - 1 in coasted and a["ugv"] != a["site"] and a["mode"] == b["mode"]:
+            states["transit, UGV parks mid-coast"] += 1
+    return states
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.2])
+@pytest.mark.parametrize("state, tau, v_ugv", [
+    # line: the UGV reaches the site (20, 0) at t=4, the UAV the target at t=5
+    ("transit, UGV parks mid-coast", 3.0, 5.0),
+    ("processing slack", 3.05, 1.0),
+    # the string is taut from t=20; a fast UGV parks first and follows the
+    # dragged site, a slow one chases it until the abandonment at t=22.5
+    ("processing taut, UGV parked", 60.0, 4.0),
+    ("processing taut, UGV chasing", 60.0, 1.0),
+])
+def test_each_tick_line_cache_state_matches_the_stepped_engine(state, tau, v_ugv, dt):
+    sc, plan, cfg = line_scenario(tau, v_ugv=v_ugv), line_plan(), SimConfig(dt=dt)
+    _assert_run_matches_steps(sc, cfg, plan)
+    _, trace, _, coasted = _coasted_run(sc, cfg, plan)
+    assert _cache_states(trace, coasted)[state] > 0
+
+
 def _dyadic_scenario() -> Scenario:
     return Scenario(
         world=World(50.0, 50.0),
