@@ -65,11 +65,10 @@ class SegmentState:
     site_arc_seen: float = 0.0  # low-water mark; backtracking is one-way
     deferred: tuple[tuple[int, Point2D], ...] = ()
     dragged_by: int | None = None  # the target whose visit has dragged the site
-    # the last point computed for each arc, keyed on the arc's value so that
-    # a direct assignment to site_arc or uav_arc can never leave it stale
+    # the site's last point, keyed on the arc's value so that a direct assignment
+    # to site_arc can never leave it stale.  Its writers: site_position on a miss,
+    # and sim._put, which hands over a coast's site point, the one a parked UGV holds
     _site_cache: tuple[float, Point2D | None] = field(
-        default=(math.nan, None), init=False, repr=False, compare=False)
-    _uav_cache: tuple[float, Point2D | None] = field(
         default=(math.nan, None), init=False, repr=False, compare=False)
 
     @classmethod
@@ -95,11 +94,7 @@ class SegmentState:
 
     @property
     def uav_position(self) -> Point2D:
-        arc, point = self._uav_cache
-        if arc != self.uav_arc:
-            point = self.plan.path.point_at_arc(self.uav_arc)
-            self._uav_cache = (self.uav_arc, point)
-        return point
+        return self.plan.path.point_at_arc(self.uav_arc)
 
     def string_gap(self) -> float:
         return self.site_arc - self.uav_arc
@@ -215,15 +210,11 @@ def check_abandonment(state: SegmentState, ugv_pos: Point2D, t_left: float,
     """
     fuel_next = state.fuel - params.burn_rate * t_left
     site_next = backtrack_site(state, fuel_next, params)
-    site_pos = state.site_position
     # a slack string leaves the site where it is; a tank run dry is never in reach
-    site_next_pos = (site_pos if site_next == state.site_arc
+    site_next_pos = (state.site_position if site_next == state.site_arc
                      else state.plan.path.point_at_arc(site_next))
     ugv_next = step_toward(ugv_pos, site_next_pos, params.v_ugv * t_left)
     if ugv_reachable(ugv_next, site_next_pos, fuel_next, params):
-        # a sub-step that burns all of t_left drags the site to site_next
-        if site_next_pos is not site_pos:
-            state._site_cache = (site_next, site_next_pos)
         return None
     deferred_now = _defer(state, ((state.current, state.uav_arc),) + state.pending)
     state.pending = ()

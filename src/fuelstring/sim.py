@@ -535,7 +535,8 @@ def _put(world: WorldState, clock: float, fuel: float, gx: float, gy: float, par
     """Write a coast's locals back to the world: before a fault, on every
     tick when check_invariants is set, and when the coast ends.  The UGV
     stands on the site's own point when parked; progress, when given, is
-    the current target's."""
+    the current target's.  The site cache takes the site's point, which
+    `_check_invariants` reads on every checked tick."""
     st = world.active
     st.uav_arc, st.fuel, st.site_arc = uav_arc, fuel, site_arc
     if site_arc < st.site_arc_seen:

@@ -7,7 +7,7 @@ separators=(",", ":")), and a newline.  An event's detail ends with the
 odometers uav_odo and ugv_odo; one `end` event, at the mission time,
 follows the last tick and counts the tick records.  The run's metrics are a
 fold over the events alone, so folding a written trace back gives them bit
-for bit.
+for bit; `fold_jsonl` decodes only the event lines, with json.loads.
 
 A tick line is built from three pieces, so that a writer can keep the ones
 that do not change from tick to tick: `point_text` of each point, the
@@ -68,29 +68,15 @@ def fold_records(records) -> dict:
     return fold.result()
 
 
-# One decoder for every trace line; json.loads builds the same one per call.
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def decode_line(line: str):
-    """json.loads(line), as one bound call: strip JSON whitespace only, and
-    reject any characters left after the value."""
-    text = line.strip(" \t\n\r")
-    rec, end = _raw_decode(text)
-    if end != len(text):
-        raise json.JSONDecodeError("Extra data", text, end)
-    return rec
-
-
 def fold_jsonl(lines) -> dict:
     """Recompute the metrics block from JSONL text lines, decoding each event
-    line strictly and skipping blank ones.  A tick line, one without
+    line with json.loads and skipping blank ones.  A tick line, one without
     '"kind":', is only counted: a count other than the `end` event's, as
     when a sink dropped or repeated a line, raises ValueError."""
     ticks, events = 0, []
     for line in lines:
         if '"kind":' in line:
-            events.append(decode_line(line))
+            events.append(json.loads(line))
         elif line.strip():
             ticks += 1
     end = next((e["detail"]["ticks"] for e in events if e["kind"] == "end"), None)

@@ -23,7 +23,7 @@ from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan
 from fuelstring.rng import SplitMix64
 from fuelstring.scenario_io import CostModel, generate_scenario
-from fuelstring.trace import decode_line, metrics_to_text
+from fuelstring.trace import metrics_to_text
 
 DEFAULT_PARAMS = VehicleParams(v_uav=2.0, v_ugv=1.0, fuel_capacity=50.0,
                                fuel_per_meter=1.0)
@@ -105,12 +105,12 @@ def tick_record(world) -> dict:
 def traced_run(scenario, config=None, plan=None, sink=None):
     """run() with a trace sink, a fresh StringIO unless one is given.
     Returns the report, the sink's tick records and its event records, each
-    decoded with the trace format's own decoder."""
+    decoded with json.loads."""
     sink = io.StringIO() if sink is None else sink
     rep = sim.run(scenario, config, plan=plan, trace_file=sink)
     ticks, events = [], []
     for line in sink.getvalue().splitlines():
-        rec = decode_line(line)
+        rec = json.loads(line)
         (events if "kind" in rec else ticks).append(rec)
     return rep, ticks, events
 
@@ -154,7 +154,7 @@ def stepped_outputs(scenario, config, plan) -> list:
     else:
         rep = world.finish()
         got = [rep.status, metrics_to_text(rep.metrics), rep.unprocessed]
-        end = decode_line(sink.getvalue().splitlines()[-1])
+        end = json.loads(sink.getvalue().splitlines()[-1])
         assert (end["kind"], end["detail"]["ticks"]) == ("end", len(records))
     # only an event line has a "kind" key
     lines = sink.getvalue().splitlines(keepends=True)

@@ -4,6 +4,7 @@ for byte."""
 from __future__ import annotations
 
 import io
+import json
 import math
 from collections import Counter
 from contextlib import contextmanager
@@ -18,7 +19,6 @@ from fuelstring.model import Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mission
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import InvariantViolation, SimConfig, WorldState, run, step
-from fuelstring.trace import decode_line
 
 
 @contextmanager
@@ -58,7 +58,7 @@ def _assert_run_matches_steps(scenario, cfg, plan) -> Counter:
     with _counted_steps() as stepped_at:
         got = run_outputs(scenario, cfg, plan, sink)
     assert got == stepped_outputs(scenario, cfg, plan)
-    trace = [rec for rec in map(decode_line, sink.getvalue().splitlines())
+    trace = [rec for rec in map(json.loads, sink.getvalue().splitlines())
              if "kind" not in rec]
     return Counter(_coasted(trace, stepped_at).values())
 
@@ -301,7 +301,7 @@ def _processing_events(sc, plan, cfg=None):
     _, trace, _, coasted = _coasted_run(sc, cfg or SimConfig(), plan, buf)
     events, ticks = [], 0
     for line in buf.getvalue().splitlines():
-        rec = decode_line(line)
+        rec = json.loads(line)
         if "kind" in rec:
             events.append((rec, ticks))
         else:

@@ -144,32 +144,16 @@ def test_cached_points_follow_their_arcs():
     st.uav_arc = 10.0
     assert st.uav_position == st.plan.path.point_at_arc(10.0) == P(10.0, 0.0)
 
-    # a taut sub-step: the lookahead computes the dragged site's point once,
-    # and site_position serves it for the new arc only
-    def dragging() -> SegmentState:
-        st = SegmentState.begin(bend_plan().segments[0], ordinal=0, fuel=30.0)
-        on_transit_tick(st, 2.0, DEFAULT_PARAMS)
-        on_processing_tick(st, 12.0, False, DEFAULT_PARAMS)  # drags the site to 18
-        return st
 
-    ugv = P(4.0, 0.0)
-    st = dragging()
-    assert st.site_position == st.plan.path.point_at_arc(18.0)  # cached before counting
-    arcs = []
-    with pytest.MonkeyPatch.context() as mp:
-        point_at_arc = Polyline.point_at_arc
-        mp.setattr(Polyline, "point_at_arc",
-                   lambda path, s: arcs.append(s) or point_at_arc(path, s))
-        assert check_abandonment(st, ugv, 0.5, DEFAULT_PARAMS) is None
-        on_processing_tick(st, 1.0, False, DEFAULT_PARAMS)  # all of the 0.5 s
-        dragged = st.site_position
-    assert arcs == [17.0]
-    assert st.site_arc == 17.0
-    assert dragged == st.plan.path.point_at_arc(17.0)
-    assert (dragged.x, dragged.y) == pytest.approx((5.8, 5.6), abs=1e-12)
-    st = dragging()
-    assert check_abandonment(st, ugv, 0.5, DEFAULT_PARAMS) is None
-    assert st.site_position == st.plan.path.point_at_arc(18.0)  # not dragged yet
+def test_an_approving_lookahead_leaves_the_state_untouched():
+    st = SegmentState.begin(bend_plan().segments[0], ordinal=0, fuel=30.0)
+    on_transit_tick(st, 2.0, DEFAULT_PARAMS)
+    on_processing_tick(st, 12.0, False, DEFAULT_PARAMS)  # a taut string: the site at 18
+    assert st.site_position == st.plan.path.point_at_arc(18.0)
+    before = dict(vars(st))
+    # the rest of the tick would drag the site to 17, still in the UGV's reach
+    assert check_abandonment(st, P(4.0, 0.0), 0.5, DEFAULT_PARAMS) is None
+    assert vars(st) == before
 
 
 def test_abandonment_fires_one_tick_before_losing_the_site():

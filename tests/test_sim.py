@@ -540,7 +540,7 @@ def test_coarse_tick_hover_docks_in_time():
 
 
 @pytest.mark.xfail(strict=True, raises=InvariantViolation,
-                   reason="ROADMAP item 9, abandonment as an event: at dt 0.5 the "
+                   reason="ROADMAP, Decide abandonment at its exact instant: at dt 0.5 the "
                           "lookahead approves processing to tick end, the target "
                           "completes at 141.74 s with the site less dragged than "
                           "predicted, and at 142 s it is out of the UGV's reach")
