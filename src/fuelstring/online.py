@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import EPS_GEOM, Point2D, Polyline, distance, farthest_site_arc, step_toward
 from .model import EPS_TIME, VehicleParams
@@ -50,14 +50,16 @@ class SegmentState:
     Both are tuples, so a change to either binds a new object.  While
     processing, the UAV stands on the current target's arc, uav_arc.  case
     only rises: a drag of the site raises it to 2, a skip to 3, and an
-    abandonment sets 4.
+    abandonment sets 4.  site_position is the point at site_arc: whoever
+    moves the site (begin, on_processing_tick, sim._put, a test) sets both.
     """
 
     plan: SegmentPlan
     ordinal: int
+    site_arc: float
+    site_position: Point2D
     uav_arc: float = 0.0
     fuel: float = 0.0
-    site_arc: float = 0.0
     pending: tuple[tuple[int, float], ...] = ()
     current: int | None = None
     mode: str = Mode.TRANSIT
@@ -65,11 +67,6 @@ class SegmentState:
     site_arc_seen: float = 0.0  # low-water mark; backtracking is one-way
     deferred: tuple[tuple[int, Point2D], ...] = ()
     dragged_by: int | None = None  # the target whose visit has dragged the site
-    # the site's last point, keyed on the arc's value so that a direct assignment
-    # to site_arc can never leave it stale.  Its writers: site_position on a miss,
-    # and sim._put, which hands over a coast's site point, the one a parked UGV holds
-    _site_cache: tuple[float, Point2D | None] = field(
-        default=(math.nan, None), init=False, repr=False, compare=False)
 
     @classmethod
     def begin(cls, plan: SegmentPlan, ordinal: int, fuel: float,
@@ -79,25 +76,15 @@ class SegmentState:
             ordinal=ordinal,
             fuel=fuel,
             site_arc=plan.length,
+            site_position=plan.site,
             site_arc_seen=plan.length,
             pending=plan.target_arcs,
             deferred=deferred,
         )
 
     @property
-    def site_position(self) -> Point2D:
-        arc, point = self._site_cache
-        if arc != self.site_arc:
-            point = self.plan.path.point_at_arc(self.site_arc)
-            self._site_cache = (self.site_arc, point)
-        return point
-
-    @property
     def uav_position(self) -> Point2D:
         return self.plan.path.point_at_arc(self.uav_arc)
-
-    def string_gap(self) -> float:
-        return self.site_arc - self.uav_arc
 
 
 def _defer(state: SegmentState, pairs: tuple[tuple[int, float], ...]) -> list[int]:
@@ -173,6 +160,8 @@ def on_processing_tick(state: SegmentState, fuel_used: float, done: bool,
     new_site = backtrack_site(state, state.fuel, params)
     if new_site < state.site_arc - EPS_GEOM and state.dragged_by != state.current:
         state.dragged_by, state.case = state.current, max(state.case, Case.BACKTRACK_ALL_VISITED)
+    if new_site != state.site_arc:
+        state.site_position = state.plan.path.point_at_arc(new_site)
     state.site_arc = new_site
     if new_site < state.site_arc_seen:
         state.site_arc_seen = new_site

@@ -248,13 +248,16 @@ def generate_scenario(n_targets: int, seed: int,
 
     Fully determined by the seed (positions) and the cost model's own seed
     (taus).  The depot sits at the world center.  Raises ValueError when
-    n_targets < 1, no target fits after _PLACEMENT_ATTEMPTS candidates or
-    the cost model is explicit, and TooManyTargetsError, before placing
-    any, when the bounds cannot hold that many separated points.
+    n_targets is not an integer or is < 1, no target fits after
+    _PLACEMENT_ATTEMPTS candidates or the cost model is explicit, and
+    TooManyTargetsError, before placing any, when the bounds cannot hold
+    that many separated points.
 
     A candidate is checked only against the points in the 3 x 3 buckets
     around its own; see model.Buckets.
     """
+    if not is_int(n_targets):
+        raise ValueError(f"n_targets must be an integer, got {n_targets!r}")
     if n_targets < 1:
         raise ValueError(f"n_targets must be >= 1, got {n_targets}")
     world = world if world is not None else World()

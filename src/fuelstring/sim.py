@@ -36,6 +36,7 @@ burned plus a done flag.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 
@@ -83,12 +84,12 @@ class SimConfig:
             raise ValueError("keep_trace is gone: pass run a trace_file sink to keep the trace")
         check_real("dt", self.dt)
         # a tick of EPS_TIME or less never runs step's UAV phase
-        if not EPS_TIME < self.dt < math.inf:
+        if not EPS_TIME < self.dt <= sys.float_info.max:
             raise ValueError(f"dt must be finite and > {EPS_TIME}, got {self.dt}")
         cap = self.max_mission_time
         if cap is not None:
             check_real("max_mission_time", cap)
-            if not 0 < cap < math.inf:
+            if not 0 < cap <= sys.float_info.max:
                 raise ValueError(f"max_mission_time must be finite and > 0, got {cap}")
 
 
@@ -317,7 +318,7 @@ def _check_invariants(world: WorldState):
     params = world.params
     if st.fuel < -EPS_FUEL:
         world.fault("negative fuel")
-    gap = st.string_gap()
+    gap = st.site_arc - st.uav_arc
     if st.fuel / params.fuel_per_meter < gap - 1e-9:
         world.fault(f"string invariant broken: fuel spans {st.fuel / params.fuel_per_meter:.9g} "
                     f"of a {gap:.9g} gap")
@@ -535,13 +536,11 @@ def _put(world: WorldState, clock: float, fuel: float, gx: float, gy: float, par
     """Write a coast's locals back to the world: before a fault, on every
     tick when check_invariants is set, and when the coast ends.  The UGV
     stands on the site's own point when parked; progress, when given, is
-    the current target's.  The site cache takes the site's point, which
-    `_check_invariants` reads on every checked tick."""
+    the current target's.  The state takes the site's point with its arc."""
     st = world.active
-    st.uav_arc, st.fuel, st.site_arc = uav_arc, fuel, site_arc
+    st.uav_arc, st.fuel, st.site_arc, st.site_position = uav_arc, fuel, site_arc, site
     if site_arc < st.site_arc_seen:
         st.site_arc_seen = site_arc
-    st._site_cache = (site_arc, site)
     if progress is not None:
         world.trackers[st.current].progress = progress
     world.clock, world.ugv_pos, world.driven = clock, site if parked else Point2D(gx, gy), driven

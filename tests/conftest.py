@@ -95,9 +95,11 @@ def collinear_scenario() -> Scenario:
 def tick_record(world) -> dict:
     """A world's current tick as a trace record, built here from the world's
     state apart from the simulator's own writer, with its keys in the trace
-    format's order: t, uav, fuel, ugv, seg, site, mode."""
+    format's order: t, uav, fuel, ugv, seg, site, mode.  The site is the
+    point at the site's arc, so a line that agrees also shows that the
+    engine's stored site point is that point."""
     st, ugv = world.active, world.ugv_pos
-    uav, site = st.uav_position, st.site_position
+    uav, site = st.uav_position, st.plan.path.point_at_arc(st.site_arc)
     return {"t": world.clock, "uav": [uav.x, uav.y], "fuel": st.fuel, "ugv": [ugv.x, ugv.y],
             "seg": st.ordinal, "site": [site.x, site.y], "mode": st.mode}
 

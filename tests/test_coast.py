@@ -15,7 +15,7 @@ from conftest import (acceptance7, bend_plan, bend_scenario, line_plan, line_sce
                       run_outputs, stepped_outputs, traced_run, vehicle_space)
 from fuelstring import sim
 from fuelstring.geometry import Point2D, Polyline, distance
-from fuelstring.model import Scenario, Target, VehicleParams, World
+from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mission
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import InvariantViolation, SimConfig, WorldState, run, step
@@ -185,6 +185,42 @@ def test_time_cap_inside_a_coast_matches_the_stepped_engine():
     cfg = SimConfig(max_mission_time=trace[j]["t"])
     assert _assert_run_matches_steps(sc, cfg, plan)["transit"] > 0
     assert traced_run(sc, cfg, plan)[1] == trace[:j + 1]
+
+
+def _site_moves(scenario, cfg, plan) -> Counter:
+    """Drive run()'s loop by hand, _coast else step, and after every call
+    check that the active segment's site point is the point at its site
+    arc, to the bit.  Returns the calls that moved the site, by engine."""
+    world = WorldState(scenario, plan, cfg)
+    world.record_tick()
+    limit = sim.time_cap(cfg, plan, scenario.params) - EPS_TIME
+    moves = Counter()
+    while not world.mission_complete and world.clock < limit:
+        st, arc = world.active, world.active.site_arc
+        engine = "coast" if sim._coast(world, limit) else "step"
+        if engine == "step":
+            step(world)
+        if world.active is st and st.site_arc != arc:
+            moves[engine] += 1
+        st = world.active
+        want = st.plan.path.point_at_arc(st.site_arc)
+        got = st.site_position
+        assert (repr(got.x), repr(got.y)) == (repr(want.x), repr(want.y))
+    return moves
+
+
+@pytest.mark.parametrize("checked", [False, True])
+@pytest.mark.parametrize("dt", [0.05, 0.2])
+def test_the_site_point_is_the_point_at_the_site_arc_after_every_call(dt, checked):
+    cfg = SimConfig(dt=dt, check_invariants=checked)
+    missions = [(line_scenario(tau), line_plan()) for tau in (5.0, 25.0, 60.0)]
+    missions.append((bend_scenario(), bend_plan()))
+    missions += [(sc, _planned(sc)) for sc in map(acceptance7, range(20))]
+    moves = Counter()
+    for sc, plan in missions:
+        if plan is not None:
+            moves += _site_moves(sc, cfg, plan)
+    assert moves["coast"] > 0 and moves["step"] > 0  # both engines dragged a site
 
 
 def _cache_states(trace, coasted) -> Counter:

@@ -41,8 +41,7 @@ def test_begin_loads_full_segment():
     assert st.site_arc == 20.0
     assert st.pending == ((1, 10.0),)
     assert st.mode == Mode.TRANSIT
-    assert st.string_gap() == 20.0
-    assert st.site_position == P(20.0, 0.0)
+    assert st.site_position is st.plan.site == P(20.0, 0.0)
     assert st.uav_position == P(0.0, 0.0)
 
 
@@ -131,16 +130,17 @@ def test_processing_defers_a_passed_suffix_of_equal_arcs():
     assert st.case == Case.BACKTRACK_SKIP
 
 
-def test_cached_points_follow_their_arcs():
+def test_the_site_point_moves_with_the_string():
     st = SegmentState.begin(bend_plan().segments[0], ordinal=0, fuel=30.0)
-    assert st.site_position == P(4.0, 8.0)
+    assert st.site_position is st.plan.site == P(4.0, 8.0)
     on_transit_tick(st, 2.0, DEFAULT_PARAMS)
     assert st.uav_position == st.plan.path.point_at_arc(2.0) == P(2.0, 0.0)
-    on_processing_tick(st, 14.0, False, DEFAULT_PARAMS)  # drags the site to 16
+    site = st.site_position
+    on_processing_tick(st, 10.0, False, DEFAULT_PARAMS)  # slack: the site holds
+    assert st.site_arc == 20.0 and st.site_position is site
+    on_processing_tick(st, 4.0, False, DEFAULT_PARAMS)  # taut: drags the site to 16
     assert st.site_arc == 16.0
     assert st.site_position == st.plan.path.point_at_arc(16.0) == P(6.4, 4.8)
-    st.site_arc = 12.0  # a direct assignment, no setter involved
-    assert st.site_position == st.plan.path.point_at_arc(12.0) == P(8.8, 1.6)
     st.uav_arc = 10.0
     assert st.uav_position == st.plan.path.point_at_arc(10.0) == P(10.0, 0.0)
 
@@ -164,7 +164,7 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
         st.pending = ()
         st.mode = Mode.PROCESSING
         st.fuel = fuel
-        st.site_arc = 15.0
+        st.site_arc, st.site_position = 15.0, st.plan.path.point_at_arc(15.0)
         return st
 
     # present state is exactly reachable, one more tick is not
@@ -183,7 +183,7 @@ def test_abandonment_fires_one_tick_before_losing_the_site():
 
     # imminent fuel exhaustion forces the call even with the UGV on site
     st = processing_state(0.04)
-    st.site_arc = 10.04
+    st.site_arc, st.site_position = 10.04, st.plan.path.point_at_arc(10.04)
     assert check_abandonment(st, st.site_position, 0.05, DEFAULT_PARAMS) == [1]
 
 

@@ -345,6 +345,10 @@ def test_generation_rejects_bad_counts():
         generate_scenario(0, seed=1)
     with pytest.raises(ValueError, match="cannot place 30 targets"):
         generate_scenario(30, seed=1, world=World(width=2.0, height=2.0))
+    # not a bare TypeError from range(2.5), and not one target built for True
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"^n_targets must be an integer, got {bad!r}$"):
+            generate_scenario(bad, seed=1)
 
 
 def test_generation_refuses_counts_past_the_disc_packing_bound():

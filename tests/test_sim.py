@@ -131,6 +131,9 @@ def test_run_refuses_a_plan_with_a_bool_vertex():
     ("dt", 0.0), ("dt", -0.05), ("dt", math.nan), ("dt", math.inf),
     ("dt", EPS_TIME), ("dt", 5e-10),
     ("max_mission_time", 0.0), ("max_mission_time", math.inf),
+    # ints past the largest float, which max_t / dt could not convert
+    pytest.param("dt", 10**400, id="dt-10**400"),
+    pytest.param("max_mission_time", 10**400, id="max_mission_time-10**400"),
 ])
 def test_config_rejects_bad_numbers(field, bad):
     # a zero or negative dt would never advance the clock, and a tick of
