@@ -18,8 +18,8 @@ class Point2D:
     y: float
 
     def __init__(self, x: float, y: float):
-        _set_x(self, x)  # the slot setters, at 2/3 the dataclass __init__'s cost: a
-        _set_y(self, y)  # checked coast's sim._put builds the UGV's point every tick
+        _set_x(self, x)  # the slot setters, at 2/3 the dataclass __init__'s cost: the
+        _set_y(self, y)  # UGV steps and dragged sites of `sim.step` build most points
 
 
 _set_x, _set_y = Point2D.x.__set__, Point2D.y.__set__

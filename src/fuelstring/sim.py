@@ -23,7 +23,10 @@ consecutive quiet tick of the active mode in one tight loop over locals:
 Every other tick, hovering included, goes to step.  The coast does step's
 float operations in step's order and picks point_at_arc's edge, so every
 record, event, metric and fault message is the one step gives.  It writes
-its locals back through `_put`.
+its locals back through `_put` when it ends or faults.  With
+check_invariants it judges `_check_invariants`' per-tick comparisons on
+its locals, and hands a tick to `_put` and `_check_invariants` only when
+one fails, so every fault message still comes from `_check_invariants`.
 
 The metrics come from events alone: each carries the UAV and UGV odometers
 (`WorldState.emit_event`), and one `end` event closes the run.
@@ -359,12 +362,12 @@ def _coast(world: WorldState, limit: float) -> bool:
     docstring) in one loop; return False when the next tick is not quiet.
 
     The mode's entry test runs first, then one set-up reads the world into
-    locals; the state goes back through `_put`.  Each path edge cursor
-    stops at the last edge starting at or before its arc, and an arc equal
-    to that edge's start gives its vertex, both as in point_at_arc.
-    Transit's cursor follows the UAV forward, for a traced run only.  A
-    processing tick is judged whole before any of it is kept: the
-    lookahead, reveal's completion test, the skip test and the visit's
+    locals; the state goes back through `_put` when the coast ends.  Each
+    path edge cursor stops at the last edge starting at or before its arc,
+    and an arc equal to that edge's start gives its vertex, both as in
+    point_at_arc.  Transit's cursor follows the UAV forward, for a traced
+    run only.  A processing tick is judged whole before any of it is kept:
+    the lookahead, reveal's completion test, the skip test and the visit's
     first drag read only the tick's start and the site it drags to, so the
     first tick that fails one goes to step as it stood.  The lookahead's
     UGV step is the tick's UGV step.  A taut string drags the site, and its
@@ -372,6 +375,24 @@ def _coast(world: WorldState, limit: float) -> bool:
     the cursor starts at most on the path's last edge.  The site arc only
     falls, so its low-water mark is the last arc, set in `_put`.  A UGV
     step adds its distance to the odometer when it arrives, else the stride.
+
+    A checked coast evaluates, after each tick, the comparisons of
+    `_check_invariants` that a tick can change: the string, the UAV before
+    its site, the site's one-way motion and the UGV's reach, each with the
+    check's float operations in its order, and fuel below zero, which
+    covers both the negative-fuel check and reach's empty tank.  The
+    one-way motion is judged against `site_arc_seen` as the coast began:
+    the check compares the site arc with the low of that mark and the arcs
+    since, and a coast's site arc never rises, so that low is the mark
+    itself or the arc it is compared with.  The comparisons only filter: a
+    tick on which one fails is written back through `_put` and judged by
+    `_check_invariants`, which raises the message step would, at the same
+    clock and before the tick's line.  The two other checks read only the
+    mode and the target holders (pending, current, deferred, queue,
+    done_ids), which a coast never rebinds, so their verdict holds for the
+    whole coast.  The coast judges them once: when the holders' key differs
+    from the conservation memo, or pending targets ride to the rendezvous,
+    its first tick goes to `_check_invariants` whole.
 
     A traced coast builds each tick line from trace.py's pieces and keeps
     those that hold.  The site's point text and the tail (seg, site, mode)
@@ -391,7 +412,7 @@ def _coast(world: WorldState, limit: float) -> bool:
     cfg = world.config
     params = world.params
     dt = cfg.dt
-    burn = params.burn_rate
+    burn, fpm = params.burn_rate, params.fuel_per_meter
     budget = burn * dt  # a transit tick's burn; the lookahead's burn and reveal's avail
     clock, uarc, sarc = world.clock, st.uav_arc, st.site_arc
     pending = st.pending
@@ -404,7 +425,7 @@ def _coast(world: WorldState, limit: float) -> bool:
                 and last <= sarc + EPS_GEOM and uarc <= sarc):
             return False
     else:
-        d_step = budget / params.fuel_per_meter
+        d_step = budget / fpm
         margin = d_step + EPS_GEOM
         next_arc = pending[0][1] if pending else sarc
         if not (clock < limit and next_arc - uarc > margin):
@@ -419,6 +440,11 @@ def _coast(world: WorldState, limit: float) -> bool:
     stride = v_ugv * dt  # _drive's stride over a whole tick
     arcs, verts = st.plan.path.cumulative_arc, st.plan.path.vertices
     write, checked = world.write, cfg.check_invariants
+    if checked:
+        seen = st.site_arc_seen
+        key = (pending, st.current, st.deferred, world.queue, world.done_ids)
+        # the holder checks, judged once: their verdict holds for the whole coast
+        full = key != world._conserved or (mode == Mode.TO_RENDEZVOUS and bool(pending))
     if write is not None:
         site_text = point_text(qx, qy)
         tail, tail_arc = tick_tail(seg, site_text, mode), sarc
@@ -427,7 +453,6 @@ def _coast(world: WorldState, limit: float) -> bool:
         tracker = world.trackers[st.current]
         tau, progress = tracker.tau, tracker.progress
         avail = budget + EPS_FUEL  # reveal completes the target when tau - progress is at most this
-        fpm = params.fuel_per_meter
         dragged = st.dragged_by == st.current
         if write is not None:
             uav = st.uav_position
@@ -476,10 +501,14 @@ def _coast(world: WorldState, limit: float) -> bool:
             fuel, sarc, qx, qy = fuel_next, s, px, py
             clock = clock + dt
             n += 1
-            if checked:
+            # _check_invariants' per-tick comparisons, on the locals
+            if checked and (full or fuel < 0.0 or fuel / fpm < sarc - uarc - 1e-9
+                            or not -EPS_GEOM <= uarc <= sarc + EPS_GEOM or sarc > seen + 1e-9
+                            or not math.hypot(gx - qx, gy - qy) / v_ugv <= fuel / burn + EPS_TIME):
                 _put(world, clock, fuel, gx, gy, parked, uarc, sarc,
                      goal if sarc == sarc0 else Point2D(qx, qy), driven, progress)
                 _check_invariants(world)
+                full = False
             if write is not None:
                 if sarc != tail_arc:  # the tick dragged the site
                     site_text = point_text(qx, qy)
@@ -507,9 +536,12 @@ def _coast(world: WorldState, limit: float) -> bool:
                 driven += stride
             clock = clock + dt
             n += 1
-            if checked:
+            if checked and (full or fuel < 0.0 or fuel / fpm < sarc - uarc - 1e-9
+                            or not -EPS_GEOM <= uarc <= sarc + EPS_GEOM or sarc > seen + 1e-9
+                            or not math.hypot(gx - qx, gy - qy) / v_ugv <= fuel / burn + EPS_TIME):
                 _put(world, clock, fuel, gx, gy, parked, uarc, sarc, goal, driven, None)
                 _check_invariants(world)
+                full = False
             if write is not None:
                 while a1 <= uarc:
                     i += 1
@@ -533,8 +565,8 @@ def _coast(world: WorldState, limit: float) -> bool:
 
 def _put(world: WorldState, clock: float, fuel: float, gx: float, gy: float, parked: bool,
          uav_arc: float, site_arc: float, site: Point2D, driven: float, progress: float | None):
-    """Write a coast's locals back to the world: before a fault, on every
-    tick when check_invariants is set, and when the coast ends.  The UGV
+    """Write a coast's locals back to the world: when the coast ends, and
+    before a tick that `_check_invariants` must judge or that faults.  The UGV
     stands on the site's own point when parked; progress, when given, is
     the current target's.  The state takes the site's point with its arc."""
     st = world.active

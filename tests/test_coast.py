@@ -17,6 +17,7 @@ from fuelstring import sim
 from fuelstring.geometry import Point2D, Polyline, distance
 from fuelstring.model import EPS_TIME, Scenario, Target, VehicleParams, World
 from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mission
+from fuelstring.online import Mode
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import InvariantViolation, SimConfig, WorldState, run, step
 
@@ -328,6 +329,127 @@ def test_fault_inside_a_coast_reports_what_step_reports(mission, checked):
     assert coasted_buf.getvalue() == stepped_buf.getvalue()
     assert (coasted.clock, coasted.ugv_pos, coasted.active.uav_arc, coasted.active.fuel) == (
         stepped.clock, stepped.ugv_pos, stepped.active.uav_arc, stepped.active.fuel)
+
+
+def _corrupted(corrupt):
+    """A WorldState class whose worlds pass _check_invariants as built, which
+    leaves the conservation memo warm as at any coast after a mission's
+    first tick, and are then broken by corrupt(world)."""
+
+    class Corrupted(WorldState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sim._check_invariants(self)
+            corrupt(self)
+            Corrupted.last = self
+
+    return Corrupted
+
+
+def _corrupt_string(world):
+    # 3 fuel cannot span the 20 m to the site; the UGV, parked on it, is in reach
+    world.active.fuel, world.ugv_pos = 3.0, world.active.site_position
+
+
+def _corrupt_fuel(world):
+    # the site where the UAV stands after 25 ticks (their 0.1 m added one
+    # by one), the UGV parked on it, and a tank that holds 5e-10 less than
+    # those ticks burn: fuel then lies within EPS_FUEL below zero, which
+    # only the reach check refuses
+    st, arc = world.active, sum([0.1] * 25)
+    st.site_arc, st.site_position = arc, st.plan.path.point_at_arc(arc)
+    st.fuel, world.ugv_pos = 2.5 - 5e-10, st.site_position
+
+
+def _corrupt_reach(world):
+    world.ugv_pos = Point2D(-90.0, 0.0)  # 110 m from the site, 25 s of hover
+
+
+def _corrupt_site_arc_seen(world):
+    world.active.site_arc_seen = world.active.site_arc - 1.0
+
+
+def _corrupt_site(world):
+    # the site on arc 5, short of the target at arc 10: the UAV passes it
+    world.active.site_arc, world.active.site_position = 5.0, Point2D(5.0, 0.0)
+
+
+def _corrupt_mode(world):
+    world.active.mode = Mode.TO_RENDEZVOUS  # with target 1 still pending
+
+
+def _corrupt_holders(world):
+    world.active.deferred = ((1, Point2D(10.0, 0.0)),)  # target 1 is pending too
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_corrupt_string, "string invariant broken: fuel spans 2.9 of a 19.9 gap [t=0.05 "),
+    (_corrupt_fuel, "refuel site out of ground-vehicle reach [t=1.25 "),
+    (_corrupt_reach, "refuel site out of ground-vehicle reach [t=0.05 "),
+    (_corrupt_site_arc_seen, "refuel site moved forward along the path (19 -> 20) [t=0.05 "),
+    (_corrupt_site, "uav ahead of its refuel site [t=2.55 "),
+    (_corrupt_mode, "pending targets while heading to rendezvous [t=0.05 "),
+    (_corrupt_holders, "target conservation broken: held twice=[1] "),
+], ids=["string", "fuel", "reach", "site moved forward", "uav ahead", "pending", "conservation"])
+def test_each_check_faults_inside_a_checked_coast_as_step_faults(corrupt, message):
+    # the coast judges each check on its locals and hands a failing tick to
+    # _check_invariants; a comparison it skipped would let the coast fly on,
+    # to a later fault or to the target, where the unset step raises TypeError
+    sc, plan, cfg = line_scenario(3.0), line_plan(), SimConfig(check_invariants=True)
+    broken = _corrupted(corrupt)
+    stepped_buf = io.StringIO()
+    stepped = broken(sc, plan, cfg, trace_file=stepped_buf)
+    stepped.record_tick()
+    with pytest.raises(InvariantViolation) as want:
+        while True:
+            step(stepped)
+    coasted_buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "WorldState", broken)
+        mp.setattr(sim, "step", None)  # every tick up to the fault coasts
+        with pytest.raises(InvariantViolation) as got:
+            run(sc, cfg, plan=plan, trace_file=coasted_buf)
+    coasted = broken.last
+    assert coasted is not stepped
+    assert str(want.value).startswith(message)
+    assert str(got.value) == str(want.value)
+    assert coasted_buf.getvalue() == stepped_buf.getvalue()
+    got_state, want_state = [(w.clock, w.ugv_pos, w.driven, w.active.uav_arc, w.active.fuel,
+                              w.active.site_arc, w.active.site_position)
+                             for w in (coasted, stepped)]
+    assert got_state == want_state
+
+
+def test_a_clean_checked_mission_writes_back_once_per_coast():
+    # a checked coast judges its ticks on its locals and writes them back
+    # once, as it ends.  The mission's first coast meets an empty
+    # conservation memo, so its first tick also goes to _put and
+    # _check_invariants; every later coast finds the memo step left.
+    sc = acceptance7(0)
+    plan = plan_mission(sc)
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    coast = sim._coast
+
+    def counted_coast(world, limit):
+        took = coast(world, limit)
+        calls["coasts"] += took
+        return took
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_put", "_check_invariants", "step"):
+            mp.setattr(sim, name, counted(name, getattr(sim, name)))
+        mp.setattr(sim, "_coast", counted_coast)
+        rep = run(sc, SimConfig(check_invariants=True), plan=plan)
+    assert rep.completed and calls["coasts"] > 0
+    assert calls["_put"] == calls["coasts"] + 1
+    assert calls["_check_invariants"] <= calls["step"] + 1
 
 
 def _processing_events(sc, plan, cfg=None):
