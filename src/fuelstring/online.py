@@ -51,7 +51,7 @@ class SegmentState:
     processing, the UAV stands on the current target's arc, uav_arc.  case
     only rises: a drag of the site raises it to 2, a skip to 3, and an
     abandonment sets 4.  site_position is the point at site_arc: whoever
-    moves the site (begin, on_processing_tick, sim._put, a test) sets both.
+    moves the site (begin, on_processing_tick, sim._coast, a test) sets both.
     """
 
     plan: SegmentPlan

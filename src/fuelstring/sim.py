@@ -12,8 +12,9 @@ Identical inputs give identical traces, byte for byte.
 `step` takes one tick.  `run` first tries `_coast`, which takes every
 consecutive quiet tick of the active mode in one tight loop over locals:
   * transit: a tick that starts in transit or on the way to the rendezvous,
-    below the time cap, and whose whole flight stays short of the next
-    stop.  Its site is fixed, it reveals nothing and fires no event.
+    below the time cap, whose whole flight stays short of the next stop,
+    and whose burn leaves fuel at or above -EPS_FUEL.  Its site is fixed,
+    it reveals nothing and fires no event.
   * processing: a tick that starts in processing, below the time cap, whose
     lookahead approves the whole tick, whose burn does not complete the
     target (reveal's own test), whose dragged site passes no pending
@@ -23,10 +24,10 @@ consecutive quiet tick of the active mode in one tight loop over locals:
 Every other tick, hovering included, goes to step.  The coast does step's
 float operations in step's order and picks point_at_arc's edge, so every
 record, event, metric and fault message is the one step gives.  It writes
-its locals back through `_put` when it ends or faults.  With
-check_invariants it judges `_check_invariants`' per-tick comparisons on
-its locals, and hands a tick to `_put` and `_check_invariants` only when
-one fails, so every fault message still comes from `_check_invariants`.
+its locals back once, when it ends, and raises no fault of its own.  With
+check_invariants it judges `_check_invariants`' per-tick comparisons on its
+locals; a tick that fails one ends the coast, and `_check_invariants`
+raises on the written-back world.
 
 The metrics come from events alone: each carries the UAV and UGV odometers
 (`WorldState.emit_event`), and one `end` event closes the run.
@@ -86,6 +87,8 @@ class SimConfig:
         if keep_trace:
             raise ValueError("keep_trace is gone: pass run a trace_file sink to keep the trace")
         check_real("dt", self.dt)
+        if not isinstance(self.check_invariants, bool):  # "no" is truthy
+            raise ValueError(f"check_invariants must be a bool, got {self.check_invariants!r}")
         # a tick of EPS_TIME or less never runs step's UAV phase
         if not EPS_TIME < self.dt <= sys.float_info.max:
             raise ValueError(f"dt must be finite and > {EPS_TIME}, got {self.dt}")
@@ -316,18 +319,25 @@ def _refuel(world: WorldState, t_now: float):
             world.fault(f"{broken[0].kind}: {broken[0].message}")
 
 
+def _holders(world: WorldState) -> tuple:
+    """The target holders as one key: pending, current, deferred, queue and
+    done_ids, each immutable, so an equal key holds the same ids."""
+    st = world.active
+    return st.pending, st.current, st.deferred, world.queue, world.done_ids
+
+
 def _check_invariants(world: WorldState):
     st = world.active
     params = world.params
     if st.fuel < -EPS_FUEL:
         world.fault("negative fuel")
     gap = st.site_arc - st.uav_arc
-    if st.fuel / params.fuel_per_meter < gap - 1e-9:
+    if st.fuel / params.fuel_per_meter < gap - EPS_GEOM:
         world.fault(f"string invariant broken: fuel spans {st.fuel / params.fuel_per_meter:.9g} "
                     f"of a {gap:.9g} gap")
     if not (-EPS_GEOM <= st.uav_arc <= st.site_arc + EPS_GEOM):
         world.fault("uav ahead of its refuel site")
-    if st.site_arc > st.site_arc_seen + 1e-9:
+    if st.site_arc > st.site_arc_seen + EPS_GEOM:
         world.fault(f"refuel site moved forward along the path "
                     f"({st.site_arc_seen:.9g} -> {st.site_arc:.9g})")
     if st.mode in (Mode.WAIT, Mode.TO_RENDEZVOUS) and st.pending:
@@ -336,9 +346,9 @@ def _check_invariants(world: WorldState):
         world.fault("refuel site out of ground-vehicle reach")
     # every target is held exactly once (pending, current, deferred, which
     # starts with the repair's sheds, or queued) or done, never both.  The
-    # verdict reads only the key, whose items are all immutable, so an equal
-    # key holds the same ids and is judged again only when a holder changed.
-    key = (st.pending, st.current, st.deferred, world.queue, world.done_ids)
+    # verdict reads only the key, so it is judged again only when a holder
+    # changed.
+    key = _holders(world)
     if key != world._conserved:
         pending, current, deferred, queue, done = key
         held = [tid for tid, _ in pending]
@@ -362,37 +372,39 @@ def _coast(world: WorldState, limit: float) -> bool:
     docstring) in one loop; return False when the next tick is not quiet.
 
     The mode's entry test runs first, then one set-up reads the world into
-    locals; the state goes back through `_put` when the coast ends.  Each
-    path edge cursor stops at the last edge starting at or before its arc,
-    and an arc equal to that edge's start gives its vertex, both as in
-    point_at_arc.  Transit's cursor follows the UAV forward, for a traced
-    run only.  A processing tick is judged whole before any of it is kept:
-    the lookahead, reveal's completion test, the skip test and the visit's
-    first drag read only the tick's start and the site it drags to, so the
-    first tick that fails one goes to step as it stood.  The lookahead's
-    UGV step is the tick's UGV step.  A taut string drags the site, and its
-    cursor, backward; a dragged site lies below the site arc before it, so
-    the cursor starts at most on the path's last edge.  The site arc only
-    falls, so its low-water mark is the last arc, set in `_put`.  A UGV
-    step adds its distance to the odometer when it arrives, else the stride.
+    locals; the end of the coast is the one place that writes them back.
+    Each path edge cursor stops at the last edge starting at or before its
+    arc, and an arc equal to that edge's start gives its vertex, both as in
+    point_at_arc.  Transit's cursor follows the UAV forward, for a traced run
+    only.  A processing tick is judged whole before any of it is kept: the
+    lookahead, reveal's completion test, the skip test and the visit's first
+    drag read only the tick's start and the site it drags to, so the first
+    tick that fails one goes to step as it stood.  The lookahead's UGV step
+    is the tick's UGV step.  A taut string drags the site, and its cursor,
+    backward; a dragged site lies below the site arc before it, so the
+    cursor starts at most on the path's last edge.  As in step, processing
+    lowers `site_arc_seen` to the site arc and transit leaves it.  A UGV step
+    adds its distance to the odometer when it arrives, else the stride.
+    Transit stops before a tick whose burn would take fuel below -EPS_FUEL:
+    step takes that tick and raises.  The coast raises no fault of its own.
 
-    A checked coast evaluates, after each tick, the comparisons of
-    `_check_invariants` that a tick can change: the string, the UAV before
-    its site, the site's one-way motion and the UGV's reach, each with the
-    check's float operations in its order, and fuel below zero, which
-    covers both the negative-fuel check and reach's empty tank.  The
-    one-way motion is judged against `site_arc_seen` as the coast began:
-    the check compares the site arc with the low of that mark and the arcs
+    A checked coast starts only when the holders' key is the conservation
+    memo and no pending target rides to the rendezvous, else step takes the
+    tick with its full check: those two checks read only the mode and the
+    holders, which a coast never rebinds.  After each tick it evaluates the
+    other comparisons of `_check_invariants` on its locals, with the check's
+    float operations in its order: the string, the UAV before its site and
+    the site's one-way motion, and in transit the UGV's reach and fuel below
+    zero, which covers both the negative-fuel check and reach's empty tank.
+    In processing the lookahead's `fuel_next < 0.0` break and its reach
+    test, on the floats the tick keeps, already refuse those two.  The
+    one-way motion is judged against `site_arc_seen` as the coast began: the
+    check compares the site arc with the low of that mark and the arcs
     since, and a coast's site arc never rises, so that low is the mark
-    itself or the arc it is compared with.  The comparisons only filter: a
-    tick on which one fails is written back through `_put` and judged by
-    `_check_invariants`, which raises the message step would, at the same
-    clock and before the tick's line.  The two other checks read only the
-    mode and the target holders (pending, current, deferred, queue,
-    done_ids), which a coast never rebinds, so their verdict holds for the
-    whole coast.  The coast judges them once: when the holders' key differs
-    from the conservation memo, or pending targets ride to the rendezvous,
-    its first tick goes to `_check_invariants` whole.
+    itself or the arc it is compared with.  A tick that fails a comparison
+    ends the coast: its locals go back and `_check_invariants` raises step's
+    message at step's clock.  Like step, the coast never writes the line of
+    a tick that faults.
 
     A traced coast builds each tick line from trace.py's pieces and keeps
     those that hold.  The site's point text and the tail (seg, site, mode)
@@ -430,6 +442,9 @@ def _coast(world: WorldState, limit: float) -> bool:
         next_arc = pending[0][1] if pending else sarc
         if not (clock < limit and next_arc - uarc > margin):
             return False
+    if cfg.check_invariants and (_holders(world) != world._conserved
+                                 or (mode is Mode.TO_RENDEZVOUS and pending)):
+        return False
 
     fuel, seg = st.fuel, st.ordinal
     goal = st.site_position
@@ -440,15 +455,12 @@ def _coast(world: WorldState, limit: float) -> bool:
     stride = v_ugv * dt  # _drive's stride over a whole tick
     arcs, verts = st.plan.path.cumulative_arc, st.plan.path.vertices
     write, checked = world.write, cfg.check_invariants
-    if checked:
-        seen = st.site_arc_seen
-        key = (pending, st.current, st.deferred, world.queue, world.done_ids)
-        # the holder checks, judged once: their verdict holds for the whole coast
-        full = key != world._conserved or (mode == Mode.TO_RENDEZVOUS and bool(pending))
+    seen = st.site_arc_seen
     if write is not None:
         site_text = point_text(qx, qy)
         tail, tail_arc = tick_tail(seg, site_text, mode), sarc
-    n = 0  # the ticks taken
+    n = 0  # the ticks taken and recorded
+    failed = False  # the last tick taken failed a check's comparison and is not recorded
     if mode is Mode.PROCESSING:
         tracker = world.trackers[st.current]
         tau, progress = tracker.tau, tracker.progress
@@ -500,15 +512,11 @@ def _coast(world: WorldState, limit: float) -> bool:
             progress += budget
             fuel, sarc, qx, qy = fuel_next, s, px, py
             clock = clock + dt
+            if checked and (fuel / fpm < sarc - uarc - EPS_GEOM
+                            or not -EPS_GEOM <= uarc <= sarc + EPS_GEOM or sarc > seen + EPS_GEOM):
+                failed = True
+                break
             n += 1
-            # _check_invariants' per-tick comparisons, on the locals
-            if checked and (full or fuel < 0.0 or fuel / fpm < sarc - uarc - 1e-9
-                            or not -EPS_GEOM <= uarc <= sarc + EPS_GEOM or sarc > seen + 1e-9
-                            or not math.hypot(gx - qx, gy - qy) / v_ugv <= fuel / burn + EPS_TIME):
-                _put(world, clock, fuel, gx, gy, parked, uarc, sarc,
-                     goal if sarc == sarc0 else Point2D(qx, qy), driven, progress)
-                _check_invariants(world)
-                full = False
             if write is not None:
                 if sarc != tail_arc:  # the tick dragged the site
                     site_text = point_text(qx, qy)
@@ -516,16 +524,12 @@ def _coast(world: WorldState, limit: float) -> bool:
                 write(tick_text(clock, uav_text, fuel,
                                 site_text if parked else point_text(gx, gy), tail))
     else:
-        progress = None
         i = bisect_right(arcs, uarc) - 1
         a0, a1, v, w = arcs[i], arcs[i + 1], verts[i], verts[i + 1]
         edge, dx, dy = a1 - a0, w.x - v.x, w.y - v.y
-        while True:
+        while fuel - budget >= -EPS_FUEL:  # else step faults: fuel exhausted in transit
             uarc += d_step
             fuel -= budget
-            if fuel < -EPS_FUEL:  # as step faults: before the clock and the UGV move
-                _put(world, clock, fuel, gx, gy, parked, uarc, sarc, goal, driven, None)
-                world.fault("fuel exhausted in transit")
             d = math.hypot(gx - qx, gy - qy)
             if d <= stride or d <= EPS_GEOM:
                 gx, gy, parked = qx, qy, True
@@ -535,13 +539,12 @@ def _coast(world: WorldState, limit: float) -> bool:
                 gx, gy = gx + f * (qx - gx), gy + f * (qy - gy)
                 driven += stride
             clock = clock + dt
-            n += 1
-            if checked and (full or fuel < 0.0 or fuel / fpm < sarc - uarc - 1e-9
-                            or not -EPS_GEOM <= uarc <= sarc + EPS_GEOM or sarc > seen + 1e-9
+            if checked and (fuel < 0.0 or fuel / fpm < sarc - uarc - EPS_GEOM
+                            or not -EPS_GEOM <= uarc <= sarc + EPS_GEOM or sarc > seen + EPS_GEOM
                             or not math.hypot(gx - qx, gy - qy) / v_ugv <= fuel / burn + EPS_TIME):
-                _put(world, clock, fuel, gx, gy, parked, uarc, sarc, goal, driven, None)
-                _check_invariants(world)
-                full = False
+                failed = True
+                break
+            n += 1
             if write is not None:
                 while a1 <= uarc:
                     i += 1
@@ -556,26 +559,20 @@ def _coast(world: WorldState, limit: float) -> bool:
                                 site_text if parked else point_text(gx, gy), tail))
             if not (clock < limit and next_arc - uarc > margin):
                 break
-    if n:
-        _put(world, clock, fuel, gx, gy, parked, uarc, sarc,
-             goal if sarc == sarc0 else Point2D(qx, qy), driven, progress)
-        world.ticks += n
-    return n > 0
-
-
-def _put(world: WorldState, clock: float, fuel: float, gx: float, gy: float, parked: bool,
-         uav_arc: float, site_arc: float, site: Point2D, driven: float, progress: float | None):
-    """Write a coast's locals back to the world: when the coast ends, and
-    before a tick that `_check_invariants` must judge or that faults.  The UGV
-    stands on the site's own point when parked; progress, when given, is
-    the current target's.  The state takes the site's point with its arc."""
-    st = world.active
-    st.uav_arc, st.fuel, st.site_arc, st.site_position = uav_arc, fuel, site_arc, site
-    if site_arc < st.site_arc_seen:
-        st.site_arc_seen = site_arc
-    if progress is not None:
-        world.trackers[st.current].progress = progress
-    world.clock, world.ugv_pos, world.driven = clock, site if parked else Point2D(gx, gy), driven
+    if not (n or failed):
+        return False
+    if mode is Mode.PROCESSING:
+        tracker.progress = progress
+        if sarc < seen:
+            st.site_arc_seen = sarc
+    if sarc != sarc0:
+        goal = Point2D(qx, qy)
+    st.uav_arc, st.fuel, st.site_arc, st.site_position = uarc, fuel, sarc, goal
+    world.clock, world.ugv_pos, world.driven = clock, goal if parked else Point2D(gx, gy), driven
+    world.ticks += n
+    if failed:
+        _check_invariants(world)  # raises: each comparison is one of its own
+    return True
 
 
 def time_cap(config: SimConfig, plan: MissionPlan, params) -> float:

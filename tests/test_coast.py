@@ -20,6 +20,7 @@ from fuelstring.offline import MissionPlan, PlanningError, SegmentPlan, plan_mis
 from fuelstring.online import Mode
 from fuelstring.scenario_io import CostModel, generate_scenario
 from fuelstring.sim import InvariantViolation, SimConfig, WorldState, run, step
+from test_metamorphic import scaled
 
 
 @contextmanager
@@ -35,6 +36,12 @@ def _counted_steps():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "step", counted)
         yield stepped_at
+
+
+def _last_tick_t(sink) -> float:
+    """The clock of the last tick line in sink: the start of the tick after it."""
+    return next(rec["t"] for rec in map(json.loads, reversed(sink.getvalue().splitlines()))
+                if "kind" not in rec)
 
 
 def _coasted(trace, stepped_at) -> dict:
@@ -115,6 +122,21 @@ def test_relay_hops_mid_run_match_the_stepped_engine():
         assert _assert_run_matches_steps(sc, SimConfig(check_invariants=checked),
                                          plan)["transit"] > 0
     assert run_outputs(sc, SimConfig(), plan)[0] == "completed"
+
+
+@pytest.mark.parametrize("checked, message", [
+    (True, "refuel site out of ground-vehicle reach [t=142 seg=5 mode=transit "),
+    (False, "fuel exhausted hovering at refuel site [t=150 seg=5 mode=wait "),
+])
+def test_the_coarse_tick_fault_matches_the_stepped_engine(checked, message):
+    # mission 149 at dt 0.5, test_sim's strict xfail: the lookahead approves
+    # a tick whose target completes mid-tick, and the site ends out of reach
+    sc = acceptance7(149)
+    plan = plan_mission(sc)
+    cfg = SimConfig(dt=0.5, check_invariants=checked)
+    assert _assert_run_matches_steps(sc, cfg, plan)["transit"] > 0
+    kind, text = run_outputs(sc, cfg, plan)[:2]
+    assert kind == "InvariantViolation" and text.startswith(message)
 
 
 def _sweep_cell(n: int, ratio: float, seed: int, fuel: float = 50.0) -> Scenario:
@@ -292,6 +314,56 @@ def test_ticks_landing_exactly_on_vertices_and_stops_match(checked):
     assert (trace[29]["mode"], trace[30]["mode"]) == ("transit", "processing")
 
 
+def _faults_as_step_faults(world_class, sc, plan, cfg, *, coasts_only: bool,
+                           traced: bool = True):
+    """Fly the mission of world_class's worlds by step alone and by run, each
+    to the fault it raises: the message, the trace and the state must be
+    step's.  With coasts_only, sim.step is unset, so every tick up to the
+    fault must coast.  Returns the message, the clocks at which run's step
+    started a tick, and the clock of the last tick line, where the faulting
+    tick starts; untraced, a run writes no line, and that clock is None."""
+    stepped_buf, coasted_buf = (io.StringIO(), io.StringIO()) if traced else (None, None)
+    stepped = world_class(sc, plan, cfg, trace_file=stepped_buf)
+    stepped.record_tick()
+    with pytest.raises(InvariantViolation) as want:
+        while True:
+            step(stepped)
+    with _counted_steps() as stepped_at, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "WorldState", world_class)
+        if coasts_only:
+            mp.setattr(sim, "step", None)
+        with pytest.raises(InvariantViolation) as got:
+            run(sc, cfg, plan=plan, trace_file=coasted_buf)
+    coasted = world_class.last
+    assert coasted is not stepped
+    assert str(got.value) == str(want.value)
+    if traced:
+        assert coasted_buf.getvalue() == stepped_buf.getvalue()
+    got_state, want_state = [(w.clock, w.ugv_pos, w.driven, w.active.uav_arc, w.active.fuel,
+                              w.active.site_arc, w.active.site_position,
+                              w.active.site_arc_seen)
+                             for w in (coasted, stepped)]
+    assert got_state == want_state
+    return str(got.value), stepped_at, _last_tick_t(coasted_buf) if traced else None
+
+
+def _corrupted(corrupt, start=lambda world: None):
+    """A WorldState class whose worlds, once start(world) has set them up,
+    pass _check_invariants, which leaves the conservation memo warm as at
+    any coast after a mission's first tick, and are then broken by
+    corrupt(world)."""
+
+    class Corrupted(WorldState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            start(self)
+            sim._check_invariants(self)
+            corrupt(self)
+            Corrupted.last = self
+
+    return Corrupted
+
+
 class _Starved(WorldState):
     """A world whose first tank holds 3 fuel: transit runs dry mid-coast."""
 
@@ -309,41 +381,13 @@ def test_fault_inside_a_coast_reports_what_step_reports(mission, checked):
     else:
         sc = acceptance7(0)
         plan = plan_mission(sc)
-    cfg = SimConfig(check_invariants=checked)
-    stepped_buf = io.StringIO()
-    stepped = _Starved(sc, plan, cfg, trace_file=stepped_buf)
-    stepped.record_tick()
-    with pytest.raises(InvariantViolation) as want:
-        while True:
-            step(stepped)
-    coasted_buf = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "WorldState", _Starved)
-        mp.setattr(sim, "step", None)  # every tick up to the fault coasts
-        with pytest.raises(InvariantViolation) as got:
-            run(sc, cfg, plan=plan, trace_file=coasted_buf)
-    coasted = _Starved.last
-    assert coasted is not stepped
-    assert str(got.value) == str(want.value)
-    assert ("string invariant" if checked else "fuel exhausted in transit") in str(got.value)
-    assert coasted_buf.getvalue() == stepped_buf.getvalue()
-    assert (coasted.clock, coasted.ugv_pos, coasted.active.uav_arc, coasted.active.fuel) == (
-        stepped.clock, stepped.ugv_pos, stepped.active.uav_arc, stepped.active.fuel)
-
-
-def _corrupted(corrupt):
-    """A WorldState class whose worlds pass _check_invariants as built, which
-    leaves the conservation memo warm as at any coast after a mission's
-    first tick, and are then broken by corrupt(world)."""
-
-    class Corrupted(WorldState):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            sim._check_invariants(self)
-            corrupt(self)
-            Corrupted.last = self
-
-    return Corrupted
+    message, stepped_at, fault_t = _faults_as_step_faults(
+        _Starved, sc, plan, SimConfig(check_invariants=checked), coasts_only=False)
+    assert ("string invariant" if checked else "fuel exhausted in transit") in message
+    # the coast raises nothing: it stops before a tick that runs the tank
+    # dry, and a checked one leaves the mission's first tick, with its cold
+    # memo, to step; every other tick coasts
+    assert stepped_at == {fault_t}
 
 
 def _corrupt_string(world):
@@ -382,49 +426,83 @@ def _corrupt_holders(world):
     world.active.deferred = ((1, Point2D(10.0, 0.0)),)  # target 1 is pending too
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (_corrupt_string, "string invariant broken: fuel spans 2.9 of a 19.9 gap [t=0.05 "),
-    (_corrupt_fuel, "refuel site out of ground-vehicle reach [t=1.25 "),
-    (_corrupt_reach, "refuel site out of ground-vehicle reach [t=0.05 "),
-    (_corrupt_site_arc_seen, "refuel site moved forward along the path (19 -> 20) [t=0.05 "),
-    (_corrupt_site, "uav ahead of its refuel site [t=2.55 "),
-    (_corrupt_mode, "pending targets while heading to rendezvous [t=0.05 "),
-    (_corrupt_holders, "target conservation broken: held twice=[1] "),
+def _at_target(world):
+    # the UAV processing target 1 on its arc, the site slack
+    st = world.active
+    st.uav_arc, st.mode, st.current, st.pending = 10.0, Mode.PROCESSING, 1, ()
+
+
+def _corrupt_uav_arc(world):
+    # behind the path's start, where the UAV has no point to trace
+    world.active.uav_arc = -1.0
+
+
+@pytest.mark.parametrize("corrupt, message, coasts_only", [
+    (_corrupt_string, "string invariant broken: fuel spans 2.9 of a 19.9 gap [t=0.05 ", True),
+    (_corrupt_fuel, "refuel site out of ground-vehicle reach [t=1.25 ", True),
+    (_corrupt_reach, "refuel site out of ground-vehicle reach [t=0.05 ", True),
+    (_corrupt_site_arc_seen, "refuel site moved forward along the path (19 -> 20) [t=0.05 ",
+     True),
+    (_corrupt_site, "uav ahead of its refuel site [t=2.55 ", True),
+    (_corrupt_mode, "pending targets while heading to rendezvous [t=0.05 ", False),
+    (_corrupt_holders, "target conservation broken: held twice=[1] ", False),
 ], ids=["string", "fuel", "reach", "site moved forward", "uav ahead", "pending", "conservation"])
-def test_each_check_faults_inside_a_checked_coast_as_step_faults(corrupt, message):
-    # the coast judges each check on its locals and hands a failing tick to
-    # _check_invariants; a comparison it skipped would let the coast fly on,
-    # to a later fault or to the target, where the unset step raises TypeError
-    sc, plan, cfg = line_scenario(3.0), line_plan(), SimConfig(check_invariants=True)
-    broken = _corrupted(corrupt)
-    stepped_buf = io.StringIO()
-    stepped = broken(sc, plan, cfg, trace_file=stepped_buf)
-    stepped.record_tick()
-    with pytest.raises(InvariantViolation) as want:
-        while True:
-            step(stepped)
-    coasted_buf = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "WorldState", broken)
-        mp.setattr(sim, "step", None)  # every tick up to the fault coasts
-        with pytest.raises(InvariantViolation) as got:
-            run(sc, cfg, plan=plan, trace_file=coasted_buf)
-    coasted = broken.last
-    assert coasted is not stepped
-    assert str(want.value).startswith(message)
-    assert str(got.value) == str(want.value)
-    assert coasted_buf.getvalue() == stepped_buf.getvalue()
-    got_state, want_state = [(w.clock, w.ugv_pos, w.driven, w.active.uav_arc, w.active.fuel,
-                              w.active.site_arc, w.active.site_position)
-                             for w in (coasted, stepped)]
-    assert got_state == want_state
+def test_each_check_faults_inside_a_checked_coast_as_step_faults(corrupt, message, coasts_only):
+    # the coast judges the per-tick checks on its locals and ends at a tick
+    # that fails one; a comparison it skipped would let the coast fly on, to
+    # a later fault or to the target, where the unset step raises TypeError.
+    # A coast leaves the mode and holder checks to step: with pending targets
+    # on the way to the rendezvous or a stale conservation memo, step takes
+    # the tick, and faults on it.
+    got, stepped_at, fault_t = _faults_as_step_faults(
+        _corrupted(corrupt), line_scenario(3.0), line_plan(),
+        SimConfig(check_invariants=True), coasts_only=coasts_only)
+    assert got.startswith(message)
+    if not coasts_only:  # step started the faulting tick
+        assert max(stepped_at) == fault_t
+
+
+@pytest.mark.parametrize("corrupt, message, traced", [
+    (_corrupt_site_arc_seen, "refuel site moved forward along the path (19 -> 20) [t=0.05 ",
+     True),
+    (_corrupt_uav_arc, "uav ahead of its refuel site [t=0.05 ", False),
+], ids=["site moved forward", "uav ahead"])
+def test_each_check_faults_inside_a_checked_processing_coast_as_step_faults(
+        corrupt, message, traced):
+    # test_each_check_faults_inside_a_checked_coast_as_step_faults's
+    # processing twin: the world starts processing target 1, 3 fuel of it.
+    # The string's twin, which needs no corruption, follows.
+    got, _, _ = _faults_as_step_faults(
+        _corrupted(corrupt, start=_at_target), line_scenario(3.0), line_plan(),
+        SimConfig(check_invariants=True), coasts_only=True, traced=traced)
+    assert got.startswith(message)
+
+
+def test_a_real_string_fault_inside_a_processing_coast_matches_the_stepped_engine():
+    # the line scaled by 2^20, taut from t=20: at arcs near 2^23 an ulp is
+    # about 2e-9, so the dragged site's arc rounds past the string check's
+    # EPS_GEOM tolerance, and the check faults on a coasted tick, which only
+    # the processing coast's string comparison can catch.  The world is
+    # left uncorrupted.
+    k = 2.0 ** 20
+    plan = MissionPlan(segments=(
+        SegmentPlan(index=0, target_arcs=((1, 10.0 * k),), path=Polyline([
+            Point2D(0.0, 0.0), Point2D(10.0 * k, 0.0), Point2D(20.0 * k, 0.0)])),
+        SegmentPlan(index=1, path=Polyline([Point2D(20.0 * k, 0.0), Point2D(0.0, 0.0)])),
+    ))
+    got, stepped_at, fault_t = _faults_as_step_faults(
+        _corrupted(lambda world: None), scaled(line_scenario(60.0), k), plan,
+        SimConfig(check_invariants=True), coasts_only=False)
+    assert got.startswith("string invariant broken: fuel spans 8178892.8 of a 8178892.8 gap "
+                          "[t=21.1 seg=0 mode=processing ")
+    assert fault_t not in stepped_at  # a coast ended at the faulting tick
 
 
 def test_a_clean_checked_mission_writes_back_once_per_coast():
     # a checked coast judges its ticks on its locals and writes them back
-    # once, as it ends.  The mission's first coast meets an empty
-    # conservation memo, so its first tick also goes to _put and
-    # _check_invariants; every later coast finds the memo step left.
+    # once, as it ends; on a clean mission it never calls _check_invariants.
+    # step checks every tick it takes but the landing one.  The mission's
+    # first tick meets an empty conservation memo, so step takes it.
     sc = acceptance7(0)
     plan = plan_mission(sc)
     calls = Counter()
@@ -443,13 +521,12 @@ def test_a_clean_checked_mission_writes_back_once_per_coast():
         return took
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_put", "_check_invariants", "step"):
+        for name in ("_check_invariants", "step"):
             mp.setattr(sim, name, counted(name, getattr(sim, name)))
         mp.setattr(sim, "_coast", counted_coast)
         rep = run(sc, SimConfig(check_invariants=True), plan=plan)
     assert rep.completed and calls["coasts"] > 0
-    assert calls["_put"] == calls["coasts"] + 1
-    assert calls["_check_invariants"] <= calls["step"] + 1
+    assert calls["_check_invariants"] == calls["step"] - 1
 
 
 def _processing_events(sc, plan, cfg=None):

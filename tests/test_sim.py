@@ -152,6 +152,13 @@ def test_config_names_a_field_of_the_wrong_type(field, bad):
     assert SimConfig(**{field: 1}) == SimConfig(**{field: 1.0})
 
 
+@pytest.mark.parametrize("bad", ["no", None, 1])
+def test_config_refuses_a_check_flag_that_is_not_a_bool(bad):
+    # "no" once built a config that checked every tick
+    with pytest.raises(ValueError, match=f"^check_invariants must be a bool, got {bad!r}$"):
+        SimConfig(check_invariants=bad)
+
+
 def test_config_is_frozen():
     # a dt assigned after construction would skip the check above, and a
     # negative one would run the clock backward below the time cap forever
